@@ -200,6 +200,8 @@ def _identity_options(args) -> identities.CheckOptions:
 
 
 def _cmd_identities(args) -> int:
+    if args.N < 1:
+        raise UsageError(f"--N must be positive, got {args.N}")
     names = identities.identity_names()
     if args.identity:
         if args.identity not in names:

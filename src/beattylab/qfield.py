@@ -9,6 +9,7 @@ are exact; no floating point is ever consulted for a result.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, isqrt
 
 DEFAULT_RADICAND = 5
@@ -46,7 +47,7 @@ class QuadraticReal:
     def __init__(self, p: int, q: int = 0, d: int = 1, radicand: int = DEFAULT_RADICAND):
         if d == 0:
             raise ZeroDivisionError("denominator must be nonzero")
-        if radicand < 2 or _is_square(radicand):
+        if q != 0 and (radicand < 2 or _is_square(radicand)):
             raise ValueError(f"radicand must be a non-square integer >= 2, got {radicand}")
         if d < 0:
             p, q, d = -p, -q, -d
@@ -218,6 +219,9 @@ class QuadraticReal:
         )
 
     def __hash__(self) -> int:
+        # rationals equal ints (see __eq__), so they must hash like numbers
+        if self._q == 0:
+            return hash(Fraction(self._p, self._d))
         return hash((self._p, self._q, self._d, self._r))
 
     def __lt__(self, other: int | QuadraticReal) -> bool:

@@ -11,6 +11,10 @@ two partitions, including the Fibonacci-shift family.
 Every breakpoint comparison is exact; a fractional part can never equal
 a breakpoint (all are irrational combinations ruled out by the closed
 forms), so hitting one raises ArithmeticError instead of tie-breaking.
+
+The per-index kernels (klm, ab_label, unit_interval_label, classify_ab)
+work on plain integer coordinates (p, q) of p + q*sqrt5 and never build
+a QuadraticReal; {n*phi} is (n - 2a(n) + n*sqrt5)/2 in those coordinates.
 """
 
 from __future__ import annotations
@@ -85,6 +89,9 @@ UNIT_INTERVALS: dict[IntervalLabel, tuple[QuadraticReal, QuadraticReal]] = {
     IntervalLabel.I4: (BREAK_HIGH, ONE),
 }
 
+# the three interior breakpoints as numerators (p, q) over 2, like {m*phi}
+_BREAKS_OVER_2 = tuple((b.p, b.q) for b in (INV_PHI_SQ, ONE_HALF, BREAK_HIGH))
+
 
 def strict_compare(x: QuadraticReal, y: QuadraticReal) -> int:
     """Exact comparison that treats equality as a defect, never a tie-break."""
@@ -95,6 +102,39 @@ def strict_compare(x: QuadraticReal, y: QuadraticReal) -> int:
             "and signals an arithmetic bug"
         )
     return c
+
+
+def _sign5(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt5, where zero signals an arithmetic bug.
+
+    The term of larger magnitude decides; p^2 = 5q^2 only for p = q = 0
+    because 5 is not a square.
+    """
+    pp, qq = p * p, 5 * q * q
+    if pp == qq:
+        raise ArithmeticError(
+            "fractional part equals a breakpoint exactly; this is impossible "
+            "and signals an arithmetic bug"
+        )
+    return 1 if (p if pp > qq else q) > 0 else -1
+
+
+def _floor5(p: int, q: int, d: int) -> int:
+    """floor((p + q*sqrt5)/d) for d > 0 with one integer square root.
+
+    floor(q*sqrt5) is isqrt(5q^2), or -isqrt(5q^2) - 1 for q < 0, and the
+    remaining fraction in [0, 1) cannot carry the division by d.
+    """
+    m = isqrt(5 * q * q)
+    if q < 0:
+        m = -m - 1
+    return (p + m) // d
+
+
+def _frac_phi_sign(m: int, a: int, breakpoint: tuple[int, int]) -> int:
+    """Exact sign of {m*phi} - (bp + bq*sqrt5)/2, given a = floor(m*phi)."""
+    bp, bq = breakpoint
+    return _sign5(m - 2 * a - bp, m - bq)
 
 
 def _require_positive(n: int, name: str = "n") -> None:
@@ -152,7 +192,11 @@ def klm(K: int, L: int, M: int, n: int) -> int:
     arg = K * an + L * n + M
     if arg < 1:
         raise ValueError(f"argument K*a(n)+L*n+M = {arg} must be positive")
-    correction = (PHI * M + (PHI * L - K) * (frac_phi(n) * INV_PHI)).floor()
+    fp, fq = n - 2 * an, n  # {n*phi}, over 2
+    gp, gq = 5 * fq - fp, fp - fq  # {n*phi}/phi = {n*phi}*(-1 + sqrt5)/2, over 4
+    hp, hq = L - 2 * K, L  # L*phi - K, over 2
+    tp, tq = hp * gp + 5 * hq * gq, hp * gq + hq * gp  # (L*phi - K)*{n*phi}/phi, over 8
+    correction = _floor5(tp + 4 * M, tq + 4 * M, 8)  # + M*phi = (4M + 4M*sqrt5)/8
     return K * bn + L * an + correction
 
 
@@ -176,7 +220,7 @@ def _witness_search(m: int, candidate: int, term) -> int:
 def ab_label(m: int) -> ABLabel:
     """A/B label of m alone: A exactly when {m*phi} > 1/phi^2."""
     _require_positive(m, "m")
-    return ABLabel.A if strict_compare(frac_phi(m), INV_PHI_SQ) > 0 else ABLabel.B
+    return ABLabel.A if _frac_phi_sign(m, lower(m), _BREAKS_OVER_2[0]) > 0 else ABLabel.B
 
 
 def classify_ab(m: int) -> ABMembership:
@@ -187,9 +231,9 @@ def classify_ab(m: int) -> ABMembership:
     floor((m+1)/phi^2), validated by recomputation with a +-1 fallback.
     """
     if ab_label(m) is ABLabel.A:
-        i = (INV_PHI * (m + 1)).floor()
+        i = _floor5(-(m + 1), m + 1, 2)  # (m+1)/phi = (m+1)*(-1 + sqrt5)/2
         return ABMembership(ABLabel.A, _witness_search(m, i, lower))
-    i = (INV_PHI_SQ * (m + 1)).floor()
+    i = _floor5(3 * (m + 1), -(m + 1), 2)  # (m+1)/phi^2 = (m+1)*(3 - sqrt5)/2
     return ABMembership(ABLabel.B, _witness_search(m, i, upper))
 
 
@@ -208,13 +252,10 @@ def classify_cd(m: int) -> CDMembership:
 
 def unit_interval_label(m: int) -> IntervalLabel:
     """Which quarter of (0,1) contains {m*phi}."""
-    f = frac_phi(m)
-    if strict_compare(f, INV_PHI_SQ) < 0:
-        return IntervalLabel.I1
-    if strict_compare(f, ONE_HALF) < 0:
-        return IntervalLabel.I2
-    if strict_compare(f, BREAK_HIGH) < 0:
-        return IntervalLabel.I3
+    a = lower(m)
+    for label, breakpoint in zip(IntervalLabel, _BREAKS_OVER_2):
+        if _frac_phi_sign(m, a, breakpoint) < 0:
+            return label
     return IntervalLabel.I4
 
 

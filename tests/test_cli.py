@@ -6,6 +6,9 @@ import json
 import subprocess
 import sys
 
+from beattylab.cli import _parse_alpha
+from beattylab.qfield import QuadraticReal
+
 EXPECTED_TABLE_GEN = """\
 column,k,value
 1,1,4
@@ -84,6 +87,14 @@ class TestGen:
         # phi^3 is a fine constant but too large for a step sequence
         code, _, _ = run_cli("gen", "--n", "2", "--alpha", "phi3", "--limit", "5")
         assert code == 2
+
+    def test_rational_alpha_with_square_radicand(self, run_cli):
+        # q = 0 makes the radicand irrelevant: 7,0,4,4 is the rational 7/4
+        assert _parse_alpha("7,0,4,4") == QuadraticReal(7, 0, 4)
+        code, out_square, err = run_cli("gen", "--n", "2", "--alpha", "7,0,4,4", "--limit", "20")
+        code2, out_default, _ = run_cli("gen", "--n", "2", "--alpha", "7,0,4", "--limit", "20")
+        assert code == code2 == 0, err
+        assert out_square == out_default
 
     def test_out_file(self, run_cli, tmp_path):
         target = tmp_path / "cols.csv"
@@ -193,6 +204,14 @@ class TestIdentities:
     def test_even_r_exits_2(self, run_cli):
         code, _, _ = run_cli("identities", "--identity", "fib-shift", "--r", "2", "--N", "5")
         assert code == 2
+
+    def test_empty_scan_exits_2(self, run_cli):
+        for n in ("0", "-3"):
+            for extra in ((), ("--format", "csv"), ("--format", "json")):
+                code, out, err = run_cli("identities", "--N", n, *extra)
+                assert code == 2
+                assert out == ""
+                assert "--N must be positive" in err
 
     def test_fault_injection_exits_1(self, run_cli):
         code, out, _ = run_cli("identities", "--identity", "klm-grid", "--N", "3", "--inject-off-by-one")

@@ -1,0 +1,176 @@
+"""Differential tests of the integer kernels in wythoff.
+
+The reference implementations below evaluate the same closed forms in
+QuadraticReal field arithmetic, comparing against the QuadraticReal
+breakpoints with strict_compare.  A second, independent oracle is the
+Fibonacci word: m is a lower Wythoff value exactly when its Zeckendorf
+representation ends in an even number of zeros (OEIS A003849, A000201).
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from beattylab import wythoff
+from beattylab.qfield import INV_PHI, INV_PHI_SQ, ONE_HALF, PHI, QuadraticReal
+from beattylab.wythoff import (
+    BREAK_HIGH,
+    ABLabel,
+    ABMembership,
+    IntervalLabel,
+    ab_label,
+    classify_ab,
+    frac_phi,
+    klm,
+    lower,
+    strict_compare,
+    unit_interval_label,
+    upper,
+)
+
+BIG = 10**30
+indices = st.integers(min_value=1, max_value=BIG)
+coefficients = st.one_of(st.integers(-5, 5), st.integers(-BIG, BIG))
+
+
+# -- QuadraticReal reference implementations -----------------------------------
+
+
+def ref_klm(K: int, L: int, M: int, n: int) -> int:
+    an = lower(n)
+    arg = K * an + L * n + M
+    if arg < 1:
+        raise ValueError(f"argument K*a(n)+L*n+M = {arg} must be positive")
+    correction = (PHI * M + (PHI * L - K) * (frac_phi(n) * INV_PHI)).floor()
+    return K * (an + n) + L * an + correction
+
+
+def ref_ab_label(m: int) -> ABLabel:
+    return ABLabel.A if strict_compare(frac_phi(m), INV_PHI_SQ) > 0 else ABLabel.B
+
+
+def ref_unit_interval_label(m: int) -> IntervalLabel:
+    f = frac_phi(m)
+    if strict_compare(f, INV_PHI_SQ) < 0:
+        return IntervalLabel.I1
+    if strict_compare(f, ONE_HALF) < 0:
+        return IntervalLabel.I2
+    if strict_compare(f, BREAK_HIGH) < 0:
+        return IntervalLabel.I3
+    return IntervalLabel.I4
+
+
+def ref_classify_ab(m: int) -> ABMembership:
+    if ref_ab_label(m) is ABLabel.A:
+        i = (INV_PHI * (m + 1)).floor()
+        return ABMembership(ABLabel.A, wythoff._witness_search(m, i, lower))
+    i = (INV_PHI_SQ * (m + 1)).floor()
+    return ABMembership(ABLabel.B, wythoff._witness_search(m, i, upper))
+
+
+# -- Zeckendorf oracle ---------------------------------------------------------
+
+
+def zeckendorf_label(m: int) -> ABLabel:
+    """A when the Zeckendorf digits of m end in an even number of zeros.
+
+    Digits are indexed by F(2) = 1, F(3) = 2, F(4) = 3, ...; the greedy
+    expansion's smallest part F(k) leaves k - 2 trailing zeros.
+    """
+    fibs = [1, 2]
+    while fibs[-1] <= m:
+        fibs.append(fibs[-1] + fibs[-2])
+    rest, k = m, 0
+    for idx in range(len(fibs) - 1, -1, -1):
+        if fibs[idx] <= rest:
+            rest -= fibs[idx]
+            k = idx
+    return ABLabel.A if k % 2 == 0 else ABLabel.B
+
+
+class TestZeckendorfOracle:
+    def test_oracle_matches_definition(self):
+        lows = {lower(i) for i in range(1, 200)}
+        assert all((zeckendorf_label(m) is ABLabel.A) == (m in lows) for m in range(1, 300))
+
+    def test_ab_label_exhaustive(self):
+        for m in range(1, 50_001):
+            assert ab_label(m) is zeckendorf_label(m), m
+
+    @settings(max_examples=300, deadline=None)
+    @given(indices)
+    def test_ab_label_large(self, m):
+        assert ab_label(m) is zeckendorf_label(m)
+
+
+# -- kernels against the QuadraticReal reference -------------------------------
+
+
+class TestAgainstReference:
+    def test_klm_full_grid(self):
+        for n in range(1, 151):
+            an = lower(n)
+            for K, L, M in product(range(-5, 6), repeat=3):
+                if K * an + L * n + M >= 1:
+                    assert klm(K, L, M, n) == ref_klm(K, L, M, n), (K, L, M, n)
+
+    @settings(max_examples=400, deadline=None)
+    @given(coefficients, coefficients, coefficients, indices)
+    def test_klm(self, K, L, M, n):
+        assume(K * lower(n) + L * n + M >= 1)
+        value = klm(K, L, M, n)
+        assert value == ref_klm(K, L, M, n)
+        assert value == lower(K * lower(n) + L * n + M)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coefficients, coefficients, coefficients, indices)
+    def test_klm_rejects_like_reference(self, K, L, M, n):
+        assume(K * lower(n) + L * n + M < 1)
+        with pytest.raises(ValueError):
+            klm(K, L, M, n)
+        with pytest.raises(ValueError):
+            ref_klm(K, L, M, n)
+
+    def test_classifiers_exhaustive(self):
+        for m in range(1, 5001):
+            assert ab_label(m) is ref_ab_label(m), m
+            assert unit_interval_label(m) is ref_unit_interval_label(m), m
+            assert classify_ab(m) == ref_classify_ab(m), m
+
+    @settings(max_examples=300, deadline=None)
+    @given(indices)
+    def test_ab_label(self, m):
+        assert ab_label(m) is ref_ab_label(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(indices)
+    def test_unit_interval_label(self, m):
+        assert unit_interval_label(m) is ref_unit_interval_label(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(indices)
+    def test_classify_ab(self, m):
+        assert classify_ab(m) == ref_classify_ab(m)
+
+
+class TestExactness:
+    def test_zero_sign_is_a_defect(self):
+        with pytest.raises(ArithmeticError):
+            wythoff._sign5(0, 0)
+
+    @pytest.mark.parametrize("p, q", [(3, 1), (-3, 1), (3, -1), (-3, -1), (2, 1), (-2, 1), (0, 1), (5, 0)])
+    def test_sign5(self, p, q):
+        assert wythoff._sign5(p, q) == QuadraticReal(p, q).sign()
+
+    @pytest.mark.parametrize("p, q, d", [(1, 1, 2), (-1, 1, 2), (3, -1, 2), (7, 0, 3), (-7, 0, 3), (0, -4, 1)])
+    def test_floor5(self, p, q, d):
+        assert wythoff._floor5(p, q, d) == QuadraticReal(p, q, d).floor()
+
+    def test_nonpositive_rejected(self):
+        for fn in (ab_label, unit_interval_label, classify_ab):
+            with pytest.raises(ValueError):
+                fn(0)

@@ -88,6 +88,23 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             QuadraticReal(1, 1, 1, radicand=1)
 
+    def test_square_radicand_allowed_for_rationals(self):
+        assert QuadraticReal(7, 0, 4, radicand=4) == QuadraticReal(7, 0, 4)
+        assert QuadraticReal(3, 0, 1, radicand=1) == 3
+
+    def test_rationals_hash_like_numbers(self):
+        assert len({QuadraticReal(3), 3}) == 1
+        assert hash(QuadraticReal(6, 0, 4)) == hash(Fraction(3, 2))
+        assert hash(QuadraticReal(-5)) == hash(-5)
+        assert {QuadraticReal(1, 0, 2): "half"}[QuadraticReal(2, 0, 4, radicand=2)] == "half"
+
+    @given(st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+    def test_rational_hash_matches_fraction(self, p, d):
+        x = QuadraticReal(p, 0, d)
+        assert hash(x) == hash(Fraction(p, d))
+        if d == 1:
+            assert x == p and hash(x) == hash(p)
+
     def test_rational_values_share_field_tag(self):
         assert QuadraticReal(3, 0, 2, radicand=2) == QuadraticReal(3, 0, 2)
         assert hash(QuadraticReal(2, 2, 4)) == hash(QuadraticReal(1, 1, 2))
