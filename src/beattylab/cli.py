@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -141,7 +140,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _resolve_spec(args)
-    report = partition.verify_partition(spec, args.limit, shards=args.shards)
+    report = partition.verify_partition(spec, args.limit)
     if args.format == "json":
         payload = report.to_json_dict()
         payload["limit"] = str(payload["limit"])
@@ -188,9 +187,6 @@ def _identity_options(args) -> identities.CheckOptions:
     rs = (1, 3, 5, 7)
     if args.r is not None:
         rs = tuple(int(tok) for tok in str(args.r).split(","))
-        for r in rs:
-            if r < 1 or r % 2 == 0:
-                raise UsageError(f"--r must list odd positive integers, got {r}")
     return identities.CheckOptions(
         rs=rs,
         converse_rs=tuple(r for r in rs if r in (1, 3)) or (1, 3),
@@ -300,11 +296,11 @@ def _cmd_classify(args) -> int:
             )
         return EXIT_OK
     if args.what == "census":
-        census = three_set.row_class_census(args.N, shards=args.shards)
+        census = three_set.row_class_census(args.N)
         keys = sorted(ADMISSIBLE_ROW_CLASSES) + sorted(census.counts.keys() - ADMISSIBLE_ROW_CLASSES)
         admissible = set(census.counts) <= ADMISSIBLE_ROW_CLASSES
     else:  # ab-over-scd
-        census = three_set.ab_over_scd_census(args.N, shards=args.shards)
+        census = three_set.ab_over_scd_census(args.N)
         keys = list(ALL_PAIR_CLASSES)
         admissible = True
     if args.format == "json":
@@ -316,7 +312,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    report = three_set.density_report(args.N, shards=args.shards)
+    report = three_set.density_report(args.N)
     if args.format == "json":
         payload = {
             "N": args.N,
@@ -355,7 +351,9 @@ def _cmd_density(args) -> int:
 
 
 def _add_generator_flags(sub) -> None:
-    sub.add_argument("--n", type=int, required=True, help="number of columns (>= 2)")
+    sub.add_argument(
+        "--n", type=int, required=True, help=f"number of columns (2 to {partition.MAX_COLUMNS})"
+    )
     sub.add_argument("--h", choices=("identity", "phi"), help="named step sequence")
     sub.add_argument("--alpha", help="exact alpha: named constant or p,q,d[,radicand]")
     sub.add_argument("--explicit", help="file with explicit first-column values")
@@ -366,7 +364,7 @@ def _add_output_flags(sub, default_format: str | None = "csv") -> None:
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def build_parser(default_shards: int) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beatty-lab",
         description="Exact Beatty/Wythoff sequence partitions, identities and censuses.",
@@ -381,7 +379,6 @@ def build_parser(default_shards: int) -> argparse.ArgumentParser:
     verify = subparsers.add_parser("verify", help="brute-force cover/disjointness check")
     _add_generator_flags(verify)
     verify.add_argument("--limit", type=int, required=True)
-    verify.add_argument("--shards", type=int, default=default_shards)
     _add_output_flags(verify)
 
     dec = subparsers.add_parser("decompose", help="invert the partition map for one integer")
@@ -392,7 +389,10 @@ def build_parser(default_shards: int) -> argparse.ArgumentParser:
     idn = subparsers.add_parser("identities", help="run the exact identity suite")
     idn.add_argument("--N", type=int, default=1000, help="scan indices 1..N")
     idn.add_argument("--identity", help="run a single named identity")
-    idn.add_argument("--r", help="comma list of odd shift indices (default 1,3,5,7)")
+    idn.add_argument(
+        "--r",
+        help=f"comma list of odd shift indices up to {identities.FIB_INDEX_CAP} (default 1,3,5,7)",
+    )
     idn.add_argument("--bound", type=int, help="search bound for the converse scan")
     idn.add_argument(
         "--inject-off-by-one",
@@ -404,12 +404,10 @@ def build_parser(default_shards: int) -> argparse.ArgumentParser:
     cls = subparsers.add_parser("classify", help="row classes and membership censuses")
     cls.add_argument("what", choices=("rows", "census", "ab-over-scd"))
     cls.add_argument("--N", type=int, required=True)
-    cls.add_argument("--shards", type=int, default=default_shards)
     _add_output_flags(cls)
 
     den = subparsers.add_parser("density", help="desk-scale density measurements")
     den.add_argument("--N", type=int, required=True)
-    den.add_argument("--shards", type=int, default=default_shards)
     _add_output_flags(den)
 
     return parser
@@ -426,15 +424,7 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    env_shards = os.environ.get("BEATTY_LAB_SHARDS", "1")
-    try:
-        default_shards = int(env_shards)
-        if default_shards < 1:
-            raise ValueError
-    except ValueError:
-        print(f"invalid BEATTY_LAB_SHARDS value {env_shards!r}", file=sys.stderr)
-        return EXIT_USAGE
-    parser = build_parser(default_shards)
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)

@@ -74,12 +74,23 @@ def _json_value(v) -> object:
     return str(v)
 
 
+# fib and phi_pow are O(k) loops run at every scanned index, so every
+# Fibonacci index a check evaluates (shift index r, phi-power exponent,
+# Cassini index) stays at or below this cap.
+FIB_INDEX_CAP = 200
+
+
 @dataclass(frozen=True)
 class CheckOptions:
     rs: tuple[int, ...] = (1, 3, 5, 7)
     converse_rs: tuple[int, ...] = (1, 3)
     bound: int | None = None
     fault_offset: int = 0
+
+    def __post_init__(self):
+        for r in self.rs + self.converse_rs:
+            if not (1 <= r <= FIB_INDEX_CAP and r % 2 == 1):
+                raise ValueError(f"shift indices must be odd integers in [1, {FIB_INDEX_CAP}], got {r}")
 
 
 def _record(identity: str, n: int, case: str, lhs, rhs) -> IdentityCheck:
@@ -289,8 +300,8 @@ IDENTITY_DEFS: tuple[IdentityDef, ...] = (
     IdentityDef("d-case", "d(n) = 2a(n)+n (+1 above half)", _check_d_case),
     IdentityDef("c-odd-case", "c(2n+1) = b(n) + e(n), e split at (5-sqrt5)/4", _check_c_odd_case),
     IdentityDef("fib-floor", "floor(F(r)phi + (phi-1){n phi}/phi) = F(r+1)", _check_fib_floor),
-    IdentityDef("phi-power", "phi^k = F(k)phi + F(k-1)", _check_phi_power, index_cap=200),
-    IdentityDef("cassini", "F(n+1)F(n-1) - F(n)^2 = (-1)^n", _check_cassini, index_cap=200),
+    IdentityDef("phi-power", "phi^k = F(k)phi + F(k-1)", _check_phi_power, index_cap=FIB_INDEX_CAP),
+    IdentityDef("cassini", "F(n+1)F(n-1) - F(n)^2 = (-1)^n", _check_cassini, index_cap=FIB_INDEX_CAP),
     IdentityDef("klm-grid", "a(K a(n)+L n+M) closed form over the coefficient grid", _check_klm_grid),
     IdentityDef("fib-shift", "phi^r {m phi} - phi^(r-2) {n phi} = 1 at m = a(n)+n+F(r)", _check_fib_shift),
     IdentityDef(

@@ -6,7 +6,8 @@ column 1 is l itself and column j collects l(k) shifted by every signed
 sum eps*2**(n-2) + ... + eps*2**(n-j); together the columns cover every
 positive integer and no integer lands in two different columns.  This
 module materializes the columns, inverts the construction (decompose),
-and verifies cover/disjointness by brute force.
+and verifies cover/disjointness by brute force.  Columns and verification
+share one sweep over [1, limit] that labels every value with its column.
 
 An integer inside the overlap of two consecutive generator intervals has
 two valid (index, signs) representations; they always agree on the
@@ -20,8 +21,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .qfield import ONE, PHI, QuadraticReal
-from .sharding import index_blocks
 from .wythoff import lower
+
+# Column labels are stored one byte per value, and gap_set / _sign_expansion
+# cost grows with n; no construction in this package needs more columns.
+MAX_COLUMNS = 64
 
 
 def gap_set(n: int) -> set[int]:
@@ -31,8 +35,8 @@ def gap_set(n: int) -> set[int]:
 
 
 def _require_columns(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"need at least 2 columns, got {n}")
+    if not 2 <= n <= MAX_COLUMNS:
+        raise ValueError(f"number of columns must be in [2, {MAX_COLUMNS}], got {n}")
 
 
 @dataclass(frozen=True)
@@ -189,21 +193,22 @@ def linear_form(n: int, t: int, j: int, signs: tuple[int, ...]) -> int:
     return total
 
 
-def column_offsets(n: int, column: int) -> tuple[int, ...]:
+def column_offsets(n: int, column: int) -> range:
     """All signed-sum offsets of one column, ascending.
 
     Column 1 only contains the generator itself; column j >= 2 shifts by
     2**(n-j) times every odd u with |u| <= 2**(j-1) - 1, which is exactly
-    the value set of the corresponding signed sums.
+    the value set of the corresponding signed sums.  A range, so the
+    2**(j-1) offsets of a wide column take no memory.
     """
     _require_columns(n)
     if not 1 <= column <= n:
         raise ValueError(f"column must be in [1, {n}], got {column}")
     if column == 1:
-        return (0,)
+        return range(1)
     w = 2 ** (n - column)
-    top = 2 ** (column - 1) - 1
-    return tuple(w * u for u in range(-top, top + 1, 2))
+    top = w * (2 ** (column - 1) - 1)
+    return range(-top, top + 1, 2 * w)
 
 
 @dataclass(frozen=True)
@@ -297,53 +302,74 @@ def decompose(m: int, spec: PartitionSpec) -> Decomposition:
     return found[0]
 
 
-def build_columns(spec: PartitionSpec, limit: int) -> list[list[int]]:
-    """All n columns restricted to [1, limit], each strictly increasing.
+def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, ValidationReport | None]:
+    """Label every value in [1, limit] with its column, one generator term at a time.
 
-    Enumerates generator terms until their whole offset interval lies
-    beyond the limit.  Raises GeneratorError as soon as a materialized
-    term violates the start or gap constraints.
+    Term t fills [t - w, t + w] with w = 2**(n-1) - 1, and a value v there
+    lands in column n - v2(v - t), i.e. column j collects t plus
+    column_offsets(n, j).  Returns labels (labels[v] is the column of v,
+    0 where no term reaches it; labels[0] is unused), the smallest value
+    reached in two different columns, and the first start/gap violation
+    among the terms read.  Explicit generators are read in full, so
+    non-monotone (invalid) data is measured faithfully and checked
+    everywhere; the infinite generators are strictly increasing by
+    construction and stop at the first interval past the limit.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
+    width = spec.half_width
     allowed = gap_set(spec.n)
-    offsets = [column_offsets(spec.n, j) for j in range(1, spec.n + 1)]
-    columns: list[set[int]] = [set() for _ in range(spec.n)]
+    offsets = (column_offsets(spec.n, j) for j in range(1, spec.n + 1))
+    grid = [(j, offs.start, offs.stop, offs.step) for j, offs in enumerate(offsets, start=1)]
+    explicit = isinstance(spec.generator, ExplicitColumn)
+    labels = bytearray(limit + 1)
+    conflict: int | None = None
+    violation: ValidationReport | None = None
     prev = None
     k = 1
     while True:
         t = spec.term(k)
         if t is None:
             break
-        message = _term_violation(spec, k, t, prev, allowed)
-        if message is not None:
-            raise GeneratorError(ValidationReport(False, k, message))
-        if t - spec.half_width > limit:
+        if violation is None:
+            message = _term_violation(spec, k, t, prev, allowed)
+            if message is not None:
+                violation = ValidationReport(False, k, message)
+        if not explicit and t - width > limit:
             break
-        for holder, offs in zip(columns, offsets):
-            for off in offs:
-                v = t + off
-                if 1 <= v <= limit:
-                    holder.add(v)
+        inside = 1 <= t - width and t + width <= limit
+        for j, lo, hi, step in grid:
+            first, stop = t + lo, t + hi
+            if not inside:  # clip to [1, limit], keeping first on the offset grid
+                if first < 1:
+                    first += (step - first) // step * step
+                stop = min(stop, limit + 1)
+            for v in range(first, stop, step):
+                seen = labels[v]
+                if seen == 0:
+                    labels[v] = j
+                elif seen != j and (conflict is None or v < conflict):
+                    conflict = v
         prev = t
         k += 1
-    return [sorted(s) for s in columns]
+    return labels, conflict, violation
 
 
-def _build_single_column(spec: PartitionSpec, column: int, limit: int) -> list[int]:
-    offs = column_offsets(spec.n, column)
-    values: set[int] = set()
-    k = 1
-    while True:
-        t = spec.term(k)
-        if t is None or t - spec.half_width > limit:
-            break
-        for off in offs:
-            v = t + off
-            if 1 <= v <= limit:
-                values.add(v)
-        k += 1
-    return sorted(values)
+def build_columns(spec: PartitionSpec, limit: int) -> list[list[int]]:
+    """All n columns restricted to [1, limit], each strictly increasing.
+
+    Raises GeneratorError when any term read violates the start or gap
+    constraints; an explicit generator is checked in full, also past the
+    limit.
+    """
+    labels, _, violation = _sweep(spec, limit)
+    if violation is not None:
+        raise GeneratorError(violation)
+    columns: list[list[int]] = [[] for _ in range(spec.n)]
+    appenders = [[].append] + [column.append for column in columns]  # label 0: not reached
+    for v, j in enumerate(labels):
+        appenders[j](v)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -370,60 +396,16 @@ class VerifyReport:
         }
 
 
-def _verify_block(spec: PartitionSpec, offsets, lo: int, hi: int) -> tuple[int | None, int | None]:
-    """(first uncovered, first column conflict) within the value block [lo, hi].
-
-    Explicit generators are scanned in full so that even non-monotone
-    (invalid) data is measured faithfully; the infinite generators are
-    strictly increasing by construction, allowing the index search and
-    the early cutoff.
-    """
-    width = spec.half_width
-    labels = bytearray(hi - lo + 1)
-    conflict: int | None = None
-    explicit = isinstance(spec.generator, ExplicitColumn)
-    k = 1 if explicit else _first_index_at_least(spec, lo - width)
-    while True:
-        t = spec.term(k)
-        if t is None or (not explicit and t - width > hi):
-            break
-        for j, offs in enumerate(offsets, start=1):
-            for off in offs:
-                v = t + off
-                if lo <= v <= hi:
-                    seen = labels[v - lo]
-                    if seen == 0:
-                        labels[v - lo] = j
-                    elif seen != j and (conflict is None or v < conflict):
-                        conflict = v
-        k += 1
-    try:
-        uncovered = lo + labels.index(0)
-    except ValueError:
-        uncovered = None
-    return uncovered, conflict
-
-
-def verify_partition(spec: PartitionSpec, limit: int, shards: int = 1) -> VerifyReport:
+def verify_partition(spec: PartitionSpec, limit: int) -> VerifyReport:
     """Brute-force check that [1, limit] is covered exactly once.
 
-    The value range is cut into shard blocks whose scans are independent
-    (every generator interval touching a block is enumerated for it) and
-    whose defect reports merge by taking minima, so the outcome does not
-    depend on the shard count.  Duplicate realizations inside a single
-    column are legitimate and do not count as defects.
+    The report measures the data as given: generator violations are not
+    defects here, and duplicate realizations inside a single column are
+    legitimate.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    offsets = [column_offsets(spec.n, j) for j in range(1, spec.n + 1)]
-    uncovered: int | None = None
-    conflict: int | None = None
-    for lo, hi in index_blocks(1, limit, shards):
-        block_uncovered, block_conflict = _verify_block(spec, offsets, lo, hi)
-        if block_uncovered is not None and (uncovered is None or block_uncovered < uncovered):
-            uncovered = block_uncovered
-        if block_conflict is not None and (conflict is None or block_conflict < conflict):
-            conflict = block_conflict
+    labels, conflict, _ = _sweep(spec, limit)
+    found = labels.find(0, 1)
+    uncovered = None if found < 0 else found
     defects = [v for v in (uncovered, conflict) if v is not None]
     return VerifyReport(
         n=spec.n,
@@ -464,5 +446,5 @@ def limiting_prefix_check(n: int, e: int, spec: PartitionSpec | None = None) -> 
     elif spec.n != n:
         raise ValueError(f"spec has {spec.n} columns, expected {n}")
     expected = [2**e * u for u in range(1, 2 ** (n - e), 2)]
-    column = _build_single_column(spec, n - e, expected[-1])
+    column = build_columns(spec, expected[-1])[n - e - 1]
     return column[: len(expected)] == expected

@@ -288,8 +288,21 @@ class QuadraticReal:
         return f"{wrapped}/{self._d}"
 
     def __float__(self) -> float:
-        """Approximate float value. Debug/rendering only, never used in results."""
-        return (self._p + self._q * self._r**0.5) / self._d
+        """Approximate float value. Debug/rendering only, never used in results.
+
+        q*sqrt(r) is scaled by 2**shift and truncated with isqrt, then one
+        integer division rounds, so coordinates of any size work.  Since
+        |p**2 - r*q**2| >= 1, |p + q*sqrt(r)| >= 1/(|p| + |q|*sqrt(r)); the
+        shift exceeds that many bits by 64, so cancellation cannot eat the
+        precision.
+        """
+        if self._q == 0:
+            return self._p / self._d
+        shift = max(abs(self._p), abs(self._q)).bit_length() + self._r.bit_length() + 64
+        root = isqrt(self._q * self._q * self._r << 2 * shift)
+        if self._q < 0:
+            root = -root
+        return ((self._p << shift) + root) / (self._d << shift)
 
 
 # -- Fibonacci numbers and golden-ratio powers --------------------------------

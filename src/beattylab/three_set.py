@@ -23,7 +23,6 @@ from .qfield import (
     ONE,
     QuadraticReal,
 )
-from .sharding import index_blocks
 from .wythoff import (
     ABLabel,
     IntervalLabel,
@@ -168,19 +167,7 @@ class Census:
         return Fraction(self.counts.get(key, 0), self.total)
 
 
-def _merge_census(total: int, parts: list[tuple[dict[str, int], dict[str, int]]]) -> Census:
-    counts: dict[str, int] = {}
-    first: dict[str, int] = {}
-    for block_counts, block_first in parts:
-        for key, value in block_counts.items():
-            counts[key] = counts.get(key, 0) + value
-        for key, idx in block_first.items():
-            if key not in first or idx < first[key]:
-                first[key] = idx
-    return Census(total, counts, first)
-
-
-def row_class_census(limit: int, shards: int = 1) -> Census:
+def row_class_census(limit: int) -> Census:
     """Census of row classes for k in [1, limit].
 
     Any class outside the six admissible ones would disprove the
@@ -188,17 +175,14 @@ def row_class_census(limit: int, shards: int = 1) -> Census:
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    parts = []
-    for lo, hi in index_blocks(1, limit, shards):
-        counts: dict[str, int] = {}
-        first: dict[str, int] = {}
-        for k in range(lo, hi + 1):
-            code = row_class(k).code
-            counts[code] = counts.get(code, 0) + 1
-            if code not in first:
-                first[code] = k
-        parts.append((counts, first))
-    return _merge_census(limit, parts)
+    counts: dict[str, int] = {}
+    first: dict[str, int] = {}
+    for k in range(1, limit + 1):
+        code = row_class(k).code
+        counts[code] = counts.get(code, 0) + 1
+        if code not in first:
+            first[code] = k
+    return Census(limit, counts, first)
 
 
 def scd_label_array(limit: int) -> bytearray:
@@ -224,22 +208,19 @@ def scd_label_array(limit: int) -> bytearray:
 _ARRAY_TO_PAIR_CHAR = {1: "S", 2: "C", 3: "D"}
 
 
-def ab_over_scd_census(limit: int, shards: int = 1) -> Census:
+def ab_over_scd_census(limit: int) -> Census:
     """Census of (column of a(n), column of b(n)) for n in [1, limit]."""
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     labels = scd_label_array(upper(limit))
-    parts = []
-    for lo, hi in index_blocks(1, limit, shards):
-        counts: dict[str, int] = {}
-        first: dict[str, int] = {}
-        for n in range(lo, hi + 1):
-            pair = _ARRAY_TO_PAIR_CHAR[labels[lower(n)]] + _ARRAY_TO_PAIR_CHAR[labels[upper(n)]]
-            counts[pair] = counts.get(pair, 0) + 1
-            if pair not in first:
-                first[pair] = n
-        parts.append((counts, first))
-    return _merge_census(limit, parts)
+    counts: dict[str, int] = {}
+    first: dict[str, int] = {}
+    for n in range(1, limit + 1):
+        pair = _ARRAY_TO_PAIR_CHAR[labels[lower(n)]] + _ARRAY_TO_PAIR_CHAR[labels[upper(n)]]
+        counts[pair] = counts.get(pair, 0) + 1
+        if pair not in first:
+            first[pair] = n
+    return Census(limit, counts, first)
 
 
 # -- density measurements ------------------------------------------------------
@@ -278,7 +259,7 @@ class DensityReport:
         raise KeyError(name)
 
 
-def density_report(limit: int, shards: int = 1) -> DensityReport:
+def density_report(limit: int) -> DensityReport:
     """Desk-scale density measurements over indices up to limit.
 
     Proved densities (membership of floor(n*phi^2/2) in A, of a(n) in C
@@ -292,28 +273,27 @@ def density_report(limit: int, shards: int = 1) -> DensityReport:
     c_in_a = 0
     a_in_c = 0
     s_in_a = 0
-    for lo, hi in index_blocks(1, limit, shards):
-        for n in range(lo, hi + 1):
-            if ab_label(c_half(n)) is ABLabel.A:
-                c_in_a += 1
-            if unit_interval_label(lower(n)) in (IntervalLabel.I1, IntervalLabel.I3):
-                a_in_c += 1
-            if ab_label(col_s(n)) is ABLabel.A:
-                s_in_a += 1
+    for n in range(1, limit + 1):
+        if ab_label(c_half(n)) is ABLabel.A:
+            c_in_a += 1
+        if unit_interval_label(lower(n)) in (IntervalLabel.I1, IntervalLabel.I3):
+            a_in_c += 1
+        if ab_label(col_s(n)) is ABLabel.A:
+            s_in_a += 1
     entries = [
         DensityEntry("c-half-in-A", c_in_a, limit, QuadraticReal(1, 0, 2), "proved-density"),
         DensityEntry("a-in-C", a_in_c, limit, INV_PHI, "proved-density"),
         DensityEntry("a-in-D", limit - a_in_c, limit, INV_PHI_SQ, "proved-density"),
         DensityEntry("s-col-in-A", s_in_a, limit, None, "empirical-open"),
     ]
-    rows = row_class_census(limit, shards)
+    rows = row_class_census(limit)
     for code in sorted(ADMISSIBLE_ROW_CLASSES):
         entries.append(
             DensityEntry(f"row-class-{code}", rows.counts.get(code, 0), limit, None, "empirical-open")
         )
     for code in sorted(rows.counts.keys() - ADMISSIBLE_ROW_CLASSES):
         entries.append(DensityEntry(f"row-class-{code}", rows.counts[code], limit, None, "empirical-open"))
-    pairs = ab_over_scd_census(limit, shards)
+    pairs = ab_over_scd_census(limit)
     for code in ALL_PAIR_CLASSES:
         entries.append(
             DensityEntry(

@@ -27,14 +27,10 @@ from .qfield import (
     INV_PHI,
     INV_PHI_CUBED,
     INV_PHI_SQ,
-    LAMBDA_SPLIT,
     ONE,
     ONE_HALF,
-    PHI,
-    PHI_SQ,
     QuadraticReal,
     ZERO,
-    fib,
     phi_pow,
 )
 
@@ -288,59 +284,11 @@ def frac_d_interval(n: int) -> tuple[str, QuadraticReal]:
     return case, value
 
 
-def frac_c_cases(m: int) -> tuple[str, QuadraticReal]:
-    """Exact {c(m)*phi} with its case tag, c(m) = floor(m*phi^2/2).
-
-    Even m = 2n: phi^3*{c(m)*phi} - phi*{n*phi} = 0.  Odd m = 2n+1 with
-    n >= 1: the difference is phi^2 when {n*phi} < (5-sqrt5)/4 and 1 when
-    {n*phi} > (5-sqrt5)/4.  m = 1 has no such decomposition and is
-    rejected.
-    """
-    _require_positive(m, "m")
-    if m == 1:
-        raise ValueError("m = 1 is outside the odd-index identity (needs m = 2n+1 with n >= 1)")
-    if m % 2 == 0:
-        n = m // 2
-        case, value = "even", frac_upper(n)
-        expected = ZERO
-    else:
-        n = (m - 1) // 2
-        fn = frac_phi(n)
-        if strict_compare(fn, LAMBDA_SPLIT) < 0:
-            case, value = "odd-low", fn * INV_PHI_SQ + INV_PHI
-            expected = PHI_SQ
-        else:
-            case, value = "odd-high", fn * INV_PHI_SQ + INV_PHI + INV_PHI - ONE
-            expected = ONE
-    if PHI * PHI_SQ * value - PHI * frac_phi(n) != expected:
-        raise ArithmeticError(f"fractional identity for c({m}) violated")
-    return case, value
-
-
 def phi_pow_ext(e: int) -> QuadraticReal:
     """phi**e for e >= 1, plus the one negative exponent -1 (exactly phi - 1)."""
     if e == -1:
         return INV_PHI
     return phi_pow(e)
-
-
-def fib_shift(r: int, n: int) -> int:
-    """The unique m with phi^r*{m*phi} - phi^(r-2)*{n*phi} = 1, r odd.
-
-    Returns m = a(n) + n + F(r) and verifies the identity exactly, along
-    with the companion floor identity
-    floor(F(r)*phi + (phi-1)*{n*phi}/phi) = F(r+1).
-    """
-    if r < 1 or r % 2 == 0:
-        raise ValueError(f"shift index must be an odd positive integer, got {r}")
-    _require_positive(n)
-    fn = frac_phi(n)
-    if (PHI * fib(r) + INV_PHI * (fn * INV_PHI)).floor() != fib(r + 1):
-        raise ArithmeticError(f"floor(F({r})*phi + (phi-1)*{{n*phi}}/phi) != F({r + 1})")
-    m = lower(n) + n + fib(r)
-    if phi_pow(r) * frac_phi(m) - phi_pow_ext(r - 2) * fn != ONE:
-        raise ArithmeticError(f"shift identity failed at r={r}, n={n}, m={m}")
-    return m
 
 
 def fib_shift_converse(r: int, n: int, search_bound: int) -> set[int]:

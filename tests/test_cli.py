@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+from beattylab import identities, partition
 from beattylab.cli import _parse_alpha
 from beattylab.qfield import QuadraticReal
 
@@ -28,6 +29,10 @@ k,s,c,d,s_class,c_class,d_class
 5,8,17,29,A,A,A
 6,10,20,33,B,B,A
 """
+
+
+def _no_work(*args):
+    raise AssertionError("a rejected argument must stop the command before any work")
 
 
 class TestGen:
@@ -72,6 +77,19 @@ class TestGen:
         code, _, err = run_cli("gen", "--n", "3", "--explicit", str(bad), "--limit", "10")
         assert code == 2
         assert "violation" in err
+
+    def test_violation_past_the_limit_exits_2(self, run_cli, tmp_path):
+        late = tmp_path / "late.txt"
+        late.write_text("4 11 15 22 29 33 30")
+        code, out, err = run_cli("gen", "--n", "3", "--explicit", str(late), "--limit", "12")
+        assert code == 2 and out == ""
+        assert "l(7)" in err
+        # verify measures the same data as given: the bad term shows only once it is in range
+        code, _, _ = run_cli("verify", "--n", "3", "--explicit", str(late), "--limit", "12")
+        assert code == 0
+        code, out, _ = run_cli("verify", "--n", "3", "--explicit", str(late), "--limit", "40")
+        assert code == 1
+        assert out.strip().endswith("False,False,27")
 
     def test_flag_conflicts_exit_2(self, run_cli):
         code, _, err = run_cli("gen", "--n", "3", "--h", "phi", "--alpha", "sqrt2", "--limit", "5")
@@ -132,24 +150,29 @@ class TestVerify:
         assert payload["limit"] == "500"
         assert payload["first_defect"] is None
 
-    def test_shard_count_does_not_change_output(self, run_cli):
-        outputs = set()
-        for shards in ("1", "3", "17"):
-            code, out, _ = run_cli(
-                "verify", "--n", "3", "--h", "phi", "--limit", "1000", "--shards", shards
-            )
-            assert code == 0
-            outputs.add(out)
-        assert len(outputs) == 1
-
-    def test_env_shard_default(self, run_cli, monkeypatch):
-        monkeypatch.setenv("BEATTY_LAB_SHARDS", "4")
-        code, out, _ = run_cli("verify", "--n", "3", "--h", "phi", "--limit", "1000")
+    def test_forty_columns_at_small_limit(self, run_cli):
+        code, out, _ = run_cli("verify", "--n", "40", "--h", "phi", "--limit", "1000")
         assert code == 0
-        monkeypatch.setenv("BEATTY_LAB_SHARDS", "zero")
-        code, _, err = run_cli("verify", "--n", "3", "--h", "phi", "--limit", "1000")
-        assert code == 2
-        assert "BEATTY_LAB_SHARDS" in err
+        assert "True,True" in out
+        code, out, _ = run_cli("gen", "--n", "40", "--h", "identity", "--limit", "1000")
+        assert code == 0
+        columns = {}
+        for line in out.splitlines()[1:]:
+            column, _, value = line.split(",")
+            columns.setdefault(int(column), []).append(int(value))
+        # [1, 1000] lies in the first interval [1, 2**40 - 1], so every column
+        # is the start of its limiting prefix 2**e * (1, 3, 5, ...)
+        assert sorted(columns) == list(range(31, 41))
+        for e in range(10):
+            assert columns[40 - e] == list(range(2**e, 1001, 2 ** (e + 1)))
+
+    def test_too_many_columns_exits_2_before_any_work(self, run_cli, monkeypatch):
+        monkeypatch.setattr(partition, "_sweep", _no_work)
+        for command in ("gen", "verify"):
+            code, out, err = run_cli(command, "--n", "65", "--h", "phi", "--limit", "1000")
+            assert code == 2 and out == ""
+            assert "[2, 64]" in err
+
 
 
 class TestDecompose:
@@ -204,6 +227,16 @@ class TestIdentities:
     def test_even_r_exits_2(self, run_cli):
         code, _, _ = run_cli("identities", "--identity", "fib-shift", "--r", "2", "--N", "5")
         assert code == 2
+
+    def test_shift_index_cap(self, run_cli, monkeypatch):
+        code, out, _ = run_cli("identities", "--identity", "fib-shift", "--r", "199", "--N", "3")
+        assert code == 0 and "PASS" in out
+        monkeypatch.setattr(identities, "iter_identity_checks", _no_work)
+        monkeypatch.setattr(identities, "summarize_identity", _no_work)
+        for fmt in ((), ("--format", "csv")):
+            code, out, err = run_cli("identities", "--identity", "fib-shift", "--r", "1,201", "--N", "5", *fmt)
+            assert code == 2 and out == ""
+            assert "200" in err
 
     def test_empty_scan_exits_2(self, run_cli):
         for n in ("0", "-3"):

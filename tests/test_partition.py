@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beattylab.partition import (
+    MAX_COLUMNS,
     AlphaH,
     Decomposition,
+    ExplicitColumn,
     GeneratorError,
     PartitionSpec,
     alpha_spec,
@@ -48,6 +50,11 @@ class TestGapSet:
     def test_domain(self):
         with pytest.raises(ValueError):
             gap_set(1)
+        assert len(gap_set(MAX_COLUMNS)) == MAX_COLUMNS
+        with pytest.raises(ValueError):
+            gap_set(MAX_COLUMNS + 1)
+        with pytest.raises(ValueError):
+            phi_spec(MAX_COLUMNS + 1)
 
 
 class TestSpecs:
@@ -138,6 +145,12 @@ class TestLinearForms:
                 )
                 assert explicit == list(column_offsets(n, column))
 
+    def test_offsets_of_wide_columns_take_no_memory(self):
+        offsets = column_offsets(40, 40)
+        assert isinstance(offsets, range)
+        assert len(offsets) == 2**39
+        assert (offsets[0], offsets[1], offsets[-1]) == (-(2**39) + 1, -(2**39) + 3, 2**39 - 1)
+
     def test_forms_fill_interval_once(self):
         # all 2^n - 1 form values at one generator term tile the interval exactly
         for n in range(2, 7):
@@ -186,6 +199,40 @@ class TestBuildColumns:
         with pytest.raises(GeneratorError) as err:
             build_columns(explicit_spec(3, [4, 9, 13]), 12)
         assert err.value.report.violation_index == 2
+
+    def test_explicit_generator_checked_past_the_limit(self):
+        # l(3) = 8 breaks the gap rule although its interval starts past limit 1
+        with pytest.raises(GeneratorError) as err:
+            build_columns(explicit_spec(3, [4, 11, 8]), 1)
+        assert err.value.report.violation_index == 3
+
+    def test_columns_agree_with_decompose(self):
+        # decompose inverts the construction through the 2-adic sign expansion,
+        # independently of the sweep that builds the columns
+        specs = [identity_spec(n) for n in range(2, 11)] + [phi_spec(n) for n in range(2, 11)]
+        specs += [
+            explicit_spec(2, [2, 4, 7, 9, 12]),
+            explicit_spec(3, [4, 11, 15, 22, 29, 33]),
+            explicit_spec(4, [8, 16, 28, 43, 51, 66]),
+        ]
+        for spec in specs:
+            if isinstance(spec.generator, ExplicitColumn):
+                limit = spec.generator.values[-1] + spec.half_width
+            else:
+                limit = 1200
+            columns = [set(column) for column in build_columns(spec, limit)]
+            assert sum(len(column) for column in columns) == limit
+            for m in range(1, limit + 1):
+                assert m in columns[decompose(m, spec).column - 1], (spec, m)
+
+    def test_forty_columns_at_small_limit(self):
+        # [1, 1000] lies in the first interval [1, 2**40 - 1]: column 40 - e holds
+        # exactly the multiples 2**e * odd, the start of its limiting prefix
+        for spec in (identity_spec(40), phi_spec(40)):
+            assert verify_partition(spec, 1000).ok
+            columns = build_columns(spec, 1000)
+            for e in range(40):
+                assert columns[39 - e] == list(range(2**e, 1001, 2 ** (e + 1)))
 
 
 class TestDecompose:
@@ -258,16 +305,17 @@ class TestVerify:
 
     def test_non_monotone_explicit_data_measured(self):
         # out-of-order values are invalid input but still scanned faithfully
-        for shards in (1, 2, 5):
-            report = verify_partition(explicit_spec(3, [4, 11, 8]), 14, shards=shards)
-            assert report.covered and not report.disjoint
-            assert report.first_defect == 8
+        report = verify_partition(explicit_spec(3, [4, 11, 8]), 14)
+        assert report.covered and not report.disjoint
+        assert report.first_defect == 8
 
-    def test_shard_invariance(self):
-        reports = {
-            verify_partition(phi_spec(3), 1500, shards=s) for s in (1, 2, 3, 7, 100)
-        }
-        assert len(reports) == 1
+    def test_interval_crossing_one_is_clipped_on_the_offset_grid(self):
+        # l(1) = 2 breaks the start rule for n = 3, and its interval [-1, 5] crosses 1;
+        # columns 3, 1, 3, 2, 3 hold 1..5, as decompose finds too
+        spec = explicit_spec(3, [2])
+        assert [decompose(m, spec).column for m in range(1, 6)] == [3, 1, 3, 2, 3]
+        assert verify_partition(spec, 5).ok
+        assert verify_partition(spec, 6).first_defect == 6
 
     def test_json_shape(self):
         obj = verify_partition(phi_spec(3), 50).to_json_dict()
@@ -348,6 +396,14 @@ class TestRandomGenerators:
         for rep in reps:
             t = spec.term(rep.index)
             assert linear_form(spec.n, t, rep.column - 1, rep.signs) == m
+
+    @settings(max_examples=60)
+    @given(random_valid_generators())
+    def test_columns_agree_with_decompose(self, spec):
+        limit = spec.generator.values[-1] + spec.half_width
+        for j, column in enumerate(build_columns(spec, limit), start=1):
+            for m in column:
+                assert decompose(m, spec).column == j
 
     @settings(max_examples=60)
     @given(random_valid_generators())

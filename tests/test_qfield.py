@@ -320,3 +320,14 @@ class TestSerialization:
 
     def test_float_is_approximate_rendering_only(self):
         assert abs(float(PHI) - 1.618033988749895) < 1e-12
+
+    def test_float_of_huge_coordinates(self):
+        # no common factor to reduce, coordinates far beyond the float range, value near phi
+        x = QuadraticReal(10**400 + 1, 10**400, 2 * 10**400)
+        assert len(str(x.d)) == 401
+        assert abs(float(x) - 1.618033988749895) < 1e-12
+        assert abs(float(-x) + 1.618033988749895) < 1e-12
+        # L(k) - F(k)*sqrt5 = 2/phi**k cancels almost completely
+        k = 200
+        lucas, fk = fib(k - 1) + fib(k + 1), fib(k)
+        assert float(QuadraticReal(lucas, -fk)) == pytest.approx(2 / 1.618033988749895**k, rel=1e-12)

@@ -141,12 +141,6 @@ class TestRowClasses:
             assert cls.c == classify_ab(col_c(k)).label
             assert cls.d == classify_ab(col_d(k)).label
 
-    def test_shard_invariance(self):
-        baseline = row_class_census(4000, shards=1)
-        for shards in (2, 3, 16):
-            other = row_class_census(4000, shards=shards)
-            assert other.counts == baseline.counts
-            assert other.first_index == baseline.first_index
 
 
 class TestColumnLookup:
@@ -190,11 +184,6 @@ class TestPairCensus:
             recount[pair] = recount.get(pair, 0) + 1
         assert recount == census.counts
 
-    def test_shard_invariance(self):
-        baseline = ab_over_scd_census(3000)
-        for shards in (2, 5, 64):
-            assert ab_over_scd_census(3000, shards=shards).counts == baseline.counts
-
 
 class TestDensities:
     def test_report_at_desk_scale(self):
@@ -225,8 +214,3 @@ class TestDensities:
             entry = report.entry(f"pair-{code}")
             assert entry.status == "reported-density"
             assert abs(float(entry.frequency) - float(entry.expected)) < 0.01
-
-    def test_shard_invariance(self):
-        a = density_report(1500, shards=1)
-        b = density_report(1500, shards=11)
-        assert [(e.name, e.count) for e in a.entries] == [(e.name, e.count) for e in b.entries]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from beattylab.identities import CheckOptions, iter_identity_checks
 from beattylab.qfield import (
     INV_PHI,
     INV_PHI_CUBED,
@@ -36,9 +37,7 @@ from beattylab.wythoff import (
     classify_ab,
     classify_cd,
     d_cubed,
-    fib_shift,
     fib_shift_converse,
-    frac_c_cases,
     frac_d_interval,
     frac_lower,
     frac_phi,
@@ -289,47 +288,52 @@ class TestFracIntervals:
         assert C_FRAC_ODD[1] - C_FRAC_ODD[0] == INV_PHI_SQ
 
     def test_c_cases(self):
-        assert frac_c_cases(4)[0] == "even"
-        case, value = frac_c_cases(3)
-        assert case == "odd-low"
-        assert PHI_CUBED * value - PHI * frac_phi(1) == PHI_SQ
-        case, value = frac_c_cases(7)  # n = 3 is the smallest with {n*phi} above the split
-        assert case == "odd-high"
-        assert PHI_CUBED * value - PHI * frac_phi(3) == ONE
+        # summary-c at n covers c(m) for m = 2n and m = 2n+1, tagged by case
+        records = {r.n: r for r in iter_identity_checks("summary-c", 3) if r.case != "m=2n"}
+        assert records[1].case == "m=2n+1,low" and records[1].rhs == PHI_SQ
+        assert records[3].case == "m=2n+1,high" and records[3].rhs == ONE  # smallest n above the split
+        assert PHI_CUBED * frac_phi(c_half(3)) - PHI * frac_phi(1) == PHI_SQ
+        assert PHI_CUBED * frac_phi(c_half(7)) - PHI * frac_phi(3) == ONE
 
     def test_c_cases_reject_m_one(self):
-        with pytest.raises(ValueError):
-            frac_c_cases(1)
+        # the odd case needs m = 2n+1 with n >= 1, so the scan starts at m = 2, 3
+        cases = [r.case for r in iter_identity_checks("summary-c", 1)]
+        assert cases == ["m=2n", "m=2n+1,low"]
 
     def test_c_cases_scan(self):
-        for m in range(2, N_SCAN + 1):
-            case, value = frac_c_cases(m)
-            assert value == frac_phi(c_half(m))
-            if case == "even":
-                assert C_FRAC_EVEN[0] < value < C_FRAC_EVEN[1]
-            else:
-                assert C_FRAC_ODD[0] < value < C_FRAC_ODD[1]
+        summary = list(iter_identity_checks("summary-c", N_SCAN // 2))
+        assert len(summary) == N_SCAN and all(r.passed for r in summary)
+        for record in iter_identity_checks("c-interval", N_SCAN // 2):
+            m = 2 * record.n + (record.case == "odd")
+            assert record.passed
+            assert record.lhs == frac_phi(c_half(m))
+            lo, hi = C_FRAC_ODD if m % 2 else C_FRAC_EVEN
+            assert lo < record.lhs < hi
 
 
 class TestFibShift:
     def test_examples(self):
-        assert fib_shift(5, 1) == 7
-        for n in range(1, 300):
-            if frac_phi(n) < LAMBDA_SPLIT:
-                assert fib_shift(1, n) == c_half(2 * n + 1)
-            else:
-                assert fib_shift(3, n) == c_half(2 * n + 1)
+        shifts = {(r.n, r.case.split(",")[0]): r for r in iter_identity_checks("fib-shift", 299)}
+        assert shifts[(1, "r=5")].case == "r=5,m=7"
+        for odd in iter_identity_checks("c-odd-case", 299):
+            # c(2n+1) = b(n) + e is the shift target m = a(n) + n + F(r) with F(r) = e
+            r = {"e=1": 1, "e=2": 3}[odd.case]
+            shift = shifts[(odd.n, f"r={r}")]
+            assert shift.passed and shift.case == f"r={r},m={odd.lhs}"
 
     def test_even_r_rejected(self):
         with pytest.raises(ValueError):
-            fib_shift(2, 1)
+            CheckOptions(rs=(2,))
         with pytest.raises(ValueError):
             fib_shift_converse(4, 1, 10)
 
     def test_forward_scan(self):
-        for r in (1, 3, 5, 7):
-            for n in range(1, 200):
-                assert fib_shift(r, n) == lower(n) + n + fib(r)
+        for name in ("fib-shift", "fib-floor"):
+            records = list(iter_identity_checks(name, 199, CheckOptions(rs=(1, 3, 5, 7))))
+            assert len(records) == 4 * 199 and all(r.passed for r in records)
+        for record in iter_identity_checks("fib-shift", 199):
+            r = int(record.case.split(",")[0][2:])
+            assert record.case == f"r={r},m={lower(record.n) + record.n + fib(r)}"
 
     def test_converse_examples(self):
         assert fib_shift_converse(1, 1, 50) == {3}
