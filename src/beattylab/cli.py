@@ -393,7 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--r",
         help=f"comma list of odd shift indices up to {identities.FIB_INDEX_CAP} (default 1,3,5,7)",
     )
-    idn.add_argument("--bound", type=int, help="search bound for the converse scan")
+    idn.add_argument(
+        "--bound",
+        type=int,
+        help=f"search bound for the converse scan, 1 to {identities.CONVERSE_BOUND_CAP}",
+    )
     idn.add_argument(
         "--inject-off-by-one",
         action="store_true",

@@ -15,7 +15,6 @@ from typing import Callable, Iterator
 from .qfield import (
     INV_PHI,
     INV_PHI_CUBED,
-    INV_PHI_SQ,
     INV_SQRT5,
     LAMBDA_SPLIT,
     ONE,
@@ -30,11 +29,13 @@ from .qfield import (
 )
 from .three_set import col_c, col_d, frac_col_c, frac_col_d, frac_col_s
 from .wythoff import (
-    BREAK_HIGH,
+    C_FRAC_EVEN,
+    C_FRAC_ODD,
+    D_FRAC_ABOVE_HALF,
+    D_FRAC_BELOW_HALF,
     c_half,
     d_cubed,
     fib_shift_converse,
-    frac_d_interval,
     frac_lower,
     frac_phi,
     frac_upper,
@@ -79,6 +80,11 @@ def _json_value(v) -> object:
 # Cassini index) stays at or below this cap.
 FIB_INDEX_CAP = 200
 
+# The converse scan evaluates every m up to its bound in field arithmetic,
+# for each of up to 50 indices and both shift indices; at this cap a full
+# run stays within seconds.
+CONVERSE_BOUND_CAP = 10**4
+
 
 @dataclass(frozen=True)
 class CheckOptions:
@@ -91,6 +97,8 @@ class CheckOptions:
         for r in self.rs + self.converse_rs:
             if not (1 <= r <= FIB_INDEX_CAP and r % 2 == 1):
                 raise ValueError(f"shift indices must be odd integers in [1, {FIB_INDEX_CAP}], got {r}")
+        if self.bound is not None and not 1 <= self.bound <= CONVERSE_BOUND_CAP:
+            raise ValueError(f"converse search bound must be in [1, {CONVERSE_BOUND_CAP}], got {self.bound}")
 
 
 def _record(identity: str, n: int, case: str, lhs, rhs) -> IdentityCheck:
@@ -159,24 +167,23 @@ def _check_summary_c(n, opts):
 
 
 def _check_d_interval(n, opts):
-    try:
-        case, value = frac_d_interval(n)
-    except ArithmeticError as exc:
-        return [IdentityCheck("d-interval", n, "membership", str(exc), "", False)]
+    fn = frac_phi(n)
+    if strict_compare(fn, ONE_HALF) > 0:
+        case, value, (lo, hi) = "above-half", INV_PHI - INV_PHI_CUBED * fn, D_FRAC_ABOVE_HALF
+    else:
+        case, value, (lo, hi) = "below-half", ONE - INV_PHI_CUBED * fn, D_FRAC_BELOW_HALF
+    if not (lo < value < hi):
+        message = f"{{d({n})*phi}} = {value} escaped ({lo}, {hi})"
+        return [IdentityCheck("d-interval", n, "membership", message, "", False)]
     return [_record("d-interval", n, case, value, frac_phi(d_cubed(n)))]
 
 
 def _check_c_interval(n, opts):
-    even = frac_phi(c_half(2 * n))
-    odd = frac_phi(c_half(2 * n + 1))
-    return [
-        IdentityCheck(
-            "c-interval", n, "even", even, "(0, (3-sqrt5)/2)", ZERO < even < INV_PHI_SQ
-        ),
-        IdentityCheck(
-            "c-interval", n, "odd", odd, "(1/2, (4-sqrt5)/2)", ONE_HALF < odd < BREAK_HIGH
-        ),
-    ]
+    out = []
+    for case, m, (lo, hi) in (("even", 2 * n, C_FRAC_EVEN), ("odd", 2 * n + 1, C_FRAC_ODD)):
+        value = frac_phi(c_half(m))
+        out.append(IdentityCheck("c-interval", n, case, value, f"({lo}, {hi})", lo < value < hi))
+    return out
 
 
 def _check_d_case(n, opts):

@@ -17,7 +17,8 @@ returns all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import isqrt
 from typing import Iterable
 
 from .qfield import ONE, PHI, QuadraticReal
@@ -59,15 +60,26 @@ class AlphaH:
     """
 
     alpha: QuadraticReal
+    # (p, r*q^2, q < 0, d) of alpha = (p + q*sqrt r)/d, read once for h
+    _coords: tuple[int, int, bool, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (ONE <= self.alpha and self.alpha < 2):
             raise ValueError(f"alpha must satisfy 1 <= alpha < 2, got {self.alpha}")
+        a = self.alpha
+        object.__setattr__(self, "_coords", (a.p, a.radicand * a.q * a.q, a.q < 0, a.d))
 
     def h(self, k: int) -> int:
-        if self.alpha == PHI:
-            return lower(k)
-        return (self.alpha * k).floor()
+        """floor((p*k + floor(q*k*sqrt r))/d) with one integer square root.
+
+        floor(q*k*sqrt r) is isqrt(r*q^2*k^2), or -isqrt(r*q^2*k^2) - 1 for
+        q < 0 (the root is irrational), and floor(x/d) = floor(floor(x)/d).
+        """
+        p, rq2, negative, d = self._coords
+        m = isqrt(rq2 * k * k)
+        if negative:
+            m = -m - 1
+        return (p * k + m) // d
 
     def describe(self) -> str:
         if self.alpha == PHI:
@@ -155,27 +167,6 @@ def _term_violation(spec: PartitionSpec, k: int, t: int, prev: int | None, allow
     if prev is not None and t - prev not in allowed:
         return f"gap l({k}) - l({k - 1}) = {t - prev} not in {sorted(allowed)}"
     return None
-
-
-def validate_generator(spec: PartitionSpec, count: int) -> ValidationReport:
-    """Materialize l(1..count) and check the start value and every gap.
-
-    Violations are data, not exceptions; the report carries the first
-    offending index.
-    """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    allowed = gap_set(spec.n)
-    prev = None
-    for k in range(1, count + 1):
-        t = spec.term(k)
-        if t is None:
-            return ValidationReport(False, k, f"generator exhausted before k={k}")
-        message = _term_violation(spec, k, t, prev, allowed)
-        if message is not None:
-            return ValidationReport(False, k, message)
-        prev = t
-    return ValidationReport(True)
 
 
 def linear_form(n: int, t: int, j: int, signs: tuple[int, ...]) -> int:
@@ -355,8 +346,8 @@ def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, Vali
     return labels, conflict, violation
 
 
-def build_columns(spec: PartitionSpec, limit: int) -> list[list[int]]:
-    """All n columns restricted to [1, limit], each strictly increasing.
+def column_labels(spec: PartitionSpec, limit: int) -> bytearray:
+    """Column of every value in [1, limit]: labels[v] is in 1..n, labels[0] is 0.
 
     Raises GeneratorError when any term read violates the start or gap
     constraints; an explicit generator is checked in full, also past the
@@ -365,9 +356,17 @@ def build_columns(spec: PartitionSpec, limit: int) -> list[list[int]]:
     labels, _, violation = _sweep(spec, limit)
     if violation is not None:
         raise GeneratorError(violation)
+    return labels
+
+
+def build_columns(spec: PartitionSpec, limit: int) -> list[list[int]]:
+    """All n columns restricted to [1, limit], each strictly increasing.
+
+    Raises GeneratorError like column_labels.
+    """
     columns: list[list[int]] = [[] for _ in range(spec.n)]
     appenders = [[].append] + [column.append for column in columns]  # label 0: not reached
-    for v, j in enumerate(labels):
+    for v, j in enumerate(column_labels(spec, limit)):
         appenders[j](v)
     return columns
 

@@ -5,15 +5,15 @@ D = {3a(k)+k}, C = {a(k)+2k-1} and S = {c(k)-1} union {c(k)+1}; each row
 (s(k), c(k), d(k)) carries a triple of A/B memberships and only six of
 the eight conceivable triples ever occur.  This module computes the
 rows, their exact fractional-part closed forms, the row-class census,
-and the census of which columns the Wythoff values a(n), b(n) land in.
+and the census of which columns the Wythoff values a(n), b(n) land in;
+column membership is read from the partition sweep of phi_spec(3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import partition
 from .qfield import (
@@ -25,13 +25,13 @@ from .qfield import (
 )
 from .wythoff import (
     ABLabel,
-    IntervalLabel,
+    CDLabel,
     ab_label,
     c_half,
+    cd_label,
     frac_phi,
     lower,
     strict_compare,
-    unit_interval_label,
     upper,
 )
 
@@ -58,15 +58,8 @@ ALL_PAIR_CLASSES = ("SC", "CS", "DS", "CD", "SS", "SD", "DC", "CC", "DD")
 
 THREE_SET_SPEC = partition.phi_spec(3)
 
-
-class SCDLabel(Enum):
-    S = "S"
-    C = "C"
-    D = "D"
-
-
 # partition column 1 is D, column 2 is C, column 3 is S
-_COLUMN_TO_LABEL = {1: SCDLabel.D, 2: SCDLabel.C, 3: SCDLabel.S}
+_COLUMN_LETTER = {1: "D", 2: "C", 3: "S"}
 
 
 def col_d(k: int) -> int:
@@ -99,11 +92,6 @@ def scd(k: int) -> SCDTriple:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     return SCDTriple(k, col_s(k), col_c(k), col_d(k))
-
-
-def scd_lookup(m: int) -> SCDLabel:
-    """Which of the three columns contains m (via the partition inverse)."""
-    return _COLUMN_TO_LABEL[partition.decompose(m, THREE_SET_SPEC).column]
 
 
 def frac_col_d(k: int) -> QuadraticReal:
@@ -167,60 +155,41 @@ class Census:
         return Fraction(self.counts.get(key, 0), self.total)
 
 
-def row_class_census(limit: int) -> Census:
-    """Census of row classes for k in [1, limit].
+def _census(limit: int, codes: Iterable[str]) -> Census:
+    """Count the codes of indices 1, 2, ..., limit and note where each first occurs.
 
-    Any class outside the six admissible ones would disprove the
-    classification; callers should treat such keys as defects.
+    limit is checked before codes is read, so a generator may size its
+    work from limit.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     counts: dict[str, int] = {}
     first: dict[str, int] = {}
-    for k in range(1, limit + 1):
-        code = row_class(k).code
+    for k, code in enumerate(codes, start=1):
         counts[code] = counts.get(code, 0) + 1
         if code not in first:
             first[code] = k
     return Census(limit, counts, first)
 
 
-def scd_label_array(limit: int) -> bytearray:
-    """Column label (1=S, 2=C, 3=D, 0=none yet) for every value up to limit.
+def row_class_census(limit: int) -> Census:
+    """Census of row classes for k in [1, limit].
 
-    Fills through the sorted closed forms of the three columns; agrees
-    with scd_lookup / the generic partition inverse.
+    Any class outside the six admissible ones would disprove the
+    classification; callers should treat such keys as defects.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    labels = bytearray(limit + 1)
-    for marker, column in ((1, col_s), (2, col_c), (3, col_d)):
-        k = 1
-        while True:
-            v = column(k)
-            if v > limit:
-                break
-            labels[v] = marker
-            k += 1
-    return labels
+    return _census(limit, (row_class(k).code for k in range(1, limit + 1)))
 
 
-_ARRAY_TO_PAIR_CHAR = {1: "S", 2: "C", 3: "D"}
+def _pair_codes(limit: int) -> Iterator[str]:
+    labels = partition.column_labels(THREE_SET_SPEC, upper(limit))
+    for n in range(1, limit + 1):
+        yield _COLUMN_LETTER[labels[lower(n)]] + _COLUMN_LETTER[labels[upper(n)]]
 
 
 def ab_over_scd_census(limit: int) -> Census:
     """Census of (column of a(n), column of b(n)) for n in [1, limit]."""
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    labels = scd_label_array(upper(limit))
-    counts: dict[str, int] = {}
-    first: dict[str, int] = {}
-    for n in range(1, limit + 1):
-        pair = _ARRAY_TO_PAIR_CHAR[labels[lower(n)]] + _ARRAY_TO_PAIR_CHAR[labels[upper(n)]]
-        counts[pair] = counts.get(pair, 0) + 1
-        if pair not in first:
-            first[pair] = n
-    return Census(limit, counts, first)
+    return _census(limit, _pair_codes(limit))
 
 
 # -- density measurements ------------------------------------------------------
@@ -268,25 +237,22 @@ def density_report(limit: int) -> DensityReport:
     A and the six row-class frequencies have no proof and are flagged
     empirical-open.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
+    rows = row_class_census(limit)
     c_in_a = 0
     a_in_c = 0
-    s_in_a = 0
     for n in range(1, limit + 1):
         if ab_label(c_half(n)) is ABLabel.A:
             c_in_a += 1
-        if unit_interval_label(lower(n)) in (IntervalLabel.I1, IntervalLabel.I3):
+        if cd_label(lower(n)) is CDLabel.C:
             a_in_c += 1
-        if ab_label(col_s(n)) is ABLabel.A:
-            s_in_a += 1
+    # a row-class code starts with the letter of s(k), ab_label(col_s(k))
+    s_in_a = sum(count for code, count in rows.counts.items() if code[0] == ABLabel.A.value)
     entries = [
         DensityEntry("c-half-in-A", c_in_a, limit, QuadraticReal(1, 0, 2), "proved-density"),
         DensityEntry("a-in-C", a_in_c, limit, INV_PHI, "proved-density"),
         DensityEntry("a-in-D", limit - a_in_c, limit, INV_PHI_SQ, "proved-density"),
         DensityEntry("s-col-in-A", s_in_a, limit, None, "empirical-open"),
     ]
-    rows = row_class_census(limit)
     for code in sorted(ADMISSIBLE_ROW_CLASSES):
         entries.append(
             DensityEntry(f"row-class-{code}", rows.counts.get(code, 0), limit, None, "empirical-open")

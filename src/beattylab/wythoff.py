@@ -12,9 +12,10 @@ Every breakpoint comparison is exact; a fractional part can never equal
 a breakpoint (all are irrational combinations ruled out by the closed
 forms), so hitting one raises ArithmeticError instead of tie-breaking.
 
-The per-index kernels (klm, ab_label, unit_interval_label, classify_ab)
-work on plain integer coordinates (p, q) of p + q*sqrt5 and never build
-a QuadraticReal; {n*phi} is (n - 2a(n) + n*sqrt5)/2 in those coordinates.
+The per-index kernels (klm, ab_label, unit_interval_label, cd_label,
+classify_ab and classify_cd) work on plain integer coordinates (p, q) of
+p + q*sqrt5 and never build a QuadraticReal; {n*phi} is
+(n - 2a(n) + n*sqrt5)/2 in those coordinates.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import NamedTuple
 
 from .qfield import (
     INV_PHI,
-    INV_PHI_CUBED,
     INV_PHI_SQ,
     ONE,
     ONE_HALF,
@@ -233,16 +233,22 @@ def classify_ab(m: int) -> ABMembership:
     return ABMembership(ABLabel.B, _witness_search(m, i, upper))
 
 
+def cd_label(m: int) -> CDLabel:
+    """C/D label of m alone: C exactly when {m*phi} falls in I1 or I3."""
+    _require_positive(m, "m")
+    return CDLabel.C if unit_interval_label(m) in (IntervalLabel.I1, IntervalLabel.I3) else CDLabel.D
+
+
 def classify_cd(m: int) -> CDMembership:
     """C/D membership of m (C: floor(i*phi^2/2) values, D: floor(i*phi^3)).
 
-    m lies in C exactly when {m*phi} falls in I1 or I3.
+    The witness is recovered by inverting the floor, i = floor((m+1)*2/phi^2)
+    resp. floor((m+1)/phi^3), validated by recomputation with a +-1 fallback.
     """
-    _require_positive(m, "m")
-    if unit_interval_label(m) in (IntervalLabel.I1, IntervalLabel.I3):
-        i = ((ONE - INV_PHI_CUBED) * (m + 1)).floor()  # (m+1) * 2/phi^2
+    if cd_label(m) is CDLabel.C:
+        i = _floor5(3 * (m + 1), -(m + 1), 1)  # (m+1)*2/phi^2 = (m+1)*(3 - sqrt5)
         return CDMembership(CDLabel.C, _witness_search(m, i, c_half))
-    i = (INV_PHI_CUBED * (m + 1)).floor()  # (m+1) / phi^3
+    i = _floor5(-2 * (m + 1), m + 1, 1)  # (m+1)/phi^3 = (m+1)*(sqrt5 - 2)
     return CDMembership(CDLabel.D, _witness_search(m, i, d_cubed))
 
 
@@ -262,26 +268,7 @@ def cd_pair_class(n: int) -> tuple[ABLabel, ABLabel]:
 
 def ab_pair_class(n: int) -> tuple[CDLabel, CDLabel]:
     """C/D labels of the Wythoff pair (a(n), b(n))."""
-    return (classify_cd(lower(n)).label, classify_cd(upper(n)).label)
-
-
-def frac_d_interval(n: int) -> tuple[str, QuadraticReal]:
-    """Exact {d(n)*phi} with its interval case, d(n) = floor(n*phi^3).
-
-    {d(n)*phi} = 1/phi - (sqrt5-2)*{n*phi} in ((3-sqrt5)/2, 1/2) when
-    {n*phi} > 1/2, and 1 - (sqrt5-2)*{n*phi} in ((4-sqrt5)/2, 1) when
-    {n*phi} < 1/2.  Interval membership is re-checked on every call.
-    """
-    fn = frac_phi(n)
-    if strict_compare(fn, ONE_HALF) > 0:
-        case, value = "above-half", INV_PHI - INV_PHI_CUBED * fn
-        lo, hi = D_FRAC_ABOVE_HALF
-    else:
-        case, value = "below-half", ONE - INV_PHI_CUBED * fn
-        lo, hi = D_FRAC_BELOW_HALF
-    if not (lo < value < hi):
-        raise ArithmeticError(f"{{d({n})*phi}} = {value} escaped ({lo}, {hi})")
-    return case, value
+    return (cd_label(lower(n)), cd_label(upper(n)))
 
 
 def phi_pow_ext(e: int) -> QuadraticReal:

@@ -238,6 +238,15 @@ class TestIdentities:
             assert code == 2 and out == ""
             assert "200" in err
 
+    def test_converse_bound_cap(self, run_cli, monkeypatch):
+        monkeypatch.setattr(identities, "iter_identity_checks", _no_work)
+        monkeypatch.setattr(identities, "summarize_identity", _no_work)
+        for bound in ("0", str(identities.CONVERSE_BOUND_CAP + 1)):
+            for fmt in ((), ("--format", "json")):
+                code, out, err = run_cli("identities", "--N", "200", "--bound", bound, *fmt)
+                assert code == 2 and out == ""
+                assert str(identities.CONVERSE_BOUND_CAP) in err
+
     def test_empty_scan_exits_2(self, run_cli):
         for n in ("0", "-3"):
             for extra in ((), ("--format", "csv"), ("--format", "json")):

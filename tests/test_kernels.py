@@ -16,14 +16,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beattylab import wythoff
-from beattylab.qfield import INV_PHI, INV_PHI_SQ, ONE_HALF, PHI, QuadraticReal
+from beattylab.qfield import INV_PHI, INV_PHI_CUBED, INV_PHI_SQ, ONE, ONE_HALF, PHI, QuadraticReal
 from beattylab.wythoff import (
     BREAK_HIGH,
     ABLabel,
     ABMembership,
+    CDLabel,
+    CDMembership,
     IntervalLabel,
     ab_label,
+    c_half,
     classify_ab,
+    classify_cd,
+    d_cubed,
     frac_phi,
     klm,
     lower,
@@ -70,6 +75,14 @@ def ref_classify_ab(m: int) -> ABMembership:
         return ABMembership(ABLabel.A, wythoff._witness_search(m, i, lower))
     i = (INV_PHI_SQ * (m + 1)).floor()
     return ABMembership(ABLabel.B, wythoff._witness_search(m, i, upper))
+
+
+def ref_classify_cd(m: int) -> CDMembership:
+    if ref_unit_interval_label(m) in (IntervalLabel.I1, IntervalLabel.I3):
+        i = ((ONE - INV_PHI_CUBED) * (m + 1)).floor()  # (m+1) * 2/phi^2
+        return CDMembership(CDLabel.C, wythoff._witness_search(m, i, c_half))
+    i = (INV_PHI_CUBED * (m + 1)).floor()  # (m+1) / phi^3
+    return CDMembership(CDLabel.D, wythoff._witness_search(m, i, d_cubed))
 
 
 # -- Zeckendorf oracle ---------------------------------------------------------
@@ -140,6 +153,7 @@ class TestAgainstReference:
             assert ab_label(m) is ref_ab_label(m), m
             assert unit_interval_label(m) is ref_unit_interval_label(m), m
             assert classify_ab(m) == ref_classify_ab(m), m
+            assert classify_cd(m) == ref_classify_cd(m), m
 
     @settings(max_examples=300, deadline=None)
     @given(indices)
@@ -156,6 +170,11 @@ class TestAgainstReference:
     def test_classify_ab(self, m):
         assert classify_ab(m) == ref_classify_ab(m)
 
+    @settings(max_examples=300, deadline=None)
+    @given(indices)
+    def test_classify_cd(self, m):
+        assert classify_cd(m) == ref_classify_cd(m)
+
 
 class TestExactness:
     def test_zero_sign_is_a_defect(self):
@@ -171,6 +190,6 @@ class TestExactness:
         assert wythoff._floor5(p, q, d) == QuadraticReal(p, q, d).floor()
 
     def test_nonpositive_rejected(self):
-        for fn in (ab_label, unit_interval_label, classify_ab):
+        for fn in (ab_label, unit_interval_label, classify_ab, classify_cd):
             with pytest.raises(ValueError):
                 fn(0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,6 @@ from beattylab.partition import (
     limiting_prefix_check,
     linear_form,
     phi_spec,
-    validate_generator,
     verify_partition,
 )
 from beattylab.qfield import PHI, PHI_CUBED, QuadraticReal, SQRT2
@@ -69,6 +69,20 @@ class TestSpecs:
         assert spec.term(2) == 11
         assert spec.term(3) is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_alpha_step_matches_field_floor(self, data):
+        # every p with 1 <= (p + q*sqrt r)/d < 2, as one of the d integers from
+        # ceil(d - q*sqrt r) = d - floor(q*sqrt r) on
+        r = data.draw(st.sampled_from((2, 3, 5, 7)))
+        q = data.draw(st.integers(-50, 50))
+        d = data.draw(st.integers(1, 100))
+        floor_q_root = isqrt(r * q * q) if q >= 0 else -isqrt(r * q * q) - 1
+        p = d - floor_q_root + data.draw(st.integers(0, d - 1))
+        alpha = QuadraticReal(p, q, d, r)
+        k = data.draw(st.integers(1, 10**40))
+        assert AlphaH(alpha).h(k) == (alpha * k).floor()
+
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
             AlphaH(PHI_CUBED)
@@ -80,34 +94,34 @@ class TestSpecs:
             PartitionSpec(1, AlphaH(PHI))
 
 
+def _violation(spec: PartitionSpec, limit: int):
+    with pytest.raises(GeneratorError) as info:
+        build_columns(spec, limit)
+    assert not info.value.report.ok
+    return info.value.report
+
+
 class TestValidateGenerator:
     def test_phi_ok(self):
-        report = validate_generator(phi_spec(3), 200)
-        assert report.ok and report.violation_index is None
+        spec = phi_spec(3)
+        columns = build_columns(spec, spec.term(200))
+        assert columns[0] == [spec.term(k) for k in range(1, 201)]
 
     def test_sqrt2_ok(self):
-        assert validate_generator(alpha_spec(2, SQRT2), 200).ok
+        spec = alpha_spec(2, SQRT2)
+        columns = build_columns(spec, spec.term(200))
+        assert columns[0] == [spec.term(k) for k in range(1, 201)]
 
     def test_bad_gap_reported(self):
-        report = validate_generator(explicit_spec(3, [4, 9, 13]), 3)
-        assert not report.ok
+        report = _violation(explicit_spec(3, [4, 9, 13]), 13)
         assert report.violation_index == 2
         assert "5" in report.message
 
     def test_bad_start_reported(self):
-        report = validate_generator(explicit_spec(3, [5, 9]), 2)
-        assert not report.ok
-        assert report.violation_index == 1
+        assert _violation(explicit_spec(3, [5, 9]), 9).violation_index == 1
 
     def test_repeated_value_reported(self):
-        report = validate_generator(explicit_spec(3, [4, 4]), 2)
-        assert not report.ok
-        assert report.violation_index == 2
-
-    def test_exhaustion_reported(self):
-        report = validate_generator(explicit_spec(3, [4, 11]), 5)
-        assert not report.ok
-        assert report.violation_index == 3
+        assert _violation(explicit_spec(3, [4, 4]), 4).violation_index == 2
 
 
 class TestLinearForms:
@@ -408,7 +422,8 @@ class TestRandomGenerators:
     @settings(max_examples=60)
     @given(random_valid_generators())
     def test_validate_accepts_what_it_generated(self, spec):
-        assert validate_generator(spec, len(spec.generator.values)).ok
+        values = list(spec.generator.values)
+        assert build_columns(spec, values[-1])[0] == values
 
 
 class TestIntervalSeparation:

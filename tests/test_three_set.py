@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from beattylab.partition import build_columns, phi_spec
+from beattylab.partition import build_columns, column_labels, decompose, phi_spec
 from beattylab.qfield import INV_PHI, INV_PHI_SQ, ONE, PHI, QuadraticReal
 from beattylab.three_set import (
     ADMISSIBLE_ROW_CLASSES,
     ALL_PAIR_CLASSES,
     S_OFFSETS_EVEN,
     S_OFFSETS_ODD,
-    SCDLabel,
     ab_over_scd_census,
     col_c,
     col_d,
@@ -25,13 +24,25 @@ from beattylab.three_set import (
     row_class,
     row_class_census,
     scd,
-    scd_label_array,
-    scd_lookup,
 )
-from beattylab.wythoff import classify_ab, frac_phi, lower, upper
+from beattylab.wythoff import ABLabel, ab_label, classify_ab, frac_phi, lower, upper
 
 TABLE_ROWS = [(1, 2, 4), (3, 6, 11), (5, 9, 15), (7, 13, 22), (8, 17, 29), (10, 20, 33)]
 TABLE_CLASSES = ["ABA", "AAA", "BAB", "BBA", "AAA", "BBA"]
+
+# partition column 1 is D, 2 is C, 3 is S
+LETTER = {1: "D", 2: "C", 3: "S"}
+
+
+def closed_form_labels(limit: int) -> bytearray:
+    """Partition column of every value up to limit, filled from col_d, col_c, col_s."""
+    labels = bytearray(limit + 1)
+    for column, term in ((1, col_d), (2, col_c), (3, col_s)):
+        k = 1
+        while term(k) <= limit:
+            labels[term(k)] = column
+            k += 1
+    return labels
 
 
 class TestRows:
@@ -53,6 +64,9 @@ class TestRows:
             scd(0)
         with pytest.raises(ValueError):
             row_class(0)
+        for census in (row_class_census, ab_over_scd_census, density_report):
+            with pytest.raises(ValueError, match="limit must be positive, got 0"):
+                census(0)
 
     def test_c_gaps_are_three_or_four(self):
         for k in range(1, 10**4):
@@ -145,19 +159,21 @@ class TestRowClasses:
 
 class TestColumnLookup:
     def test_examples(self):
-        assert scd_lookup(1) is SCDLabel.S
-        assert scd_lookup(2) is SCDLabel.C
-        assert scd_lookup(4) is SCDLabel.D
+        spec = phi_spec(3)
+        assert LETTER[decompose(1, spec).column] == "S"
+        assert LETTER[decompose(2, spec).column] == "C"
+        assert LETTER[decompose(4, spec).column] == "D"
 
     def test_every_integer_has_one_column(self):
-        labels = scd_label_array(10**5)
+        labels = column_labels(phi_spec(3), 10**5)
         assert all(labels[1:])
 
     def test_lookup_agrees_with_label_array(self):
-        labels = scd_label_array(2000)
-        marker = {1: SCDLabel.S, 2: SCDLabel.C, 3: SCDLabel.D}
+        limit = upper(2000)
+        labels = column_labels(phi_spec(3), limit)
+        assert labels == closed_form_labels(limit)
         for m in range(1, 2001):
-            assert scd_lookup(m) is marker[labels[m]]
+            assert decompose(m, phi_spec(3)).column == labels[m]
 
 
 class TestPairCensus:
@@ -175,12 +191,11 @@ class TestPairCensus:
         assert census.first_index["CD"] == 6  # a(6)=9 in C, b(6)=15 in D
 
     def test_pair_label_definition(self):
-        labels = scd_label_array(upper(200))
-        marker = {1: "S", 2: "C", 3: "D"}
+        spec = phi_spec(3)
         census = ab_over_scd_census(200)
         recount: dict[str, int] = {}
         for n in range(1, 201):
-            pair = marker[labels[lower(n)]] + marker[labels[upper(n)]]
+            pair = LETTER[decompose(lower(n), spec).column] + LETTER[decompose(upper(n), spec).column]
             recount[pair] = recount.get(pair, 0) + 1
         assert recount == census.counts
 
@@ -207,6 +222,11 @@ class TestDensities:
             entry = report.entry(f"row-class-{code}")
             assert entry.status == "empirical-open"
             assert entry.expected is None
+
+    def test_s_column_in_a_recount(self):
+        report = density_report(2000)
+        recount = sum(ab_label(col_s(n)) is ABLabel.A for n in range(1, 2001))
+        assert report.entry("s-col-in-A").count == recount
 
     def test_pair_reference_values(self):
         report = density_report(20000)

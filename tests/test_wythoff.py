@@ -38,7 +38,6 @@ from beattylab.wythoff import (
     classify_cd,
     d_cubed,
     fib_shift_converse,
-    frac_d_interval,
     frac_lower,
     frac_phi,
     frac_upper,
@@ -267,19 +266,19 @@ class TestCaseFormulas:
 
 class TestFracIntervals:
     def test_d_interval_examples(self):
-        case, value = frac_d_interval(1)
-        assert case == "above-half"
-        assert value == INV_PHI - INV_PHI_CUBED * (PHI - 1)
-        assert frac_d_interval(2)[0] == "below-half"
-        assert frac_d_interval(4)[0] == "below-half"
+        records = {r.n: r for r in iter_identity_checks("d-interval", 4)}
+        assert records[1].case == "above-half"
+        assert records[1].lhs == INV_PHI - INV_PHI_CUBED * (PHI - 1)
+        assert records[2].case == "below-half"
+        assert records[4].case == "below-half"
 
     def test_d_interval_scan(self):
         lo_hi = {"above-half": D_FRAC_ABOVE_HALF, "below-half": D_FRAC_BELOW_HALF}
-        for n in range(1, N_SCAN + 1):
-            case, value = frac_d_interval(n)
-            lo, hi = lo_hi[case]
-            assert lo < value < hi
-            assert value == frac_phi(d_cubed(n))
+        for record in iter_identity_checks("d-interval", N_SCAN):
+            lo, hi = lo_hi[record.case]
+            assert record.passed
+            assert lo < record.lhs < hi
+            assert record.lhs == frac_phi(d_cubed(record.n))
 
     def test_interval_lengths(self):
         assert D_FRAC_ABOVE_HALF[1] - D_FRAC_ABOVE_HALF[0] == QuadraticReal(-2, 1, 2)
@@ -309,6 +308,7 @@ class TestFracIntervals:
             assert record.lhs == frac_phi(c_half(m))
             lo, hi = C_FRAC_ODD if m % 2 else C_FRAC_EVEN
             assert lo < record.lhs < hi
+            assert record.rhs == ("(1/2, (4-sqrt5)/2)" if m % 2 else "(0, (3-sqrt5)/2)")
 
 
 class TestFibShift:
