@@ -148,9 +148,10 @@ def explicit_spec(n: int, values: Iterable[int]) -> PartitionSpec:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
-    violation_index: int | None = None
-    message: str = ""
+    """The first start/gap violation of a generator: its term index and what failed."""
+
+    violation_index: int
+    message: str
 
 
 class GeneratorError(ValueError):
@@ -325,7 +326,7 @@ def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, Vali
         if violation is None:
             message = _term_violation(spec, k, t, prev, allowed)
             if message is not None:
-                violation = ValidationReport(False, k, message)
+                violation = ValidationReport(k, message)
         if not explicit and t - width > limit:
             break
         inside = 1 <= t - width and t + width <= limit

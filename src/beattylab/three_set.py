@@ -6,13 +6,16 @@ D = {3a(k)+k}, C = {a(k)+2k-1} and S = {c(k)-1} union {c(k)+1}; each row
 the eight conceivable triples ever occur.  This module computes the
 rows, their exact fractional-part closed forms, the row-class census,
 and the census of which columns the Wythoff values a(n), b(n) land in;
-column membership is read from the partition sweep of phi_spec(3).
+column membership is read from the partition sweep of phi_spec(3), and
+the range scans read A/B membership from the Fibonacci word
+(wythoff.ab_word), with row_class as the per-point path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Iterator, NamedTuple
 
 from . import partition
@@ -25,10 +28,8 @@ from .qfield import (
 )
 from .wythoff import (
     ABLabel,
-    CDLabel,
     ab_label,
-    c_half,
-    cd_label,
+    ab_word,
     frac_phi,
     lower,
     strict_compare,
@@ -172,19 +173,36 @@ def _census(limit: int, codes: Iterable[str]) -> Census:
     return Census(limit, counts, first)
 
 
+def _row_codes(limit: int) -> Iterator[str]:
+    """row_class(k).code for k in [1, limit], read from one Fibonacci word.
+
+    Per k, a(k) and a(ceil(k/2)) cost one isqrt each (lower and the col_*
+    closed forms inlined); word[m - 1] is the A/B label of m, and d(limit)
+    is the largest value read.
+    """
+    word = ab_word(col_d(limit))
+    for k in range(1, limit + 1):
+        a = (k + isqrt(5 * k * k)) // 2
+        h = (k + 1) // 2
+        c_h = (h + isqrt(5 * h * h)) // 2 + 2 * h - 1  # c(ceil(k/2))
+        s = c_h + 1 if k % 2 == 0 else c_h - 1
+        yield word[s - 1] + word[a + 2 * k - 2] + word[3 * a + k - 1]
+
+
 def row_class_census(limit: int) -> Census:
     """Census of row classes for k in [1, limit].
 
     Any class outside the six admissible ones would disprove the
     classification; callers should treat such keys as defects.
     """
-    return _census(limit, (row_class(k).code for k in range(1, limit + 1)))
+    return _census(limit, _row_codes(limit))
 
 
 def _pair_codes(limit: int) -> Iterator[str]:
     labels = partition.column_labels(THREE_SET_SPEC, upper(limit))
     for n in range(1, limit + 1):
-        yield _COLUMN_LETTER[labels[lower(n)]] + _COLUMN_LETTER[labels[upper(n)]]
+        a = (n + isqrt(5 * n * n)) // 2  # a(n), and b(n) = a(n) + n
+        yield _COLUMN_LETTER[labels[a]] + _COLUMN_LETTER[labels[a + n]]
 
 
 def ab_over_scd_census(limit: int) -> Census:
@@ -238,13 +256,21 @@ def density_report(limit: int) -> DensityReport:
     empirical-open.
     """
     rows = row_class_census(limit)
+    # One pass over the C values m = c_half(i) <= a(limit), reading the
+    # Fibonacci word: the A values up to a(limit) are a(1), ..., a(limit),
+    # so an m labelled A is one a(n) in C, and for i <= limit it is also a
+    # c_half(i) in A.
+    top = lower(limit)
+    word = ab_word(top)
     c_in_a = 0
     a_in_c = 0
-    for n in range(1, limit + 1):
-        if ab_label(c_half(n)) is ABLabel.A:
-            c_in_a += 1
-        if cd_label(lower(n)) is CDLabel.C:
+    i = 1
+    while (m := (3 * i + isqrt(5 * i * i)) // 4) <= top:
+        if word[m - 1] == "A":
             a_in_c += 1
+            if i <= limit:
+                c_in_a += 1
+        i += 1
     # a row-class code starts with the letter of s(k), ab_label(col_s(k))
     s_in_a = sum(count for code, count in rows.counts.items() if code[0] == ABLabel.A.value)
     entries = [

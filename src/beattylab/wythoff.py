@@ -15,7 +15,9 @@ forms), so hitting one raises ArithmeticError instead of tie-breaking.
 The per-index kernels (klm, ab_label, unit_interval_label, cd_label,
 classify_ab and classify_cd) work on plain integer coordinates (p, q) of
 p + q*sqrt5 and never build a QuadraticReal; {n*phi} is
-(n - 2a(n) + n*sqrt5)/2 in those coordinates.
+(n - 2a(n) + n*sqrt5)/2 in those coordinates.  Range scans read the A/B
+labels of a whole range from ab_word, the Fibonacci word, and the
+per-index kernels are its test oracle.
 """
 
 from __future__ import annotations
@@ -233,6 +235,22 @@ def classify_ab(m: int) -> ABMembership:
     return ABMembership(ABLabel.B, _witness_search(m, i, upper))
 
 
+def ab_word(limit: int) -> str:
+    """A/B labels of 1, 2, ..., limit as one string: ab_word(limit)[m - 1] is ab_label(m).
+
+    The labels of the positive integers form the Fibonacci word (OEIS
+    A003849), built here by S1 = "A", S2 = "AB", S(k+1) = S(k) + S(k-1)
+    and truncated to limit letters; ab_word(0) is "".  Range scans read
+    it in place of one ab_label call per index.
+    """
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
+    previous, word = "A", "AB"
+    while len(word) < limit:
+        previous, word = word, word + previous
+    return word[:limit]
+
+
 def cd_label(m: int) -> CDLabel:
     """C/D label of m alone: C exactly when {m*phi} falls in I1 or I3."""
     _require_positive(m, "m")
@@ -259,16 +277,6 @@ def unit_interval_label(m: int) -> IntervalLabel:
         if _frac_phi_sign(m, a, breakpoint) < 0:
             return label
     return IntervalLabel.I4
-
-
-def cd_pair_class(n: int) -> tuple[ABLabel, ABLabel]:
-    """A/B labels of the pair (floor(n*phi^2/2), floor(n*phi^3))."""
-    return (classify_ab(c_half(n)).label, classify_ab(d_cubed(n)).label)
-
-
-def ab_pair_class(n: int) -> tuple[CDLabel, CDLabel]:
-    """C/D labels of the Wythoff pair (a(n), b(n))."""
-    return (cd_label(lower(n)), cd_label(upper(n)))
 
 
 def phi_pow_ext(e: int) -> QuadraticReal:

@@ -6,7 +6,7 @@ import json
 import subprocess
 import sys
 
-from beattylab import identities, partition
+from beattylab import identities, partition, three_set, wythoff
 from beattylab.cli import _parse_alpha
 from beattylab.qfield import QuadraticReal
 
@@ -335,6 +335,24 @@ class TestDensity:
         assert entries["a-in-C"]["frequency"]["den"] == 500
         assert entries["a-in-C"]["expected"] == {"p": "-1", "q": "1", "d": "2"}
         assert entries["s-col-in-A"]["expected"] is None
+
+    def test_empty_scans_exit_2_before_any_work(self, run_cli, monkeypatch):
+        # the census scans allocate a Fibonacci word and a column-label array
+        # sized from --N; a rejected --N must stop before either
+        monkeypatch.setattr(wythoff, "ab_word", _no_work)
+        monkeypatch.setattr(three_set, "ab_word", _no_work)
+        monkeypatch.setattr(partition, "column_labels", _no_work)
+        cases = [
+            (("classify", "census", "--N", "0"), "--N must be positive, got 0"),
+            (("classify", "census", "--N", "-5"), "--N must be positive, got -5"),
+            (("classify", "ab-over-scd", "--N", "0"), "--N must be positive, got 0"),
+            (("density", "--N", "0"), "limit must be positive, got 0"),
+        ]
+        for argv, message in cases:
+            for fmt in ((), ("--format", "json")):
+                code, out, err = run_cli(*argv, *fmt)
+                assert code == 2 and out == ""
+                assert err == f"error: {message}\n"
 
 
 def test_module_entry_point_subprocess():

@@ -25,6 +25,7 @@ from beattylab.wythoff import (
     CDMembership,
     IntervalLabel,
     ab_label,
+    ab_word,
     c_half,
     classify_ab,
     classify_cd,
@@ -118,6 +119,31 @@ class TestZeckendorfOracle:
     @given(indices)
     def test_ab_label_large(self, m):
         assert ab_label(m) is zeckendorf_label(m)
+
+
+class TestFibonacciWord:
+    def test_small_limits(self):
+        assert ab_word(0) == ""
+        assert ab_word(1) == "A"
+        assert ab_word(8) == "ABAABABA"
+        with pytest.raises(ValueError):
+            ab_word(-1)
+
+    def test_word_matches_kernel_and_oracle(self):
+        word = ab_word(10**5)
+        assert len(word) == 10**5
+        for m, letter in enumerate(word, start=1):
+            assert letter == ab_label(m).value == zeckendorf_label(m).value, m
+
+    def test_limits_at_and_around_fibonacci_numbers(self):
+        # the substitution words have Fibonacci lengths, so these limits cut
+        # exactly at, just before and just after a built word
+        word = ab_word(10**5)
+        f, g = 1, 2
+        while g < 10**5:
+            for limit in (g - 1, g, g + 1):
+                assert ab_word(limit) == word[:limit], limit
+            f, g = g, f + g
 
 
 # -- kernels against the QuadraticReal reference -------------------------------

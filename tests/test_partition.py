@@ -97,7 +97,7 @@ class TestSpecs:
 def _violation(spec: PartitionSpec, limit: int):
     with pytest.raises(GeneratorError) as info:
         build_columns(spec, limit)
-    assert not info.value.report.ok
+    assert info.value.report.violation_index is not None
     return info.value.report
 
 

@@ -25,7 +25,17 @@ from beattylab.three_set import (
     row_class_census,
     scd,
 )
-from beattylab.wythoff import ABLabel, ab_label, classify_ab, frac_phi, lower, upper
+from beattylab.wythoff import (
+    ABLabel,
+    CDLabel,
+    ab_label,
+    c_half,
+    cd_label,
+    classify_ab,
+    frac_phi,
+    lower,
+    upper,
+)
 
 TABLE_ROWS = [(1, 2, 4), (3, 6, 11), (5, 9, 15), (7, 13, 22), (8, 17, 29), (10, 20, 33)]
 TABLE_CLASSES = ["ABA", "AAA", "BAB", "BBA", "AAA", "BBA"]
@@ -43,6 +53,17 @@ def closed_form_labels(limit: int) -> bytearray:
             labels[term(k)] = column
             k += 1
     return labels
+
+
+def row_class_recount(limit: int) -> tuple[dict[str, int], dict[str, int]]:
+    """Counts and first indices of row_class(k).code, one per-point call per k."""
+    counts: dict[str, int] = {}
+    first: dict[str, int] = {}
+    for k in range(1, limit + 1):
+        code = row_class(k).code
+        counts[code] = counts.get(code, 0) + 1
+        first.setdefault(code, k)
+    return counts, first
 
 
 class TestRows:
@@ -148,6 +169,11 @@ class TestRowClasses:
         assert set(census.counts) == ADMISSIBLE_ROW_CLASSES
         assert "ABB" not in census.counts and "BBB" not in census.counts
 
+    @pytest.mark.parametrize("limit", [*range(1, 61), 2000])
+    def test_census_matches_per_point_recount(self, limit):
+        census = row_class_census(limit)
+        assert (census.counts, census.first_index) == row_class_recount(limit)
+
     def test_row_class_agrees_with_membership(self):
         for k in range(1, 500):
             cls = row_class(k)
@@ -227,6 +253,15 @@ class TestDensities:
         report = density_report(2000)
         recount = sum(ab_label(col_s(n)) is ABLabel.A for n in range(1, 2001))
         assert report.entry("s-col-in-A").count == recount
+
+    @pytest.mark.parametrize("limit", [*range(1, 61), 2000])
+    def test_proved_counts_recount(self, limit):
+        report = density_report(limit)
+        c_in_a = sum(ab_label(c_half(n)) is ABLabel.A for n in range(1, limit + 1))
+        a_in_c = sum(cd_label(lower(n)) is CDLabel.C for n in range(1, limit + 1))
+        assert report.entry("c-half-in-A").count == c_in_a
+        assert report.entry("a-in-C").count == a_in_c
+        assert report.entry("a-in-D").count == limit - a_in_c
 
     def test_pair_reference_values(self):
         report = density_report(20000)

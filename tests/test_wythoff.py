@@ -30,10 +30,9 @@ from beattylab.wythoff import (
     IntervalLabel,
     UNIT_INTERVALS,
     ab_label,
-    ab_pair_class,
     beatty_term,
     c_half,
-    cd_pair_class,
+    cd_label,
     classify_ab,
     classify_cd,
     d_cubed,
@@ -48,6 +47,16 @@ from beattylab.wythoff import (
 )
 
 N_SCAN = 2000
+
+
+def cd_pair_class(n: int) -> tuple[ABLabel, ABLabel]:
+    """A/B labels of the pair (floor(n*phi^2/2), floor(n*phi^3))."""
+    return (classify_ab(c_half(n)).label, classify_ab(d_cubed(n)).label)
+
+
+def ab_pair_class(n: int) -> tuple[CDLabel, CDLabel]:
+    """C/D labels of the Wythoff pair (a(n), b(n))."""
+    return (cd_label(lower(n)), cd_label(upper(n)))
 
 
 class TestSequences:
