@@ -2,19 +2,21 @@
 
 Exit codes: 0 on success / all checks passing, 1 when a mathematical
 defect is found (failed verification, failed identity, inadmissible
-census class), 2 on invalid input.  Output is CSV by default or JSON
-with --format json; big integer values are serialized as decimal
-strings in JSON.
+census class), 2 on invalid input: every ValueError, UsageError
+included.  Output is CSV by default or JSON with --format json; big
+integer values are serialized as decimal strings in JSON.  Each result
+is written once, after it is computed, to stdout or to --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
+from typing import TextIO
 
 from . import identities, partition, three_set
 from .qfield import HALF_PHI_SQ, PHI, PHI_CUBED, PHI_SQ, QuadraticReal, SQRT2
@@ -33,8 +35,8 @@ EXIT_DEFECT = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Invalid command-line input; main reports it like every ValueError."""
 
 
 def _parse_alpha(text: str) -> QuadraticReal:
@@ -52,7 +54,7 @@ def _parse_alpha(text: str) -> QuadraticReal:
     radicand = numbers[3] if len(numbers) == 4 else 5
     try:
         return QuadraticReal(numbers[0], numbers[1], numbers[2], radicand)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -60,19 +62,13 @@ def _resolve_spec(args) -> partition.PartitionSpec:
     chosen = [name for name in ("h", "alpha", "explicit") if getattr(args, name, None)]
     if len(chosen) != 1:
         raise UsageError("exactly one of --h, --alpha, --explicit is required")
-    try:
-        if args.h == "identity":
-            return partition.identity_spec(args.n)
-        if args.h == "phi":
-            return partition.phi_spec(args.n)
-        if args.h:
-            raise UsageError(f"--h must be identity or phi, got {args.h!r}")
-        if args.alpha:
-            return partition.alpha_spec(args.n, _parse_alpha(args.alpha))
-        values = _read_explicit(args.explicit)
-        return partition.explicit_spec(args.n, values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.h == "identity":
+        return partition.identity_spec(args.n)
+    if args.h == "phi":
+        return partition.phi_spec(args.n)
+    if args.alpha:
+        return partition.alpha_spec(args.n, _parse_alpha(args.alpha))
+    return partition.explicit_spec(args.n, _read_explicit(args.explicit))
 
 
 def _read_explicit(path: str) -> list[int]:
@@ -87,24 +83,13 @@ def _read_explicit(path: str) -> list[int]:
         raise UsageError(f"explicit generator file must contain integers: {exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
+    """Where a computed result goes: the --out file, or stdout left open after the with-block.
 
-
-def _csv_table(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    Commands call it only once their result is computed, so a run that
+    fails before that writes nothing and creates no file.
+    """
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
 def _frequency_string(fr: Fraction, places: int = 12) -> str:
@@ -122,41 +107,37 @@ def _cmd_gen(args) -> int:
     except partition.GeneratorError as exc:
         print(f"generator violation: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        payload = {
-            "n": spec.n,
-            "generator": spec.describe(),
-            "limit": args.limit,
-            "columns": [[str(v) for v in col] for col in columns],
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        rows = []
-        for j, col in enumerate(columns, start=1):
-            rows.extend([j, k, v] for k, v in enumerate(col, start=1))
-        _emit(_csv_table(["column", "k", "value"], rows), args.out)
+    with _output(args.out) as fh:
+        if args.format == "json":
+            payload = {
+                "n": spec.n,
+                "generator": spec.describe(),
+                "limit": args.limit,
+                "columns": [[str(v) for v in col] for col in columns],
+            }
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["column", "k", "value"])
+            writer.writerows(
+                (j, k, v) for j, col in enumerate(columns, start=1) for k, v in enumerate(col, start=1)
+            )
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     report = partition.verify_partition(spec, args.limit)
-    if args.format == "json":
-        payload = report.to_json_dict()
-        payload["limit"] = str(payload["limit"])
-        if payload["first_defect"] is not None:
-            payload["first_defect"] = str(payload["first_defect"])
-        _emit(_json_text(payload), args.out)
-    else:
-        row = [
-            report.n,
-            report.generator,
-            report.limit,
-            report.covered,
-            report.disjoint,
-            "" if report.first_defect is None else report.first_defect,
-        ]
-        _emit(_csv_table(["n", "generator", "limit", "covered", "disjoint", "first_defect"], [row]), args.out)
+    record = report.to_json_dict()
+    with _output(args.out) as fh:
+        if args.format == "json":
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+        else:  # the same record as one CSV row under its keys; None is written as ""
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(record)
+            writer.writerow(record.values())
     return EXIT_OK if report.ok else EXIT_DEFECT
 
 
@@ -169,17 +150,21 @@ def _cmd_decompose(args) -> int:
     except ArithmeticError as exc:
         print(f"decomposition defect: {exc}", file=sys.stderr)
         return EXIT_DEFECT
-    if args.format == "json":
-        payload = {
-            "m": str(args.m),
-            "column": dec.column,
-            "k": dec.index,
-            "signs": list(dec.signs),
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        signs = "".join("+" if e > 0 else "-" for e in dec.signs)
-        _emit(_csv_table(["m", "column", "k", "signs"], [[args.m, dec.column, dec.index, signs]]), args.out)
+    with _output(args.out) as fh:
+        if args.format == "json":
+            payload = {
+                "m": str(args.m),
+                "column": dec.column,
+                "k": dec.index,
+                "signs": list(dec.signs),
+            }
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        else:
+            signs = "".join("+" if e > 0 else "-" for e in dec.signs)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["m", "column", "k", "signs"])
+            writer.writerow([args.m, dec.column, dec.index, signs])
     return EXIT_OK
 
 
@@ -205,23 +190,19 @@ def _cmd_identities(args) -> int:
         names = [args.identity]
     opts = _identity_options(args)
     if args.format:
-        rows = []
-        records = []
-        failed = 0
-        for name in names:
-            for check in identities.iter_identity_checks(name, args.N, opts):
-                failed += 0 if check.passed else 1
-                if args.format == "json":
-                    records.append(check.to_json_dict())
-                else:
-                    rows.append(
-                        [check.identity, check.n, check.case, str(check.lhs), str(check.rhs), check.passed]
-                    )
-        if args.format == "json":
-            _emit(_json_text(records), args.out)
-        else:
-            _emit(_csv_table(["identity", "n", "case", "lhs", "rhs", "pass"], rows), args.out)
-        return EXIT_OK if failed == 0 else EXIT_DEFECT
+        checks = [check for name in names for check in identities.iter_identity_checks(name, args.N, opts)]
+        with _output(args.out) as fh:
+            if args.format == "json":
+                json.dump([check.to_json_dict() for check in checks], fh, indent=2)
+                fh.write("\n")
+            else:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["identity", "n", "case", "lhs", "rhs", "pass"])
+                writer.writerows(
+                    (check.identity, check.n, check.case, str(check.lhs), str(check.rhs), check.passed)
+                    for check in checks
+                )
+        return EXIT_OK if all(check.passed for check in checks) else EXIT_DEFECT
     lines = [f"{'identity':24} {'checks':>8} {'failed':>8}  first failure"]
     any_failed = False
     for name in names:
@@ -234,66 +215,32 @@ def _cmd_identities(args) -> int:
         lines.append(f"{summary.name:24} {summary.checks:>8} {summary.failures:>8}  {detail}")
     verdict = "FAIL" if any_failed else "PASS"
     lines.append(f"overall: {verdict} (N={args.N})")
-    _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return EXIT_DEFECT if any_failed else EXIT_OK
-
-
-def _census_rows(census: three_set.Census, keys: list[str]) -> list[list]:
-    rows = []
-    for key in keys:
-        count = census.counts.get(key, 0)
-        rows.append(
-            [
-                key,
-                count,
-                _frequency_string(census.frequency(key)),
-                census.first_index.get(key, ""),
-            ]
-        )
-    return rows
-
-
-def _census_json(census: three_set.Census, keys: list[str]) -> list[dict]:
-    out = []
-    for key in keys:
-        count = census.counts.get(key, 0)
-        out.append(
-            {
-                "class": key,
-                "count": count,
-                "frequency": {"num": count, "den": census.total},
-                "first_k": census.first_index.get(key),
-            }
-        )
-    return out
 
 
 def _cmd_classify(args) -> int:
     if args.N < 1:
         raise UsageError(f"--N must be positive, got {args.N}")
     if args.what == "rows":
+        if args.N > three_set.MAX_INDEX:
+            raise UsageError(f"--N must be at most {three_set.MAX_INDEX}, got {args.N}")
         rows = []
         for k in range(1, args.N + 1):
-            triple = three_set.scd(k)
-            cls = three_set.row_class(k)
-            rows.append([k, triple.s, triple.c, triple.d, cls.s.value, cls.c.value, cls.d.value])
-        if args.format == "json":
-            payload = [
-                {
-                    "k": r[0],
-                    "s": str(r[1]),
-                    "c": str(r[2]),
-                    "d": str(r[3]),
-                    "class": r[4] + r[5] + r[6],
-                }
-                for r in rows
-            ]
-            _emit(_json_text(payload), args.out)
-        else:
-            _emit(
-                _csv_table(["k", "s", "c", "d", "s_class", "c_class", "d_class"], rows),
-                args.out,
-            )
+            t = three_set.scd(k)
+            rows.append((k, t.s, t.c, t.d, three_set.row_class(k).code))
+        with _output(args.out) as fh:
+            if args.format == "json":
+                payload = [
+                    {"k": k, "s": str(s), "c": str(c), "d": str(d), "class": code} for k, s, c, d, code in rows
+                ]
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+            else:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["k", "s", "c", "d", "s_class", "c_class", "d_class"])
+                writer.writerows((k, s, c, d, *code) for k, s, c, d, code in rows)
         return EXIT_OK
     if args.what == "census":
         census = three_set.row_class_census(args.N)
@@ -303,20 +250,34 @@ def _cmd_classify(args) -> int:
         census = three_set.ab_over_scd_census(args.N)
         keys = list(ALL_PAIR_CLASSES)
         admissible = True
-    if args.format == "json":
-        payload = {"N": args.N, "classes": _census_json(census, keys)}
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv_table(["class", "count", "frequency", "first_k"], _census_rows(census, keys)), args.out)
+    rows = [(key, census.counts.get(key, 0), census.first_index.get(key)) for key in keys]
+    with _output(args.out) as fh:
+        if args.format == "json":
+            classes = [
+                {
+                    "class": key,
+                    "count": count,
+                    "frequency": {"num": count, "den": census.total},
+                    "first_k": first,
+                }
+                for key, count, first in rows
+            ]
+            json.dump({"N": args.N, "classes": classes}, fh, indent=2)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["class", "count", "frequency", "first_k"])
+            writer.writerows(
+                (key, count, _frequency_string(census.frequency(key)), first) for key, count, first in rows
+            )
     return EXIT_OK if admissible else EXIT_DEFECT
 
 
 def _cmd_density(args) -> int:
     report = three_set.density_report(args.N)
-    if args.format == "json":
-        payload = {
-            "N": args.N,
-            "densities": [
+    with _output(args.out) as fh:
+        if args.format == "json":
+            densities = [
                 {
                     "name": e.name,
                     "count": e.count,
@@ -325,25 +286,16 @@ def _cmd_density(args) -> int:
                     "status": e.status,
                 }
                 for e in report.entries
-            ],
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        rows = [
-            [
-                e.name,
-                e.count,
-                e.total,
-                _frequency_string(e.frequency),
-                "" if e.expected is None else str(e.expected),
-                e.status,
             ]
-            for e in report.entries
-        ]
-        _emit(
-            _csv_table(["name", "count", "total", "frequency", "expected", "status"], rows),
-            args.out,
-        )
+            json.dump({"N": args.N, "densities": densities}, fh, indent=2)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["name", "count", "total", "frequency", "expected", "status"])
+            writer.writerows(
+                (e.name, e.count, e.total, _frequency_string(e.frequency), e.expected, e.status)
+                for e in report.entries
+            )
     return EXIT_OK
 
 
@@ -432,9 +384,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -70,8 +70,6 @@ class IdentityCheck:
 def _json_value(v) -> object:
     if isinstance(v, QuadraticReal):
         return v.to_json_dict()
-    if isinstance(v, int):
-        return str(v)
     return str(v)
 
 

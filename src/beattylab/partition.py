@@ -28,6 +28,12 @@ from .wythoff import lower
 # cost grows with n; no construction in this package needs more columns.
 MAX_COLUMNS = 64
 
+# The sweep allocates one byte per value of [1, limit]; gen then holds every
+# value as an int and, for JSON, as text.  At this cap verify peaks at about
+# 26 MB and gen --format json at about 1.1 GB (linear in the limit: 125 MB
+# at 10**6, 341 MB at 3*10**6).
+MAX_LIMIT = 10**7
+
 
 def gap_set(n: int) -> set[int]:
     """Allowed consecutive generator gaps {2**n - 2**(n-b) : 1 <= b <= n}."""
@@ -309,6 +315,8 @@ def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, Vali
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
+    if limit > MAX_LIMIT:
+        raise ValueError(f"limit must be at most {MAX_LIMIT}, got {limit}")
     width = spec.half_width
     allowed = gap_set(spec.n)
     offsets = (column_offsets(spec.n, j) for j in range(1, spec.n + 1))
@@ -386,13 +394,14 @@ class VerifyReport:
         return self.covered and self.disjoint
 
     def to_json_dict(self) -> dict:
+        """JSON form; limit and first_defect are decimal strings like every big integer."""
         return {
             "n": self.n,
             "generator": self.generator,
-            "limit": self.limit,
+            "limit": str(self.limit),
             "covered": self.covered,
             "disjoint": self.disjoint,
-            "first_defect": self.first_defect,
+            "first_defect": None if self.first_defect is None else str(self.first_defect),
         }
 
 

@@ -76,15 +76,7 @@ class QuadraticReal:
     def radicand(self) -> int:
         return self._r
 
-    @property
-    def is_rational(self) -> bool:
-        return self._q == 0
-
     # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_int(cls, x: int, radicand: int = DEFAULT_RADICAND) -> QuadraticReal:
-        return cls(x, 0, 1, radicand)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> QuadraticReal:
@@ -155,9 +147,6 @@ class QuadraticReal:
         )
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> QuadraticReal:
-        return QuadraticReal(self._p, -self._q, self._d, self._r)
 
     def inverse(self) -> QuadraticReal:
         """Field inverse: d*(p - q*sqrt(r)) / (p^2 - r*q^2)."""

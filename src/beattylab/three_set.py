@@ -59,6 +59,12 @@ ALL_PAIR_CLASSES = ("SC", "CS", "DS", "CD", "SS", "SD", "DC", "CC", "DD")
 
 THREE_SET_SPEC = partition.phi_spec(3)
 
+# Largest index range the scans accept.  The census word runs to d(N),
+# about 5.9*N bytes, and the pair census sweeps [1, b(N)], which must stay
+# within partition.MAX_LIMIT (b(10**6) = 2618034).  At this cap density
+# peaks at about 36 MB.
+MAX_INDEX = 10**6
+
 # partition column 1 is D, column 2 is C, column 3 is S
 _COLUMN_LETTER = {1: "D", 2: "C", 3: "S"}
 
@@ -164,6 +170,8 @@ def _census(limit: int, codes: Iterable[str]) -> Census:
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
+    if limit > MAX_INDEX:
+        raise ValueError(f"limit must be at most {MAX_INDEX}, got {limit}")
     counts: dict[str, int] = {}
     first: dict[str, int] = {}
     for k, code in enumerate(codes, start=1):

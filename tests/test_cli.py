@@ -173,6 +173,18 @@ class TestVerify:
             assert code == 2 and out == ""
             assert "[2, 64]" in err
 
+    def test_oversize_limit_exits_2_before_any_work(self, run_cli, monkeypatch):
+        # bytearray(limit + 1) would overflow at 10**19 and take a terabyte at 10**12
+        monkeypatch.setattr(partition, "gap_set", _no_work)
+        monkeypatch.setattr(partition, "column_offsets", _no_work)
+        monkeypatch.setattr(partition, "bytearray", _no_work, raising=False)
+        for limit in (10**19, partition.MAX_LIMIT + 1):
+            for command in ("gen", "verify"):
+                for fmt in ((), ("--format", "json")):
+                    code, out, err = run_cli(command, "--n", "3", "--h", "phi", "--limit", str(limit), *fmt)
+                    assert code == 2 and out == ""
+                    assert err == f"error: limit must be at most {partition.MAX_LIMIT}, got {limit}\n"
+
 
 
 class TestDecompose:
@@ -353,6 +365,26 @@ class TestDensity:
                 code, out, err = run_cli(*argv, *fmt)
                 assert code == 2 and out == ""
                 assert err == f"error: {message}\n"
+
+    def test_oversize_scans_exit_2_before_any_work(self, run_cli, monkeypatch):
+        monkeypatch.setattr(wythoff, "ab_word", _no_work)
+        monkeypatch.setattr(three_set, "ab_word", _no_work)
+        monkeypatch.setattr(partition, "column_labels", _no_work)
+        monkeypatch.setattr(three_set, "scd", _no_work)
+        monkeypatch.setattr(three_set, "row_class", _no_work)
+        cap = three_set.MAX_INDEX
+        for n in (cap + 1, 10**19):
+            cases = [
+                (("classify", "rows", "--N", str(n)), f"--N must be at most {cap}, got {n}"),
+                (("classify", "census", "--N", str(n)), f"limit must be at most {cap}, got {n}"),
+                (("classify", "ab-over-scd", "--N", str(n)), f"limit must be at most {cap}, got {n}"),
+                (("density", "--N", str(n)), f"limit must be at most {cap}, got {n}"),
+            ]
+            for argv, message in cases:
+                for fmt in ((), ("--format", "json")):
+                    code, out, err = run_cli(*argv, *fmt)
+                    assert code == 2 and out == ""
+                    assert err == f"error: {message}\n"
 
 
 def test_module_entry_point_subprocess():

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from beattylab.partition import build_columns, column_labels, decompose, phi_spec
+from beattylab.partition import MAX_LIMIT, build_columns, column_labels, decompose, phi_spec
 from beattylab.qfield import INV_PHI, INV_PHI_SQ, ONE, PHI, QuadraticReal
 from beattylab.three_set import (
     ADMISSIBLE_ROW_CLASSES,
     ALL_PAIR_CLASSES,
+    MAX_INDEX,
     S_OFFSETS_EVEN,
     S_OFFSETS_ODD,
     ab_over_scd_census,
@@ -88,6 +89,10 @@ class TestRows:
         for census in (row_class_census, ab_over_scd_census, density_report):
             with pytest.raises(ValueError, match="limit must be positive, got 0"):
                 census(0)
+            with pytest.raises(ValueError, match=f"limit must be at most {MAX_INDEX}, got {MAX_INDEX + 1}"):
+                census(MAX_INDEX + 1)
+        # the pair census at the cap sweeps [1, b(MAX_INDEX)], which the sweep accepts
+        assert upper(MAX_INDEX) <= MAX_LIMIT
 
     def test_c_gaps_are_three_or_four(self):
         for k in range(1, 10**4):
