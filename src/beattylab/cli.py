@@ -183,6 +183,8 @@ def _identity_options(args) -> identities.CheckOptions:
 def _cmd_identities(args) -> int:
     if args.N < 1:
         raise UsageError(f"--N must be positive, got {args.N}")
+    if args.N > identities.MAX_N:
+        raise UsageError(f"--N must be at most {identities.MAX_N}, got {args.N}")
     names = identities.identity_names()
     if args.identity:
         if args.identity not in names:
@@ -226,10 +228,8 @@ def _cmd_classify(args) -> int:
     if args.what == "rows":
         if args.N > three_set.MAX_INDEX:
             raise UsageError(f"--N must be at most {three_set.MAX_INDEX}, got {args.N}")
-        rows = []
-        for k in range(1, args.N + 1):
-            t = three_set.scd(k)
-            rows.append((k, t.s, t.c, t.d, three_set.row_class(k).code))
+        triples = map(three_set.scd, range(1, args.N + 1))
+        rows = [(t.k, t.s, t.c, t.d, code) for t, code in zip(triples, three_set.row_codes(args.N))]
         with _output(args.out) as fh:
             if args.format == "json":
                 payload = [
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(dec)
 
     idn = subparsers.add_parser("identities", help="run the exact identity suite")
-    idn.add_argument("--N", type=int, default=1000, help="scan indices 1..N")
+    idn.add_argument("--N", type=int, default=1000, help=f"scan indices 1..N, N at most {identities.MAX_N}")
     idn.add_argument("--identity", help="run a single named identity")
     idn.add_argument(
         "--r",

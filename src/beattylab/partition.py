@@ -7,7 +7,9 @@ sum eps*2**(n-2) + ... + eps*2**(n-j); together the columns cover every
 positive integer and no integer lands in two different columns.  This
 module materializes the columns, inverts the construction (decompose),
 and verifies cover/disjointness by brute force.  Columns and verification
-share one sweep over [1, limit] that labels every value with its column.
+share one labelling of [1, limit] with one column byte per value: a valid
+generator's labels are tiles laid out along its gap word, and any other
+data is swept term by term, value by value.
 
 An integer inside the overlap of two consecutive generator intervals has
 two valid (index, signs) representations; they always agree on the
@@ -18,11 +20,13 @@ returns all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from math import isqrt
-from typing import Iterable
+from operator import sub
+from typing import Iterable, Sequence
 
 from .qfield import ONE, PHI, QuadraticReal
-from .wythoff import lower
+from .wythoff import ab_word, lower
 
 # Column labels are stored one byte per value, and gap_set / _sign_expansion
 # cost grows with n; no construction in this package needs more columns.
@@ -30,7 +34,7 @@ MAX_COLUMNS = 64
 
 # The sweep allocates one byte per value of [1, limit]; gen then holds every
 # value as an int and, for JSON, as text.  At this cap verify peaks at about
-# 26 MB and gen --format json at about 1.1 GB (linear in the limit: 125 MB
+# 31 MB and gen --format json at about 1.1 GB (linear in the limit: 125 MB
 # at 10**6, 341 MB at 3*10**6).
 MAX_LIMIT = 10**7
 
@@ -300,23 +304,114 @@ def decompose(m: int, spec: PartitionSpec) -> Decomposition:
     return found[0]
 
 
-def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, ValidationReport | None]:
-    """Label every value in [1, limit] with its column, one generator term at a time.
+# One interval label from _sign_expansion costs 1 to 2 us, 5 to 40 times
+# what the per-value loop spends on one value (n = 3 to 18, 2-vCPU Xeon), so
+# tiles pay only when the range is this many times longer than one term's
+# interval of 2**n - 1 values.
+_TILE_COST = 32
 
-    Term t fills [t - w, t + w] with w = 2**(n-1) - 1, and a value v there
-    lands in column n - v2(v - t), i.e. column j collects t plus
-    column_offsets(n, j).  Returns labels (labels[v] is the column of v,
-    0 where no term reaches it; labels[0] is unused), the smallest value
-    reached in two different columns, and the first start/gap violation
-    among the terms read.  Explicit generators are read in full, so
-    non-monotone (invalid) data is measured faithfully and checked
-    everywhere; the infinite generators are strictly increasing by
-    construction and stop at the first interval past the limit.
+
+def _tiles(n: int) -> tuple[bytes, dict[int, bytes], bytes]:
+    """The labels around one generator term t, cut into the pieces of a valid generator.
+
+    Returns the head (labels[0 .. 2**(n-1)), ending just before
+    l(1) = 2**(n-1)), one tile per allowed gap g (the labels of [t, t + g)
+    when t + g is the next term) and the half tile of a last term
+    ([t, t + w], w = 2**(n-1) - 1).  The labels come from the inverse map
+    _sign_expansion, independently of the per-value loop's column_offsets
+    grid, and raise ArithmeticError where the intervals of t and t + g
+    disagree on a value.
+    """
+    w = 2 ** (n - 1) - 1
+    interval = bytes(_sign_expansion(n, d)[0] for d in range(-w, w + 1))  # t - w .. t + w
+    tiles = {}
+    for g in gap_set(n):
+        # t + i for g - w <= i <= w lies in both intervals: interval[w + i] vs interval[w + i - g]
+        if interval[g:] != interval[: 2 * w + 1 - g]:
+            raise ArithmeticError(f"consecutive terms {g} apart put a value in two columns (n = {n})")
+        tiles[g] = interval[w:] + interval[2 * w + 1 - g : w]
+    return b"\0" + interval[:w], tiles, interval[w:]
+
+
+def _follows_rules(spec: PartitionSpec, terms: Sequence[int]) -> bool:
+    """Whether terms is non-empty, starts at 2**(n-1) and steps by gap_set(n) only."""
+    allowed = gap_set(spec.n)
+    return bool(terms) and all(
+        _term_violation(spec, k, t, prev, allowed) is None
+        for k, (prev, t) in enumerate(zip((None, *terms), terms), start=1)
+    )
+
+
+def _tiled_labels(spec: PartitionSpec, limit: int) -> bytearray | None:
+    """Labels of [0, limit] as the image of the generator's gap word, or None.
+
+    A valid generator's labels are the head followed by tiles[g] for each
+    gap g, since only t and the next term reach [t, t + g).  The gap word
+    of phi_spec(n) is the Fibonacci word ab_word with A -> 2**n - 1 and
+    B -> 2**(n-1), because a(k+1) - a(k) = 2 exactly when k is labelled A;
+    identity_spec(n) repeats 2**(n-1); any other generator reads its
+    terms.  A finite list ends with its last term's half tile, then zeros.
+    None when a term breaks the start/gap rule (an explicit list is
+    checked in full).
+    """
+    n = spec.n
+    generator = spec.generator
+    last = _first_index_at_least(spec, limit + 1)  # l(last) > limit, unless the list ends first
+    if isinstance(generator, IdentityH):
+        gaps: Iterable[int] = repeat(2 ** (n - 1), last - 1)
+    elif isinstance(generator, AlphaH) and generator.alpha == PHI:
+        gaps = map({"A": 2**n - 1, "B": 2 ** (n - 1)}.__getitem__, ab_word(last - 1))
+    else:
+        # an explicit list is checked in full, also past the limit; an alpha in [1, 2) always passes
+        explicit = isinstance(generator, ExplicitColumn)
+        terms = generator.values if explicit else [spec.term(k) for k in range(1, last + 1)]
+        if not _follows_rules(spec, terms):
+            return None
+        gaps = map(sub, terms[1:last], terms)
+    head, tiles, half = _tiles(n)
+    labels = bytearray(head)
+    pieces = map(tiles.__getitem__, gaps)
+    # join holds an 80-byte buffer record per piece, so join a few thousand at a time
+    while chunk := b"".join(islice(pieces, 4096)):
+        labels += chunk
+    if spec.term(last) <= limit:
+        labels += half
+    del labels[limit + 1 :]
+    labels += bytes(limit + 1 - len(labels))  # past a finite list's last interval
+    return labels
+
+
+def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, ValidationReport | None]:
+    """Label every value in [1, limit] with its column.
+
+    Returns labels (labels[v] is the column of v, 0 where no term reaches
+    it; labels[0] is unused), the smallest value reached in two different
+    columns, and the first start/gap violation among the terms read.  A
+    valid generator over a range long enough for tiles to pay is tiled
+    (_tiled_labels) and has neither; anything else is measured as given by
+    _value_sweep, which is also the tiles' test oracle.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit must be at most {MAX_LIMIT}, got {limit}")
+    if _TILE_COST << spec.n <= limit:
+        labels = _tiled_labels(spec, limit)
+        if labels is not None:
+            return labels, None, None
+    return _value_sweep(spec, limit)
+
+
+def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, ValidationReport | None]:
+    """_sweep one generator term at a time, one value at a time.
+
+    Term t fills [t - w, t + w] with w = 2**(n-1) - 1, and a value v there
+    lands in column n - v2(v - t), i.e. column j collects t plus
+    column_offsets(n, j).  Explicit generators are read in full, so
+    non-monotone (invalid) data is measured faithfully and checked
+    everywhere; the infinite generators are strictly increasing by
+    construction and stop at the first interval past the limit.
+    """
     width = spec.half_width
     allowed = gap_set(spec.n)
     offsets = (column_offsets(spec.n, j) for j in range(1, spec.n + 1))
@@ -445,15 +540,19 @@ def limiting_prefix_check(n: int, e: int, spec: PartitionSpec | None = None) -> 
     """Whether column n-e starts with 2**e * (1, 3, 5, ..., 2**(n-e) - 1).
 
     The prefix claim only uses l(1) = 2**(n-1), so any valid spec for the
-    given n may be passed; the identity-step spec is the default.
+    given n may be passed; the identity-step spec is the default.  The
+    prefix ends at 2**e * (2**(n-e) - 1), which must lie within MAX_LIMIT.
     """
     _require_columns(n)
     if not 0 <= e <= n - 1:
         raise ValueError(f"e must be in [0, {n - 1}], got {e}")
+    top = 2**e * (2 ** (n - e) - 1)
+    if top > MAX_LIMIT:
+        raise ValueError(f"prefix of column {n - e} ends at {top}, past the limit cap {MAX_LIMIT}")
     if spec is None:
         spec = identity_spec(n)
     elif spec.n != n:
         raise ValueError(f"spec has {spec.n} columns, expected {n}")
     expected = [2**e * u for u in range(1, 2 ** (n - e), 2)]
-    column = build_columns(spec, expected[-1])[n - e - 1]
+    column = build_columns(spec, top)[n - e - 1]
     return column[: len(expected)] == expected

@@ -181,7 +181,7 @@ def _census(limit: int, codes: Iterable[str]) -> Census:
     return Census(limit, counts, first)
 
 
-def _row_codes(limit: int) -> Iterator[str]:
+def row_codes(limit: int) -> Iterator[str]:
     """row_class(k).code for k in [1, limit], read from one Fibonacci word.
 
     Per k, a(k) and a(ceil(k/2)) cost one isqrt each (lower and the col_*
@@ -203,7 +203,7 @@ def row_class_census(limit: int) -> Census:
     Any class outside the six admissible ones would disprove the
     classification; callers should treat such keys as defects.
     """
-    return _census(limit, _row_codes(limit))
+    return _census(limit, row_codes(limit))
 
 
 def _pair_codes(limit: int) -> Iterator[str]:

@@ -12,8 +12,8 @@ Every breakpoint comparison is exact; a fractional part can never equal
 a breakpoint (all are irrational combinations ruled out by the closed
 forms), so hitting one raises ArithmeticError instead of tie-breaking.
 
-The per-index kernels (klm, ab_label, unit_interval_label, cd_label,
-classify_ab and classify_cd) work on plain integer coordinates (p, q) of
+The per-index kernels (klm, ab_label, unit_interval_label, cd_label and
+classify_ab) work on plain integer coordinates (p, q) of
 p + q*sqrt5 and never build a QuadraticReal; {n*phi} is
 (n - 2a(n) + n*sqrt5)/2 in those coordinates.  Range scans read the A/B
 labels of a whole range from ab_word, the Fibonacci word, and the
@@ -63,11 +63,6 @@ class CDLabel(Enum):
 
 class ABMembership(NamedTuple):
     label: ABLabel
-    witness: int
-
-
-class CDMembership(NamedTuple):
-    label: CDLabel
     witness: int
 
 
@@ -170,14 +165,6 @@ def frac_phi(n: int) -> QuadraticReal:
     return QuadraticReal(n - 2 * lower(n), n, 2)
 
 
-def beatty_term(alpha: QuadraticReal, k: int) -> int:
-    """k-th Beatty value floor(k*alpha) for a positive exact alpha."""
-    _require_positive(k, "k")
-    if alpha.sign() <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return (alpha * k).floor()
-
-
 def klm(K: int, L: int, M: int, n: int) -> int:
     """Closed form for floor((K*a(n) + L*n + M)*phi) with a = lower Wythoff.
 
@@ -255,19 +242,6 @@ def cd_label(m: int) -> CDLabel:
     """C/D label of m alone: C exactly when {m*phi} falls in I1 or I3."""
     _require_positive(m, "m")
     return CDLabel.C if unit_interval_label(m) in (IntervalLabel.I1, IntervalLabel.I3) else CDLabel.D
-
-
-def classify_cd(m: int) -> CDMembership:
-    """C/D membership of m (C: floor(i*phi^2/2) values, D: floor(i*phi^3)).
-
-    The witness is recovered by inverting the floor, i = floor((m+1)*2/phi^2)
-    resp. floor((m+1)/phi^3), validated by recomputation with a +-1 fallback.
-    """
-    if cd_label(m) is CDLabel.C:
-        i = _floor5(3 * (m + 1), -(m + 1), 1)  # (m+1)*2/phi^2 = (m+1)*(3 - sqrt5)
-        return CDMembership(CDLabel.C, _witness_search(m, i, c_half))
-    i = _floor5(-2 * (m + 1), m + 1, 1)  # (m+1)/phi^3 = (m+1)*(sqrt5 - 2)
-    return CDMembership(CDLabel.D, _witness_search(m, i, d_cubed))
 
 
 def unit_interval_label(m: int) -> IntervalLabel:

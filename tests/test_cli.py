@@ -250,6 +250,18 @@ class TestIdentities:
             assert code == 2 and out == ""
             assert "200" in err
 
+    def test_index_cap(self, run_cli, monkeypatch):
+        code, out, _ = run_cli("identities", "--identity", "cassini", "--N", str(identities.MAX_N))
+        assert code == 0 and "PASS" in out
+        monkeypatch.setattr(identities, "identity_names", _no_work)
+        monkeypatch.setattr(identities, "iter_identity_checks", _no_work)
+        monkeypatch.setattr(identities, "summarize_identity", _no_work)
+        for N in (identities.MAX_N + 1, 10**19):
+            for fmt in ((), ("--format", "csv"), ("--format", "json")):
+                code, out, err = run_cli("identities", "--N", str(N), *fmt)
+                assert code == 2 and out == ""
+                assert err == f"error: --N must be at most {identities.MAX_N}, got {N}\n"
+
     def test_converse_bound_cap(self, run_cli, monkeypatch):
         monkeypatch.setattr(identities, "iter_identity_checks", _no_work)
         monkeypatch.setattr(identities, "summarize_identity", _no_work)

@@ -22,13 +22,11 @@ from beattylab.wythoff import (
     ABLabel,
     ABMembership,
     CDLabel,
-    CDMembership,
     IntervalLabel,
     ab_label,
     ab_word,
     c_half,
     classify_ab,
-    classify_cd,
     d_cubed,
     frac_phi,
     klm,
@@ -37,6 +35,7 @@ from beattylab.wythoff import (
     unit_interval_label,
     upper,
 )
+from oracles import CDMembership, classify_cd
 
 BIG = 10**30
 indices = st.integers(min_value=1, max_value=BIG)

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beattylab import partition
 from beattylab.partition import (
     MAX_COLUMNS,
+    MAX_LIMIT,
     AlphaH,
     Decomposition,
     ExplicitColumn,
@@ -30,8 +32,9 @@ from beattylab.partition import (
     phi_spec,
     verify_partition,
 )
-from beattylab.qfield import PHI, PHI_CUBED, QuadraticReal, SQRT2
-from beattylab.wythoff import beatty_term, lower
+from beattylab.qfield import HALF_PHI_SQ, PHI, PHI_CUBED, QuadraticReal, SQRT2
+from beattylab.wythoff import lower
+from oracles import beatty_term
 
 
 class TestGapSet:
@@ -379,6 +382,17 @@ class TestLimitingPrefix:
         with pytest.raises(ValueError):
             limiting_prefix_check(3, 0, phi_spec(4))
 
+    def test_prefix_past_the_limit_cap_rejected_before_any_work(self, monkeypatch):
+        # the expected prefix of 2**(n-e-1) values would exhaust memory at n = 64
+        def no_work(*args):
+            raise AssertionError("a rejected prefix must stop before any work")
+
+        monkeypatch.setattr(partition, "build_columns", no_work)
+        for n, e in ((64, 0), (64, 63), (24, 0)):
+            assert 2**e * (2 ** (n - e) - 1) > MAX_LIMIT
+            with pytest.raises(ValueError, match="limit cap"):
+                limiting_prefix_check(n, e)
+
 
 @st.composite
 def random_valid_generators(draw):
@@ -450,3 +464,129 @@ class TestIntervalSeparation:
                 current = beatty_term(alpha, k)
                 assert current - previous in (1, 2)
                 previous = current
+
+
+# -- tiles: the labels of a valid generator as the image of its gap word ---------
+
+TILED_ALPHAS = {
+    "phi": PHI,
+    "sqrt2": SQRT2,
+    "7,-1,4": QuadraticReal(7, -1, 4),
+    "phi2/2": HALF_PHI_SQ,
+}
+
+
+def _tiled_specs(name: str):
+    for n in range(2, 11):
+        yield identity_spec(n) if name == "identity" else alpha_spec(n, TILED_ALPHAS[name])
+
+
+def _boundary_limits(spec: PartitionSpec) -> set[int]:
+    """1, 2, 2**(n-1) +- 1, each side of the first tile boundaries (the terms), and
+    a range long enough to be joined in several chunks."""
+    half = 2 ** (spec.n - 1)
+    limits = {1, 2, half - 1, half, half + 1, 40 * half, 30000}
+    for k in range(2, 6):
+        t = spec.term(k)
+        limits |= {t - 1, t, t + 1}
+    return limits
+
+
+def _assert_tiled_matches_value_sweep(spec: PartitionSpec, limit: int) -> None:
+    labels, conflict, violation = partition._value_sweep(spec, limit)
+    assert conflict is None and violation is None
+    assert partition._tiled_labels(spec, limit) == labels, (spec, limit)
+
+
+class TestTiles:
+    @pytest.mark.parametrize("name", ["identity", *TILED_ALPHAS])
+    def test_tiled_labels_match_the_value_sweep(self, name):
+        for spec in _tiled_specs(name):
+            for limit in sorted(_boundary_limits(spec)):
+                _assert_tiled_matches_value_sweep(spec, limit)
+
+    def test_tile_lengths_and_head(self):
+        for n in range(2, 11):
+            head, tiles, half = partition._tiles(n)
+            assert len(head) == 2 ** (n - 1) and head[0] == 0
+            assert {g: len(tile) for g, tile in tiles.items()} == {g: g for g in gap_set(n)}
+            assert len(half) == 2 ** (n - 1) and half[0] == 1
+
+    def test_sweep_tiles_long_ranges_and_sweeps_short_ones(self, monkeypatch):
+        def not_reached(*args):
+            raise AssertionError("the other path labels this range")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(partition, "_value_sweep", not_reached)
+            for spec in (phi_spec(3), phi_spec(8), identity_spec(5), alpha_spec(4, SQRT2)):
+                assert verify_partition(spec, partition._TILE_COST << spec.n).ok
+        monkeypatch.setattr(partition, "_tiles", not_reached)
+        assert verify_partition(phi_spec(8), (partition._TILE_COST << 8) - 1).ok
+
+    def test_flipped_tile_byte_raises(self, monkeypatch):
+        # a wrong column for one offset d != 0 breaks the agreement of two
+        # consecutive intervals on their overlap (d and d - 2**(n-1) pair up
+        # under the smallest gap), so tile construction refuses it
+        real = partition._sign_expansion
+        for n in range(2, 7):
+            w = 2 ** (n - 1) - 1
+            for flipped in [d for d in range(-w, w + 1) if d != 0]:
+
+                def wrong(m, delta, flipped=flipped):
+                    column, signs = real(m, delta)
+                    return (column % m + 1 if delta == flipped else column), signs
+
+                monkeypatch.setattr(partition, "_sign_expansion", wrong)
+                with pytest.raises(ArithmeticError):
+                    partition._tiles(n)
+                with pytest.raises(ArithmeticError):
+                    verify_partition(phi_spec(n), partition._TILE_COST << n)
+        monkeypatch.setattr(partition, "_sign_expansion", real)
+        assert verify_partition(phi_spec(6), partition._TILE_COST << 6).ok
+
+    def test_valid_explicit_lists(self, monkeypatch):
+        for n in (2, 3, 4, 6):
+            spec = phi_spec(n)
+            terms = [spec.term(k) for k in range(1, 41)]
+            listed = explicit_spec(n, terms)
+            end = terms[-1] + spec.half_width  # the last term's interval ends here
+            for limit in sorted({1, 2, terms[1] - 1, terms[1], terms[1] + 1, terms[-1], end, end + 1, 2 * end}):
+                _assert_tiled_matches_value_sweep(listed, limit)
+            # a list that ends before the limit leaves holes past its last interval
+            limit = max(2 * end, partition._TILE_COST << n)
+            report = verify_partition(listed, limit)
+            assert not report.covered and report.disjoint and report.first_defect == end + 1
+            with monkeypatch.context() as patch:
+                patch.setattr(partition, "_tiled_labels", lambda *args: None)
+                assert verify_partition(listed, limit) == report
+
+    def test_invalid_explicit_lists_take_the_value_sweep(self):
+        spec = phi_spec(3)
+        terms = [spec.term(k) for k in range(1, 201)]
+        limit = partition._TILE_COST << 3
+        moved = terms[:30] + [terms[30] + 1] + terms[31:]  # just past the tile boundary at l(31)
+        cases = {
+            "defect past a tile boundary": moved,
+            "non-monotone": terms[:30] + [terms[28]] + terms[30:],
+            "bad start": [5] + terms[1:],
+            "violation past the limit": terms + [terms[-1] + 5],
+            "empty": [],
+        }
+        for name, values in cases.items():
+            listed = explicit_spec(3, values)
+            assert partition._tiled_labels(listed, limit) is None, name
+            assert partition._sweep(listed, limit) == partition._value_sweep(listed, limit), name
+        report = verify_partition(explicit_spec(3, moved), limit)
+        assert not report.ok and terms[29] < report.first_defect < terms[31]
+        with pytest.raises(GeneratorError) as err:
+            build_columns(explicit_spec(3, moved), limit)
+        assert err.value.report.violation_index == 31
+
+
+class TestRandomTiles:
+    @settings(max_examples=120)
+    @given(random_valid_generators(), st.data())
+    def test_tiled_labels_match_the_value_sweep(self, spec, data):
+        end = spec.generator.values[-1] + spec.half_width
+        for limit in (end, data.draw(st.integers(min_value=1, max_value=end + 2**spec.n))):
+            _assert_tiled_matches_value_sweep(spec, limit)

@@ -30,11 +30,9 @@ from beattylab.wythoff import (
     IntervalLabel,
     UNIT_INTERVALS,
     ab_label,
-    beatty_term,
     c_half,
     cd_label,
     classify_ab,
-    classify_cd,
     d_cubed,
     fib_shift_converse,
     frac_lower,
@@ -45,6 +43,7 @@ from beattylab.wythoff import (
     unit_interval_label,
     upper,
 )
+from oracles import beatty_term, classify_cd
 
 N_SCAN = 2000
 
