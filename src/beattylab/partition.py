@@ -7,9 +7,9 @@ sum eps*2**(n-2) + ... + eps*2**(n-j); together the columns cover every
 positive integer and no integer lands in two different columns.  This
 module materializes the columns, inverts the construction (decompose),
 and verifies cover/disjointness by brute force.  Columns and verification
-share one labelling of [1, limit] with one column byte per value: a valid
-generator's labels are tiles laid out along its gap word, and any other
-data is swept term by term, value by value.
+share one labelling of [1, limit] with one column byte per value: the phi
+generator's labels are tiles laid out along the Fibonacci word, and every
+other generator is swept term by term, value by value.
 
 An integer inside the overlap of two consecutive generator intervals has
 two valid (index, signs) representations; they always agree on the
@@ -20,10 +20,9 @@ returns all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from math import isqrt
-from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .qfield import ONE, PHI, QuadraticReal
 from .wythoff import ab_word, lower
@@ -34,7 +33,7 @@ MAX_COLUMNS = 64
 
 # The sweep allocates one byte per value of [1, limit]; gen then holds every
 # value as an int and, for JSON, as text.  At this cap verify peaks at about
-# 31 MB and gen --format json at about 1.1 GB (linear in the limit: 125 MB
+# 37 MB (phi, n = 2) and gen --format json at about 1.1 GB (linear in the limit: 125 MB
 # at 10**6, 341 MB at 3*10**6).
 MAX_LIMIT = 10**7
 
@@ -304,20 +303,25 @@ def decompose(m: int, spec: PartitionSpec) -> Decomposition:
     return found[0]
 
 
-# One interval label from _sign_expansion costs 1 to 2 us, 5 to 40 times
-# what the per-value loop spends on one value (n = 3 to 18, 2-vCPU Xeon), so
-# tiles pay only when the range is this many times longer than one term's
-# interval of 2**n - 1 values.
-_TILE_COST = 32
+# Building the tiles labels one term's interval of 2**n - 1 values through
+# _sign_expansion, whose greedy walk takes up to n - 1 steps per value, so it
+# costs about as much as the per-value loop over 2*n*2**n values: the loop
+# takes 0.83 to 1.28 times the tiles' time at that limit, 1.6 to 2.2 times
+# at twice it (phi_spec(n), n = 3 to 16, in-process, 2-vCPU Xeon).  Ranges
+# shorter than _TILE_COST*n*2**n are swept value by value.
+_TILE_COST = 2
 
 
-def _tiles(n: int) -> tuple[bytes, dict[int, bytes], bytes]:
+def _is_phi(spec: PartitionSpec) -> bool:
+    return isinstance(spec.generator, AlphaH) and spec.generator.alpha == PHI
+
+
+def _tiles(n: int, gaps: Iterable[int]) -> tuple[bytes, dict[int, bytes]]:
     """The labels around one generator term t, cut into the pieces of a valid generator.
 
     Returns the head (labels[0 .. 2**(n-1)), ending just before
-    l(1) = 2**(n-1)), one tile per allowed gap g (the labels of [t, t + g)
-    when t + g is the next term) and the half tile of a last term
-    ([t, t + w], w = 2**(n-1) - 1).  The labels come from the inverse map
+    l(1) = 2**(n-1)) and one tile per gap g (the labels of [t, t + g) when
+    t + g is the next term).  The labels come from the inverse map
     _sign_expansion, independently of the per-value loop's column_offsets
     grid, and raise ArithmeticError where the intervals of t and t + g
     disagree on a value.
@@ -325,59 +329,31 @@ def _tiles(n: int) -> tuple[bytes, dict[int, bytes], bytes]:
     w = 2 ** (n - 1) - 1
     interval = bytes(_sign_expansion(n, d)[0] for d in range(-w, w + 1))  # t - w .. t + w
     tiles = {}
-    for g in gap_set(n):
+    for g in gaps:
         # t + i for g - w <= i <= w lies in both intervals: interval[w + i] vs interval[w + i - g]
         if interval[g:] != interval[: 2 * w + 1 - g]:
             raise ArithmeticError(f"consecutive terms {g} apart put a value in two columns (n = {n})")
         tiles[g] = interval[w:] + interval[2 * w + 1 - g : w]
-    return b"\0" + interval[:w], tiles, interval[w:]
+    return b"\0" + interval[:w], tiles
 
 
-def _follows_rules(spec: PartitionSpec, terms: Sequence[int]) -> bool:
-    """Whether terms is non-empty, starts at 2**(n-1) and steps by gap_set(n) only."""
-    allowed = gap_set(spec.n)
-    return bool(terms) and all(
-        _term_violation(spec, k, t, prev, allowed) is None
-        for k, (prev, t) in enumerate(zip((None, *terms), terms), start=1)
-    )
-
-
-def _tiled_labels(spec: PartitionSpec, limit: int) -> bytearray | None:
-    """Labels of [0, limit] as the image of the generator's gap word, or None.
+def _phi_labels(n: int, limit: int) -> bytearray:
+    """Labels of [0, limit] for phi_spec(n) as the image of its gap word.
 
     A valid generator's labels are the head followed by tiles[g] for each
     gap g, since only t and the next term reach [t, t + g).  The gap word
     of phi_spec(n) is the Fibonacci word ab_word with A -> 2**n - 1 and
-    B -> 2**(n-1), because a(k+1) - a(k) = 2 exactly when k is labelled A;
-    identity_spec(n) repeats 2**(n-1); any other generator reads its
-    terms.  A finite list ends with its last term's half tile, then zeros.
-    None when a term breaks the start/gap rule (an explicit list is
-    checked in full).
+    B -> 2**(n-1), because a(k+1) - a(k) = 2 exactly when k is labelled A.
     """
-    n = spec.n
-    generator = spec.generator
-    last = _first_index_at_least(spec, limit + 1)  # l(last) > limit, unless the list ends first
-    if isinstance(generator, IdentityH):
-        gaps: Iterable[int] = repeat(2 ** (n - 1), last - 1)
-    elif isinstance(generator, AlphaH) and generator.alpha == PHI:
-        gaps = map({"A": 2**n - 1, "B": 2 ** (n - 1)}.__getitem__, ab_word(last - 1))
-    else:
-        # an explicit list is checked in full, also past the limit; an alpha in [1, 2) always passes
-        explicit = isinstance(generator, ExplicitColumn)
-        terms = generator.values if explicit else [spec.term(k) for k in range(1, last + 1)]
-        if not _follows_rules(spec, terms):
-            return None
-        gaps = map(sub, terms[1:last], terms)
-    head, tiles, half = _tiles(n)
+    last = _first_index_at_least(phi_spec(n), limit + 1)  # l(last) > limit
+    a_gap, b_gap = 2**n - 1, 2 ** (n - 1)
+    head, tiles = _tiles(n, (a_gap, b_gap))
     labels = bytearray(head)
-    pieces = map(tiles.__getitem__, gaps)
+    pieces = map({"A": tiles[a_gap], "B": tiles[b_gap]}.__getitem__, ab_word(last - 1))
     # join holds an 80-byte buffer record per piece, so join a few thousand at a time
     while chunk := b"".join(islice(pieces, 4096)):
         labels += chunk
-    if spec.term(last) <= limit:
-        labels += half
     del labels[limit + 1 :]
-    labels += bytes(limit + 1 - len(labels))  # past a finite list's last interval
     return labels
 
 
@@ -386,19 +362,17 @@ def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, Vali
 
     Returns labels (labels[v] is the column of v, 0 where no term reaches
     it; labels[0] is unused), the smallest value reached in two different
-    columns, and the first start/gap violation among the terms read.  A
-    valid generator over a range long enough for tiles to pay is tiled
-    (_tiled_labels) and has neither; anything else is measured as given by
-    _value_sweep, which is also the tiles' test oracle.
+    columns, and the first start/gap violation among the terms read.
+    phi_spec(n) over a range long enough for tiles to pay is tiled
+    (_phi_labels) and has neither; every other generator and range is
+    measured as given by _value_sweep, which is also the tiles' test oracle.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit must be at most {MAX_LIMIT}, got {limit}")
-    if _TILE_COST << spec.n <= limit:
-        labels = _tiled_labels(spec, limit)
-        if labels is not None:
-            return labels, None, None
+    if _is_phi(spec) and _TILE_COST * spec.n << spec.n <= limit:
+        return _phi_labels(spec.n, limit), None, None
     return _value_sweep(spec, limit)
 
 
@@ -531,7 +505,7 @@ def d2_closed_form(n: int, k: int, spec: PartitionSpec | None = None) -> int:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if spec is not None:
-        if spec.n != n or not (isinstance(spec.generator, AlphaH) and spec.generator.alpha == PHI):
+        if spec.n != n or not _is_phi(spec):
             raise ValueError(f"closed form unsupported for generator {spec.describe()}")
     return lower(k) + (2 ** (n - 1) - 2) * k - (2 ** (n - 2) - 1)
 

@@ -32,7 +32,7 @@ from beattylab.partition import (
     phi_spec,
     verify_partition,
 )
-from beattylab.qfield import HALF_PHI_SQ, PHI, PHI_CUBED, QuadraticReal, SQRT2
+from beattylab.qfield import PHI, PHI_CUBED, QuadraticReal, SQRT2
 from beattylab.wythoff import lower
 from oracles import beatty_term
 
@@ -466,25 +466,14 @@ class TestIntervalSeparation:
                 previous = current
 
 
-# -- tiles: the labels of a valid generator as the image of its gap word ---------
-
-TILED_ALPHAS = {
-    "phi": PHI,
-    "sqrt2": SQRT2,
-    "7,-1,4": QuadraticReal(7, -1, 4),
-    "phi2/2": HALF_PHI_SQ,
-}
+# -- tiles: the labels of phi_spec(n) as the image of its gap word ---------------
 
 
-def _tiled_specs(name: str):
-    for n in range(2, 11):
-        yield identity_spec(n) if name == "identity" else alpha_spec(n, TILED_ALPHAS[name])
-
-
-def _boundary_limits(spec: PartitionSpec) -> set[int]:
+def _boundary_limits(n: int) -> set[int]:
     """1, 2, 2**(n-1) +- 1, each side of the first tile boundaries (the terms), and
     a range long enough to be joined in several chunks."""
-    half = 2 ** (spec.n - 1)
+    spec = phi_spec(n)
+    half = 2 ** (n - 1)
     limits = {1, 2, half - 1, half, half + 1, 40 * half, 30000}
     for k in range(2, 6):
         t = spec.term(k)
@@ -492,41 +481,53 @@ def _boundary_limits(spec: PartitionSpec) -> set[int]:
     return limits
 
 
-def _assert_tiled_matches_value_sweep(spec: PartitionSpec, limit: int) -> None:
-    labels, conflict, violation = partition._value_sweep(spec, limit)
+def _first_tiled_limit(n: int) -> int:
+    return partition._TILE_COST * n << n
+
+
+def _assert_tiled_matches_value_sweep(n: int, limit: int) -> None:
+    labels, conflict, violation = partition._value_sweep(phi_spec(n), limit)
     assert conflict is None and violation is None
-    assert partition._tiled_labels(spec, limit) == labels, (spec, limit)
+    assert partition._phi_labels(n, limit) == labels, (n, limit)
 
 
 class TestTiles:
-    @pytest.mark.parametrize("name", ["identity", *TILED_ALPHAS])
-    def test_tiled_labels_match_the_value_sweep(self, name):
-        for spec in _tiled_specs(name):
-            for limit in sorted(_boundary_limits(spec)):
-                _assert_tiled_matches_value_sweep(spec, limit)
+    def test_tiled_labels_match_the_value_sweep(self):
+        for n in range(2, 11):
+            for limit in sorted(_boundary_limits(n)):
+                _assert_tiled_matches_value_sweep(n, limit)
+
+    @settings(max_examples=120)
+    @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=5000))
+    def test_random_ranges_match_the_value_sweep(self, n, limit):
+        _assert_tiled_matches_value_sweep(n, limit)
 
     def test_tile_lengths_and_head(self):
         for n in range(2, 11):
-            head, tiles, half = partition._tiles(n)
+            head, tiles = partition._tiles(n, gap_set(n))
             assert len(head) == 2 ** (n - 1) and head[0] == 0
             assert {g: len(tile) for g, tile in tiles.items()} == {g: g for g in gap_set(n)}
-            assert len(half) == 2 ** (n - 1) and half[0] == 1
 
-    def test_sweep_tiles_long_ranges_and_sweeps_short_ones(self, monkeypatch):
+    def test_sweep_tiles_long_phi_ranges_only(self, monkeypatch):
         def not_reached(*args):
             raise AssertionError("the other path labels this range")
 
         with monkeypatch.context() as patch:
             patch.setattr(partition, "_value_sweep", not_reached)
-            for spec in (phi_spec(3), phi_spec(8), identity_spec(5), alpha_spec(4, SQRT2)):
-                assert verify_partition(spec, partition._TILE_COST << spec.n).ok
+            for n in (3, 8):
+                assert verify_partition(phi_spec(n), _first_tiled_limit(n)).ok
         monkeypatch.setattr(partition, "_tiles", not_reached)
-        assert verify_partition(phi_spec(8), (partition._TILE_COST << 8) - 1).ok
+        assert verify_partition(phi_spec(8), _first_tiled_limit(8) - 1).ok
+        # every other generator is swept value by value, however long the range
+        for spec in (identity_spec(5), alpha_spec(4, SQRT2)):
+            assert verify_partition(spec, _first_tiled_limit(spec.n)).ok
+        report = verify_partition(explicit_spec(3, [4, 11, 18, 22]), _first_tiled_limit(3))
+        assert not report.covered and report.first_defect == 26
 
     def test_flipped_tile_byte_raises(self, monkeypatch):
         # a wrong column for one offset d != 0 breaks the agreement of two
         # consecutive intervals on their overlap (d and d - 2**(n-1) pair up
-        # under the smallest gap), so tile construction refuses it
+        # under the smallest gap, which phi uses), so tile construction refuses it
         real = partition._sign_expansion
         for n in range(2, 7):
             w = 2 ** (n - 1) - 1
@@ -538,55 +539,8 @@ class TestTiles:
 
                 monkeypatch.setattr(partition, "_sign_expansion", wrong)
                 with pytest.raises(ArithmeticError):
-                    partition._tiles(n)
+                    partition._tiles(n, gap_set(n))
                 with pytest.raises(ArithmeticError):
-                    verify_partition(phi_spec(n), partition._TILE_COST << n)
+                    verify_partition(phi_spec(n), _first_tiled_limit(n))
         monkeypatch.setattr(partition, "_sign_expansion", real)
-        assert verify_partition(phi_spec(6), partition._TILE_COST << 6).ok
-
-    def test_valid_explicit_lists(self, monkeypatch):
-        for n in (2, 3, 4, 6):
-            spec = phi_spec(n)
-            terms = [spec.term(k) for k in range(1, 41)]
-            listed = explicit_spec(n, terms)
-            end = terms[-1] + spec.half_width  # the last term's interval ends here
-            for limit in sorted({1, 2, terms[1] - 1, terms[1], terms[1] + 1, terms[-1], end, end + 1, 2 * end}):
-                _assert_tiled_matches_value_sweep(listed, limit)
-            # a list that ends before the limit leaves holes past its last interval
-            limit = max(2 * end, partition._TILE_COST << n)
-            report = verify_partition(listed, limit)
-            assert not report.covered and report.disjoint and report.first_defect == end + 1
-            with monkeypatch.context() as patch:
-                patch.setattr(partition, "_tiled_labels", lambda *args: None)
-                assert verify_partition(listed, limit) == report
-
-    def test_invalid_explicit_lists_take_the_value_sweep(self):
-        spec = phi_spec(3)
-        terms = [spec.term(k) for k in range(1, 201)]
-        limit = partition._TILE_COST << 3
-        moved = terms[:30] + [terms[30] + 1] + terms[31:]  # just past the tile boundary at l(31)
-        cases = {
-            "defect past a tile boundary": moved,
-            "non-monotone": terms[:30] + [terms[28]] + terms[30:],
-            "bad start": [5] + terms[1:],
-            "violation past the limit": terms + [terms[-1] + 5],
-            "empty": [],
-        }
-        for name, values in cases.items():
-            listed = explicit_spec(3, values)
-            assert partition._tiled_labels(listed, limit) is None, name
-            assert partition._sweep(listed, limit) == partition._value_sweep(listed, limit), name
-        report = verify_partition(explicit_spec(3, moved), limit)
-        assert not report.ok and terms[29] < report.first_defect < terms[31]
-        with pytest.raises(GeneratorError) as err:
-            build_columns(explicit_spec(3, moved), limit)
-        assert err.value.report.violation_index == 31
-
-
-class TestRandomTiles:
-    @settings(max_examples=120)
-    @given(random_valid_generators(), st.data())
-    def test_tiled_labels_match_the_value_sweep(self, spec, data):
-        end = spec.generator.values[-1] + spec.half_width
-        for limit in (end, data.draw(st.integers(min_value=1, max_value=end + 2**spec.n))):
-            _assert_tiled_matches_value_sweep(spec, limit)
+        assert verify_partition(phi_spec(6), _first_tiled_limit(6)).ok
