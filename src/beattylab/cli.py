@@ -5,7 +5,11 @@ defect is found (failed verification, failed identity, inadmissible
 census class), 2 on invalid input: every ValueError, UsageError
 included.  Output is CSV by default or JSON with --format json; big
 integer values are serialized as decimal strings in JSON.  Each result
-is written once, after it is computed, to stdout or to --out.
+is written once, after it is computed, to stdout or to --out; an --out
+path that cannot be opened for writing is a usage error.  gen writes its
+columns with its own str.format emitters, byte for byte what csv.writer
+and json.dump(indent=2) would write; every other result goes through csv
+or json.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import TextIO
+from itertools import count, islice
+from typing import Iterator, TextIO
 
 from . import identities, partition, three_set
 from .qfield import HALF_PHI_SQ, PHI, PHI_CUBED, PHI_SQ, QuadraticReal, SQRT2
@@ -89,7 +94,12 @@ def _output(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
     Commands call it only once their result is computed, so a run that
     fails before that writes nothing and creates no file.
     """
-    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out file: {exc}") from exc
 
 
 def _frequency_string(fr: Fraction, places: int = 12) -> str:
@@ -109,21 +119,51 @@ def _cmd_gen(args) -> int:
         return EXIT_USAGE
     with _output(args.out) as fh:
         if args.format == "json":
-            payload = {
-                "n": spec.n,
-                "generator": spec.describe(),
-                "limit": args.limit,
-                "columns": [[str(v) for v in col] for col in columns],
-            }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            _write_json_columns(fh, spec, args.limit, columns)
         else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["column", "k", "value"])
-            writer.writerows(
-                (j, k, v) for j, col in enumerate(columns, start=1) for k, v in enumerate(col, start=1)
-            )
+            _write_csv_columns(fh, columns)
     return EXIT_OK
+
+
+# gen writes its columns through str.format and join instead of csv or json:
+# every value is a decimal int, which csv (QUOTE_MINIMAL) never quotes and
+# JSON never escapes, so the bytes are those of csv.writer and
+# json.dump(indent=2).  Joining a few thousand lines at a time keeps no
+# second copy of a column in memory.
+_JOIN_LINES = 4096
+
+
+def _write_joined(fh: TextIO, separator: str, pieces: Iterator[str]) -> None:
+    """fh.write(separator.join(pieces)), joined _JOIN_LINES pieces at a time."""
+    lead = ""
+    while chunk := separator.join(islice(pieces, _JOIN_LINES)):
+        fh.write(lead)
+        fh.write(chunk)
+        lead = separator
+
+
+def _write_csv_columns(fh: TextIO, columns: list[list[int]]) -> None:
+    """The csv table column,k,value with one row per column value."""
+    fh.write("column,k,value\n")
+    for j, col in enumerate(columns, start=1):
+        _write_joined(fh, "", map(f"{j},{{}},{{}}\n".format, count(1), col))
+
+
+def _write_json_columns(fh: TextIO, spec: partition.PartitionSpec, limit: int, columns: list[list[int]]) -> None:
+    """The indented JSON object {n, generator, limit, columns}, values as decimal strings."""
+    head = {"n": spec.n, "generator": spec.describe(), "limit": limit}
+    fh.write("{\n" + "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items()))
+    fh.write('  "columns": [')
+    separator = "\n    "
+    for col in columns:
+        if col:
+            fh.write(separator + "[")
+            _write_joined(fh, ",", map('\n      "{}"'.format, col))
+            fh.write("\n    ]")
+        else:
+            fh.write(separator + "[]")
+        separator = ",\n    "
+    fh.write("\n  ]\n}\n")
 
 
 def _cmd_verify(args) -> int:

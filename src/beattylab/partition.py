@@ -20,7 +20,7 @@ returns all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 from typing import Iterable
 
@@ -32,9 +32,9 @@ from .wythoff import ab_word, lower
 MAX_COLUMNS = 64
 
 # The sweep allocates one byte per value of [1, limit]; gen then holds every
-# value as an int and, for JSON, as text.  At this cap verify peaks at about
-# 37 MB (phi, n = 2) and gen --format json at about 1.1 GB (linear in the limit: 125 MB
-# at 10**6, 341 MB at 3*10**6).
+# value as an int.  At this cap verify peaks at about 30 MB (phi, n = 2) and
+# gen at about 0.4 GB in either format (linear in the limit: 56 MB at 10**6,
+# 134 MB at 3*10**6).
 MAX_LIMIT = 10**7
 
 
@@ -348,12 +348,13 @@ def _phi_labels(n: int, limit: int) -> bytearray:
     last = _first_index_at_least(phi_spec(n), limit + 1)  # l(last) > limit
     a_gap, b_gap = 2**n - 1, 2 ** (n - 1)
     head, tiles = _tiles(n, (a_gap, b_gap))
-    labels = bytearray(head)
-    pieces = map({"A": tiles[a_gap], "B": tiles[b_gap]}.__getitem__, ab_word(last - 1))
+    pieces = chain((head,), map({"A": tiles[a_gap], "B": tiles[b_gap]}.__getitem__, ab_word(last - 1)))
+    labels = bytearray(limit + 1)
+    end = 0
     # join holds an 80-byte buffer record per piece, so join a few thousand at a time
-    while chunk := b"".join(islice(pieces, 4096)):
-        labels += chunk
-    del labels[limit + 1 :]
+    while end <= limit and (chunk := b"".join(islice(pieces, 4096))):
+        start, end = end, min(end + len(chunk), limit + 1)
+        labels[start:end] = memoryview(chunk)[: end - start]
     return labels
 
 

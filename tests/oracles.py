@@ -2,14 +2,18 @@
 
 beatty_term is a QuadraticReal oracle for Beatty values; classify_cd
 recovers the witness index of a C/D label, the C/D counterpart of
-wythoff.classify_ab.
+wythoff.classify_ab; gen_csv and gen_json render gen's columns through
+the csv and json encoders, the reference for gen's own emitters.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from typing import NamedTuple
 
-from beattylab import wythoff
+from beattylab import partition, wythoff
 from beattylab.qfield import QuadraticReal
 from beattylab.wythoff import CDLabel, c_half, cd_label, d_cubed
 
@@ -38,3 +42,26 @@ def classify_cd(m: int) -> CDMembership:
         return CDMembership(CDLabel.C, wythoff._witness_search(m, i, c_half))
     i = wythoff._floor5(-2 * (m + 1), m + 1, 1)  # (m+1)/phi^3 = (m+1)*(sqrt5 - 2)
     return CDMembership(CDLabel.D, wythoff._witness_search(m, i, d_cubed))
+
+
+def gen_csv(columns: list[list[int]]) -> str:
+    """gen's CSV as csv.writer writes it: a header, then one (column, k, value) row per value."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["column", "k", "value"])
+    writer.writerows((j, k, v) for j, col in enumerate(columns, start=1) for k, v in enumerate(col, start=1))
+    return fh.getvalue()
+
+
+def gen_json(spec: partition.PartitionSpec, limit: int, columns: list[list[int]]) -> str:
+    """gen's JSON as json.dump(indent=2) writes it, values as decimal strings, plus a newline."""
+    payload = {
+        "n": spec.n,
+        "generator": spec.describe(),
+        "limit": limit,
+        "columns": [[str(v) for v in col] for col in columns],
+    }
+    fh = io.StringIO()
+    json.dump(payload, fh, indent=2)
+    fh.write("\n")
+    return fh.getvalue()

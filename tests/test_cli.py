@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from beattylab import identities, partition, three_set, wythoff
 from beattylab.cli import _parse_alpha
 from beattylab.qfield import QuadraticReal
@@ -397,6 +399,30 @@ class TestDensity:
                     code, out, err = run_cli(*argv, *fmt)
                     assert code == 2 and out == ""
                     assert err == f"error: {message}\n"
+
+
+# one call per subcommand and result format that writes a result
+RESULT_CALLS = [
+    ("gen", "--n", "3", "--h", "phi", "--limit", "20"),
+    ("gen", "--n", "3", "--h", "phi", "--limit", "20", "--format", "json"),
+    ("verify", "--n", "3", "--h", "phi", "--limit", "20"),
+    ("decompose", "--n", "3", "--h", "phi", "--m", "20"),
+    ("identities", "--N", "3"),
+    ("identities", "--N", "3", "--format", "csv"),
+    ("classify", "rows", "--N", "5"),
+    ("classify", "census", "--N", "5"),
+    ("density", "--N", "5"),
+]
+
+
+@pytest.mark.parametrize("argv", RESULT_CALLS, ids=" ".join)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(run_cli, tmp_path, argv, where):
+    target = tmp_path / "missing" / "result.out" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(*argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_module_entry_point_subprocess():
