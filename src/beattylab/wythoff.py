@@ -172,7 +172,7 @@ def klm(K: int, L: int, M: int, n: int) -> int:
     argument K*a(n) + L*n + M must itself be a positive integer.
     """
     _require_positive(n)
-    an = lower(n)
+    an = (n + isqrt(5 * n * n)) // 2  # a(n), as in lower
     bn = an + n
     arg = K * an + L * n + M
     if arg < 1:
@@ -227,15 +227,22 @@ def ab_word(limit: int) -> str:
 
     The labels of the positive integers form the Fibonacci word (OEIS
     A003849), built here by S1 = "A", S2 = "AB", S(k+1) = S(k) + S(k-1)
-    and truncated to limit letters; ab_word(0) is "".  Range scans read
-    it in place of one ab_label call per index.
+    and truncated to limit letters; ab_word(0) is "".  S(k-1) is a prefix
+    of S(k), so each step copies a prefix of the word behind its end, in
+    one buffer of limit bytes decoded once.  Range scans read it in place
+    of one ab_label call per index.
     """
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    previous, word = "A", "AB"
-    while len(word) < limit:
-        previous, word = word, word + previous
-    return word[:limit]
+    word = bytearray(limit)
+    word[:2] = b"AB"[:limit]
+    previous, end = 1, 2  # |S(k-1)|, |S(k)|
+    with memoryview(word) as view:
+        while end < limit:
+            step = min(previous, limit - end)
+            view[end : end + step] = view[:step]
+            previous, end = end, end + previous
+    return word.decode("ascii")
 
 
 def cd_label(m: int) -> CDLabel:
@@ -264,13 +271,23 @@ def fib_shift_converse(r: int, n: int, search_bound: int) -> set[int]:
     """All m <= search_bound with phi^r*{m*phi} - phi^(r-2)*{n*phi} = 1.
 
     Brute force over the full range; the result should be exactly
-    {a(n) + n + F(r)} whenever that value lies within the bound.
+    {a(n) + n + F(r)} whenever that value lies within the bound.  Each m
+    is tested in integers: with phi^r = (u + v*sqrt5)/2 and
+    {m*phi} = (x + m*sqrt5)/2, x = m - 2a(m), the left side
+    phi^r*{m*phi} is (u*x + 5*v*m + (u*m + v*x)*sqrt5)/4, compared
+    coordinate by coordinate with the target (tp + tq*sqrt5)/td.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"shift index must be an odd positive integer, got {r}")
     _require_positive(n)
     _require_positive(search_bound, "search_bound")
     pr = phi_pow(r)
-    offset = phi_pow_ext(r - 2) * frac_phi(n)
-    target = ONE + offset
-    return {m for m in range(1, search_bound + 1) if pr * frac_phi(m) == target}
+    u, v = 2 * pr.p // pr.d, 2 * pr.q // pr.d
+    target = ONE + phi_pow_ext(r - 2) * frac_phi(n)
+    tp, tq, td = target.p, target.q, target.d
+    found = set()
+    for m in range(1, search_bound + 1):
+        x = m - 2 * lower(m)
+        if td * (u * x + 5 * v * m) == 4 * tp and td * (u * m + v * x) == 4 * tq:
+            found.add(m)
+    return found

@@ -4,6 +4,10 @@ beatty_term is a QuadraticReal oracle for Beatty values; classify_cd
 recovers the witness index of a C/D label, the C/D counterpart of
 wythoff.classify_ab; gen_csv and gen_json render gen's columns through
 the csv and json encoders, the reference for gen's own emitters.
+fib_shift_converse and klm_grid are the field-arithmetic converse scan
+and the full coefficient grid, the references for the integer scans in
+wythoff.fib_shift_converse and identities._check_klm_grid; ab_word builds
+the Fibonacci word by string concatenation.
 """
 
 from __future__ import annotations
@@ -11,11 +15,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import product
 from typing import NamedTuple
 
 from beattylab import partition, wythoff
-from beattylab.qfield import QuadraticReal
-from beattylab.wythoff import CDLabel, c_half, cd_label, d_cubed
+from beattylab.qfield import ONE, QuadraticReal, phi_pow
+from beattylab.wythoff import CDLabel, c_half, cd_label, d_cubed, frac_phi, klm, lower, phi_pow_ext
 
 
 def beatty_term(alpha: QuadraticReal, k: int) -> int:
@@ -65,3 +70,34 @@ def gen_json(spec: partition.PartitionSpec, limit: int, columns: list[list[int]]
     json.dump(payload, fh, indent=2)
     fh.write("\n")
     return fh.getvalue()
+
+
+def fib_shift_converse(r: int, n: int, search_bound: int) -> set[int]:
+    """All m <= search_bound with phi^r*{m*phi} = 1 + phi^(r-2)*{n*phi}, one QuadraticReal product per m."""
+    pr = phi_pow(r)
+    target = ONE + phi_pow_ext(r - 2) * frac_phi(n)
+    return {m for m in range(1, search_bound + 1) if pr * frac_phi(m) == target}
+
+
+def klm_grid(n: int, fault_offset: int = 0) -> tuple[int, str]:
+    """(mismatches, case text) of the klm-grid record, klm against lower over all of [-5, 5]^3."""
+    an = lower(n)
+    mismatches = 0
+    first = ""
+    for K, L, M in product(range(-5, 6), repeat=3):
+        arg = K * an + L * n + M
+        if arg < 1:
+            continue
+        if klm(K, L, M, n) != lower(arg) + fault_offset:
+            mismatches += 1
+            if not first:
+                first = f"first=({K},{L},{M})"
+    return mismatches, first or "grid [-5,5]^3"
+
+
+def ab_word(limit: int) -> str:
+    """The Fibonacci word's first limit letters, built by repeated concatenation."""
+    previous, word = "A", "AB"
+    while len(word) < limit:
+        previous, word = word, word + previous
+    return word[:limit]

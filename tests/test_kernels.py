@@ -9,6 +9,7 @@ representation ends in an even number of zeros (OEIS A003849, A000201).
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -35,6 +36,7 @@ from beattylab.wythoff import (
     unit_interval_label,
     upper,
 )
+import oracles
 from oracles import CDMembership, classify_cd
 
 BIG = 10**30
@@ -136,13 +138,28 @@ class TestFibonacciWord:
 
     def test_limits_at_and_around_fibonacci_numbers(self):
         # the substitution words have Fibonacci lengths, so these limits cut
-        # exactly at, just before and just after a built word
-        word = ab_word(10**5)
+        # exactly at, just before and just after a built word; the reference
+        # builds the word by string concatenation
+        word = oracles.ab_word(10**6)
+        limits = [0, 1, 2, 3, 10**6]
         f, g = 1, 2
-        while g < 10**5:
-            for limit in (g - 1, g, g + 1):
-                assert ab_word(limit) == word[:limit], limit
+        while g < 10**6:
+            limits += [g - 1, g, g + 1]
             f, g = g, f + g
+        for limit in limits:
+            assert ab_word(limit) == word[:limit], limit
+
+    def test_peak_memory_is_two_bytes_per_letter(self):
+        # one bytearray of limit bytes, then the decoded str
+        limit = 10**6
+        tracemalloc.start()
+        try:
+            word = ab_word(limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(word) == limit
+        assert peak <= 2.1 * limit, peak
 
 
 # -- kernels against the QuadraticReal reference -------------------------------
