@@ -8,8 +8,8 @@ positive integer and no integer lands in two different columns.  This
 module materializes the columns, inverts the construction (decompose),
 and verifies cover/disjointness by brute force.  Columns and verification
 share one labelling of [1, limit] with one column byte per value: the phi
-generator's labels are tiles laid out along the Fibonacci word, and every
-other generator is swept term by term, value by value.
+generator's labels are the image of the Fibonacci word under its two gap
+pieces, and every other generator is swept term by term, value by value.
 
 An integer inside the overlap of two consecutive generator intervals has
 two valid (index, signs) representations; they always agree on the
@@ -20,12 +20,11 @@ returns all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from math import isqrt
 from typing import Iterable
 
 from .qfield import ONE, PHI, QuadraticReal
-from .wythoff import ab_word, lower
+from .wythoff import fibonacci_fill, lower
 
 # Column labels are stored one byte per value, and gap_set / _sign_expansion
 # cost grows with n; no construction in this package needs more columns.
@@ -155,20 +154,12 @@ def explicit_spec(n: int, values: Iterable[int]) -> PartitionSpec:
     return PartitionSpec(n, ExplicitColumn(tuple(values)))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """The first start/gap violation of a generator: its term index and what failed."""
-
-    violation_index: int
-    message: str
-
-
 class GeneratorError(ValueError):
-    """A generator violated its start or gap constraints."""
+    """A generator violated its start or gap constraints, first at term violation_index."""
 
-    def __init__(self, report: ValidationReport):
-        super().__init__(report.message)
-        self.report = report
+    def __init__(self, violation_index: int, message: str):
+        super().__init__(message)
+        self.violation_index = violation_index
 
 
 def _term_violation(spec: PartitionSpec, k: int, t: int, prev: int | None, allowed: set[int]) -> str | None:
@@ -303,10 +294,10 @@ def decompose(m: int, spec: PartitionSpec) -> Decomposition:
     return found[0]
 
 
-# Building the tiles labels one term's interval of 2**n - 1 values through
+# _phi_labels labels one term's interval of 2**n - 1 values through
 # _sign_expansion, whose greedy walk takes up to n - 1 steps per value, so it
 # costs about as much as the per-value loop over 2*n*2**n values: the loop
-# takes 0.83 to 1.28 times the tiles' time at that limit, 1.6 to 2.2 times
+# takes 0.84 to 2.09 times the fill's time at that limit, 1.7 to 3.3 times
 # at twice it (phi_spec(n), n = 3 to 16, in-process, 2-vCPU Xeon).  Ranges
 # shorter than _TILE_COST*n*2**n are swept value by value.
 _TILE_COST = 2
@@ -316,57 +307,47 @@ def _is_phi(spec: PartitionSpec) -> bool:
     return isinstance(spec.generator, AlphaH) and spec.generator.alpha == PHI
 
 
-def _tiles(n: int, gaps: Iterable[int]) -> tuple[bytes, dict[int, bytes]]:
-    """The labels around one generator term t, cut into the pieces of a valid generator.
+def _interval_labels(n: int, gaps: Iterable[int]) -> bytes:
+    """The labels of t - w .. t + w around one generator term t, w = 2**(n-1) - 1.
 
-    Returns the head (labels[0 .. 2**(n-1)), ending just before
-    l(1) = 2**(n-1)) and one tile per gap g (the labels of [t, t + g) when
-    t + g is the next term).  The labels come from the inverse map
-    _sign_expansion, independently of the per-value loop's column_offsets
-    grid, and raise ArithmeticError where the intervals of t and t + g
-    disagree on a value.
+    The labels come from the inverse map _sign_expansion, independently of
+    the per-value loop's column_offsets grid, and raise ArithmeticError
+    where the intervals of t and t + g disagree on a value for a gap g.
     """
     w = 2 ** (n - 1) - 1
-    interval = bytes(_sign_expansion(n, d)[0] for d in range(-w, w + 1))  # t - w .. t + w
-    tiles = {}
+    interval = bytes(_sign_expansion(n, d)[0] for d in range(-w, w + 1))
     for g in gaps:
         # t + i for g - w <= i <= w lies in both intervals: interval[w + i] vs interval[w + i - g]
         if interval[g:] != interval[: 2 * w + 1 - g]:
             raise ArithmeticError(f"consecutive terms {g} apart put a value in two columns (n = {n})")
-        tiles[g] = interval[w:] + interval[2 * w + 1 - g : w]
-    return b"\0" + interval[:w], tiles
+    return interval
 
 
 def _phi_labels(n: int, limit: int) -> bytearray:
-    """Labels of [0, limit] for phi_spec(n) as the image of its gap word.
+    """Labels of [0, limit] for phi_spec(n): 0, then the image of the Fibonacci word.
 
-    A valid generator's labels are the head followed by tiles[g] for each
-    gap g, since only t and the next term reach [t, t + g).  The gap word
-    of phi_spec(n) is the Fibonacci word ab_word with A -> 2**n - 1 and
-    B -> 2**(n-1), because a(k+1) - a(k) = 2 exactly when k is labelled A.
+    Term t with gap g to the next term owns [t - w, t - w + g), the first
+    g labels of its own interval (g <= 2w + 1; the values it shares with
+    a neighbour agree), and l(1) - w = 1.  The gaps of phi_spec(n) follow
+    the Fibonacci word with A -> 2**n - 1 and B -> 2**(n-1), because
+    a(k+1) - a(k) = 2 exactly when k is labelled A, so labels[1:] is its
+    image under A -> interval, B -> interval[:2**(n-1)].
     """
-    last = _first_index_at_least(phi_spec(n), limit + 1)  # l(last) > limit
-    a_gap, b_gap = 2**n - 1, 2 ** (n - 1)
-    head, tiles = _tiles(n, (a_gap, b_gap))
-    pieces = chain((head,), map({"A": tiles[a_gap], "B": tiles[b_gap]}.__getitem__, ab_word(last - 1)))
+    interval = _interval_labels(n, (2**n - 1, 2 ** (n - 1)))
     labels = bytearray(limit + 1)
-    end = 0
-    # join holds an 80-byte buffer record per piece, so join a few thousand at a time
-    while end <= limit and (chunk := b"".join(islice(pieces, 4096))):
-        start, end = end, min(end + len(chunk), limit + 1)
-        labels[start:end] = memoryview(chunk)[: end - start]
+    fibonacci_fill(memoryview(labels)[1:], interval, interval[: 2 ** (n - 1)])
     return labels
 
 
-def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, ValidationReport | None]:
+def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, GeneratorError | None]:
     """Label every value in [1, limit] with its column.
 
     Returns labels (labels[v] is the column of v, 0 where no term reaches
     it; labels[0] is unused), the smallest value reached in two different
     columns, and the first start/gap violation among the terms read.
-    phi_spec(n) over a range long enough for tiles to pay is tiled
+    phi_spec(n) over a range long enough for the fill to pay is filled
     (_phi_labels) and has neither; every other generator and range is
-    measured as given by _value_sweep, which is also the tiles' test oracle.
+    measured as given by _value_sweep, which is also the fill's test oracle.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
@@ -377,7 +358,7 @@ def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, Vali
     return _value_sweep(spec, limit)
 
 
-def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, ValidationReport | None]:
+def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, GeneratorError | None]:
     """_sweep one generator term at a time, one value at a time.
 
     Term t fills [t - w, t + w] with w = 2**(n-1) - 1, and a value v there
@@ -394,7 +375,7 @@ def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None
     explicit = isinstance(spec.generator, ExplicitColumn)
     labels = bytearray(limit + 1)
     conflict: int | None = None
-    violation: ValidationReport | None = None
+    violation: GeneratorError | None = None
     prev = None
     k = 1
     while True:
@@ -404,7 +385,7 @@ def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None
         if violation is None:
             message = _term_violation(spec, k, t, prev, allowed)
             if message is not None:
-                violation = ValidationReport(k, message)
+                violation = GeneratorError(k, message)
         if not explicit and t - width > limit:
             break
         inside = 1 <= t - width and t + width <= limit
@@ -434,7 +415,7 @@ def column_labels(spec: PartitionSpec, limit: int) -> bytearray:
     """
     labels, _, violation = _sweep(spec, limit)
     if violation is not None:
-        raise GeneratorError(violation)
+        raise violation
     return labels
 
 

@@ -162,16 +162,20 @@ class Census:
         return Fraction(self.counts.get(key, 0), self.total)
 
 
+def _require_index_limit(limit: int) -> None:
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
+    if limit > MAX_INDEX:
+        raise ValueError(f"limit must be at most {MAX_INDEX}, got {limit}")
+
+
 def _census(limit: int, codes: Iterable[str]) -> Census:
     """Count the codes of indices 1, 2, ..., limit and note where each first occurs.
 
     limit is checked before codes is read, so a generator may size its
     work from limit.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    if limit > MAX_INDEX:
-        raise ValueError(f"limit must be at most {MAX_INDEX}, got {limit}")
+    _require_index_limit(limit)
     counts: dict[str, int] = {}
     first: dict[str, int] = {}
     for k, code in enumerate(codes, start=1):
@@ -186,8 +190,10 @@ def row_codes(limit: int) -> Iterator[str]:
 
     Per k, a(k) and a(ceil(k/2)) cost one isqrt each (lower and the col_*
     closed forms inlined); word[m - 1] is the A/B label of m, and d(limit)
-    is the largest value read.
+    is the largest value read.  A limit outside [1, MAX_INDEX] raises
+    ValueError on the first read, before the word is built.
     """
+    _require_index_limit(limit)
     word = ab_word(col_d(limit))
     for k in range(1, limit + 1):
         a = (k + isqrt(5 * k * k)) // 2

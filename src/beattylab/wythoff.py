@@ -222,26 +222,36 @@ def classify_ab(m: int) -> ABMembership:
     return ABMembership(ABLabel.B, _witness_search(m, i, upper))
 
 
+def fibonacci_fill(buffer: bytearray | memoryview, a: bytes, b: bytes) -> None:
+    """Fill a writable buffer with the image of the Fibonacci word under A -> a, B -> b.
+
+    The word is S1 = "A", S2 = "AB", S(k+1) = S(k) + S(k-1), so its image
+    is T1 = a, T2 = a + b, T(k+1) = T(k) + T(k-1), cut to len(buffer).
+    T(k-1) is a prefix of T(k), so each step copies a prefix of the buffer
+    behind its end, in place.
+    """
+    with memoryview(buffer) as view:
+        size = len(view)
+        previous, end = len(a), min(len(a) + len(b), size)  # |T(k-1)|, |T(k)|
+        view[:end] = (a + b)[:end]
+        while end < size:
+            step = min(previous, size - end)
+            view[end : end + step] = view[:step]
+            previous, end = end, end + previous
+
+
 def ab_word(limit: int) -> str:
     """A/B labels of 1, 2, ..., limit as one string: ab_word(limit)[m - 1] is ab_label(m).
 
     The labels of the positive integers form the Fibonacci word (OEIS
-    A003849), built here by S1 = "A", S2 = "AB", S(k+1) = S(k) + S(k-1)
-    and truncated to limit letters; ab_word(0) is "".  S(k-1) is a prefix
-    of S(k), so each step copies a prefix of the word behind its end, in
-    one buffer of limit bytes decoded once.  Range scans read it in place
-    of one ab_label call per index.
+    A003849), filled by fibonacci_fill with A -> "A", B -> "B" into one
+    buffer of limit bytes and decoded once; ab_word(0) is "".  Range
+    scans read it in place of one ab_label call per index.
     """
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     word = bytearray(limit)
-    word[:2] = b"AB"[:limit]
-    previous, end = 1, 2  # |S(k-1)|, |S(k)|
-    with memoryview(word) as view:
-        while end < limit:
-            step = min(previous, limit - end)
-            view[end : end + step] = view[:step]
-            previous, end = end, end + previous
+    fibonacci_fill(word, b"A", b"B")
     return word.decode("ascii")
 
 

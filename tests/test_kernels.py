@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from beattylab import wythoff
+from beattylab import partition, wythoff
 from beattylab.qfield import INV_PHI, INV_PHI_CUBED, INV_PHI_SQ, ONE, ONE_HALF, PHI, QuadraticReal
 from beattylab.wythoff import (
     BREAK_HIGH,
@@ -29,6 +29,7 @@ from beattylab.wythoff import (
     c_half,
     classify_ab,
     d_cubed,
+    fibonacci_fill,
     frac_phi,
     klm,
     lower,
@@ -160,6 +161,31 @@ class TestFibonacciWord:
             tracemalloc.stop()
         assert len(word) == limit
         assert peak <= 2.1 * limit, peak
+
+
+class TestFibonacciFill:
+    # the phi partition's pieces: A -> the labels of a term's interval, B -> its first 2**(n-1)
+    PIECES = [(b"A", b"B"), (b"xyz", b"q")] + [
+        (interval, interval[: 2 ** (n - 1)]) for n in range(2, 7) for interval in [partition._interval_labels(n, ())]
+    ]
+
+    def test_fill_matches_concatenated_pieces(self):
+        # every length to 300 (including buffers shorter than a and between
+        # |a| and |a| + |b|), and each side of the image lengths |T(k)| of
+        # the Fibonacci words S(k), where a fill step copies up to the end
+        top = 10**5
+        word = oracles.ab_word(top + 2)
+        for a, b in self.PIECES:
+            image = b"".join(a if letter == "A" else b for letter in word)[: top + 2]
+            lengths = set(range(301))
+            previous, size = len(b), len(a)  # |T(0)| for S(0) = "B", then |T(1)|
+            while size <= top:
+                lengths |= {size - 1, size, size + 1}
+                previous, size = size, size + previous
+            for length in sorted(lengths):
+                buffer = bytearray(length)
+                fibonacci_fill(buffer, a, b)
+                assert buffer == image[:length], (a, b, length)
 
 
 # -- kernels against the QuadraticReal reference -------------------------------

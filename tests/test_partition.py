@@ -100,8 +100,8 @@ class TestSpecs:
 def _violation(spec: PartitionSpec, limit: int):
     with pytest.raises(GeneratorError) as info:
         build_columns(spec, limit)
-    assert info.value.report.violation_index is not None
-    return info.value.report
+    assert info.value.violation_index is not None
+    return info.value
 
 
 class TestValidateGenerator:
@@ -116,9 +116,9 @@ class TestValidateGenerator:
         assert columns[0] == [spec.term(k) for k in range(1, 201)]
 
     def test_bad_gap_reported(self):
-        report = _violation(explicit_spec(3, [4, 9, 13]), 13)
-        assert report.violation_index == 2
-        assert "5" in report.message
+        err = _violation(explicit_spec(3, [4, 9, 13]), 13)
+        assert err.violation_index == 2
+        assert "5" in str(err)
 
     def test_bad_start_reported(self):
         assert _violation(explicit_spec(3, [5, 9]), 9).violation_index == 1
@@ -215,13 +215,13 @@ class TestBuildColumns:
     def test_generator_violation_raises(self):
         with pytest.raises(GeneratorError) as err:
             build_columns(explicit_spec(3, [4, 9, 13]), 12)
-        assert err.value.report.violation_index == 2
+        assert err.value.violation_index == 2
 
     def test_explicit_generator_checked_past_the_limit(self):
         # l(3) = 8 breaks the gap rule although its interval starts past limit 1
         with pytest.raises(GeneratorError) as err:
             build_columns(explicit_spec(3, [4, 11, 8]), 1)
-        assert err.value.report.violation_index == 3
+        assert err.value.violation_index == 3
 
     def test_columns_agree_with_decompose(self):
         # decompose inverts the construction through the 2-adic sign expansion,
@@ -466,18 +466,23 @@ class TestIntervalSeparation:
                 previous = current
 
 
-# -- tiles: the labels of phi_spec(n) as the image of its gap word ---------------
+# -- the fill: the labels of phi_spec(n) as the image of the Fibonacci word -------
 
 
 def _boundary_limits(n: int) -> set[int]:
-    """1, 2, 2**(n-1) +- 1, each side of the first tile boundaries (the terms), and
-    a range long enough to be joined in several chunks."""
+    """1, 2, 2**(n-1) +- 1, each side of the first terms, a long range, and
+    each side of the fill's copy edges: value 1 + |T(k)| starts the copy
+    after the image T(k) of S(k), with |T(k+1)| = |T(k)| + |T(k-1)|."""
     spec = phi_spec(n)
     half = 2 ** (n - 1)
     limits = {1, 2, half - 1, half, half + 1, 40 * half, 30000}
     for k in range(2, 6):
         t = spec.term(k)
         limits |= {t - 1, t, t + 1}
+    previous, size = half, 2**n - 1  # |T(0)| for S(0) = "B", then |T(1)|
+    while size <= 30000:
+        limits |= {1 + size + d for d in (-1, 0, 1) if 1 + size + d <= 30000}
+        previous, size = size, size + previous
     return limits
 
 
@@ -503,10 +508,14 @@ class TestTiles:
         _assert_tiled_matches_value_sweep(n, limit)
 
     def test_tile_lengths_and_head(self):
+        # label 0 is unused, and l(1) = 2**(n-1) owns its whole interval
+        # [1, 2**n - 1] because its gap is the long one (1 is labelled A)
         for n in range(2, 11):
-            head, tiles = partition._tiles(n, gap_set(n))
-            assert len(head) == 2 ** (n - 1) and head[0] == 0
-            assert {g: len(tile) for g, tile in tiles.items()} == {g: g for g in gap_set(n)}
+            w = 2 ** (n - 1) - 1
+            interval = partition._interval_labels(n, gap_set(n))
+            assert len(interval) == 2 * w + 1 and interval[w] == 1
+            labels = partition._phi_labels(n, 2 * w + 1)
+            assert labels[0] == 0 and labels[1:] == interval
 
     def test_sweep_tiles_long_phi_ranges_only(self, monkeypatch):
         def not_reached(*args):
@@ -516,7 +525,7 @@ class TestTiles:
             patch.setattr(partition, "_value_sweep", not_reached)
             for n in (3, 8):
                 assert verify_partition(phi_spec(n), _first_tiled_limit(n)).ok
-        monkeypatch.setattr(partition, "_tiles", not_reached)
+        monkeypatch.setattr(partition, "_interval_labels", not_reached)
         assert verify_partition(phi_spec(8), _first_tiled_limit(8) - 1).ok
         # every other generator is swept value by value, however long the range
         for spec in (identity_spec(5), alpha_spec(4, SQRT2)):
@@ -527,7 +536,7 @@ class TestTiles:
     def test_flipped_tile_byte_raises(self, monkeypatch):
         # a wrong column for one offset d != 0 breaks the agreement of two
         # consecutive intervals on their overlap (d and d - 2**(n-1) pair up
-        # under the smallest gap, which phi uses), so tile construction refuses it
+        # under the smallest gap, which phi uses), so labelling the interval refuses it
         real = partition._sign_expansion
         for n in range(2, 7):
             w = 2 ** (n - 1) - 1
@@ -539,7 +548,7 @@ class TestTiles:
 
                 monkeypatch.setattr(partition, "_sign_expansion", wrong)
                 with pytest.raises(ArithmeticError):
-                    partition._tiles(n, gap_set(n))
+                    partition._interval_labels(n, gap_set(n))
                 with pytest.raises(ArithmeticError):
                     verify_partition(phi_spec(n), _first_tiled_limit(n))
         monkeypatch.setattr(partition, "_sign_expansion", real)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from beattylab import three_set
 from beattylab.partition import MAX_LIMIT, build_columns, column_labels, decompose, phi_spec
 from beattylab.qfield import INV_PHI, INV_PHI_SQ, ONE, PHI, QuadraticReal
 from beattylab.three_set import (
@@ -24,6 +25,7 @@ from beattylab.three_set import (
     frac_col_s,
     row_class,
     row_class_census,
+    row_codes,
     scd,
 )
 from beattylab.wythoff import (
@@ -93,6 +95,18 @@ class TestRows:
                 census(MAX_INDEX + 1)
         # the pair census at the cap sweeps [1, b(MAX_INDEX)], which the sweep accepts
         assert upper(MAX_INDEX) <= MAX_LIMIT
+
+    def test_row_codes_checks_its_range_before_the_word(self, monkeypatch):
+        # the word runs to d(limit), about 5.9 bytes per index
+        def no_word(limit):
+            raise AssertionError(f"ab_word({limit}) built for a rejected limit")
+
+        monkeypatch.setattr(three_set, "ab_word", no_word)
+        for limit in (MAX_INDEX + 1, 10**19):
+            with pytest.raises(ValueError, match=f"limit must be at most {MAX_INDEX}, got {limit}"):
+                next(row_codes(limit))
+        with pytest.raises(ValueError, match="limit must be positive, got 0"):
+            next(row_codes(0))
 
     def test_c_gaps_are_three_or_four(self):
         for k in range(1, 10**4):
