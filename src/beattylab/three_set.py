@@ -5,18 +5,24 @@ D = {3a(k)+k}, C = {a(k)+2k-1} and S = {c(k)-1} union {c(k)+1}; each row
 (s(k), c(k), d(k)) carries a triple of A/B memberships and only six of
 the eight conceivable triples ever occur.  This module computes the
 rows, their exact fractional-part closed forms, the row-class census,
-and the census of which columns the Wythoff values a(n), b(n) land in;
-column membership is read from the partition sweep of phi_spec(3), and
-the range scans read A/B membership from the Fibonacci word
-(wythoff.ab_word), with row_class as the per-point path.
+and the census of which columns the Wythoff values a(n), b(n) land in.
+
+The range scans rest on two orderings: the k-th smallest value of
+column D, C or S is d(k), c(k) or s(k), and the n-th smallest value
+labelled A or B is a(n) or b(n).  So each census is a selection from one
+buffer of tags, 2*column(v) + [v is B] for every value v up to d(N) (up
+to b(N) for the pairs), built from the partition labels of phi_spec(3)
+and the Fibonacci word: bytes.translate keeps one column's (or one
+label's) values, the kept planes are combined bytewise through
+big-endian integers, and bytes.count and bytes.find read the result.
+row_class is the per-point path and the scans' test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import partition
 from .qfield import (
@@ -29,7 +35,8 @@ from .qfield import (
 from .wythoff import (
     ABLabel,
     ab_label,
-    ab_word,
+    c_half,
+    fibonacci_fill,
     frac_phi,
     lower,
     strict_compare,
@@ -59,14 +66,10 @@ ALL_PAIR_CLASSES = ("SC", "CS", "DS", "CD", "SS", "SD", "DC", "CC", "DD")
 
 THREE_SET_SPEC = partition.phi_spec(3)
 
-# Largest index range the scans accept.  The census word runs to d(N),
-# about 5.9*N bytes, and the pair census sweeps [1, b(N)], which must stay
-# within partition.MAX_LIMIT (b(10**6) = 2618034).  At this cap density
-# peaks at about 36 MB.
+# Largest index range the scans accept.  The tag buffer runs to d(N),
+# about 5.9*N bytes, and d(10**6) stays within partition.MAX_LIMIT.  A
+# scan holds about 12 bytes per index at its peak, 12 MB at this cap.
 MAX_INDEX = 10**6
-
-# partition column 1 is D, column 2 is C, column 3 is S
-_COLUMN_LETTER = {1: "D", 2: "C", 3: "S"}
 
 
 def col_d(k: int) -> int:
@@ -169,38 +172,97 @@ def _require_index_limit(limit: int) -> None:
         raise ValueError(f"limit must be at most {MAX_INDEX}, got {limit}")
 
 
-def _census(limit: int, codes: Iterable[str]) -> Census:
-    """Count the codes of indices 1, 2, ..., limit and note where each first occurs.
+# the scans convert and translate one block of bytes at a time
+_BLOCK = 1 << 14
 
-    limit is checked before codes is read, so a generator may size its
-    work from limit.
+
+def _shift_in(out: bytearray, shift: int, plane: bytes | bytearray) -> None:
+    """Set out[i] to out[i] << shift | plane[i] for every i < len(out), in place.
+
+    Each block of out and of plane is read as one big-endian integer, so
+    bytes stay in place as long as no byte reaches 256; the callers keep
+    every byte below 16.  The plane may be longer than out.
     """
-    _require_index_limit(limit)
-    counts: dict[str, int] = {}
-    first: dict[str, int] = {}
-    for k, code in enumerate(codes, start=1):
-        counts[code] = counts.get(code, 0) + 1
-        if code not in first:
-            first[code] = k
-    return Census(limit, counts, first)
+    size = len(out)
+    if len(plane) < size:
+        raise ArithmeticError(f"a plane of {len(plane)} bytes cannot fill {size}")
+    for lo in range(0, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        value = int.from_bytes(out[lo:hi], "big") << shift | int.from_bytes(plane[lo:hi], "big")
+        out[lo:hi] = value.to_bytes(hi - lo, "big")
+
+
+def _keep(values: dict[int, int]) -> tuple[bytes, bytes]:
+    """bytes.translate arguments that map each key of values to its value and delete every other byte."""
+    table = bytearray(256)
+    for tag, value in values.items():
+        table[tag] = value
+    return bytes(table), bytes(tag for tag in range(256) if tag not in values)
+
+
+# Tags are 2*column + [v is B]; partition column 1 is D, 2 is C, 3 is S.
+# The row planes are the B bits of the values of S, C and D in order, so
+# shifted in one bit at a time, a row code is
+# 4*[s(k) is B] + 2*[c(k) is B] + [d(k) is B].
+_ROW_PLANES = tuple(_keep({2 * column: 0, 2 * column + 1: 1}) for column in (3, 2, 1))
+_ROW_CLASSES = dict(enumerate(s + c + d for s in "AB" for c in "AB" for d in "AB"))
+# The pair planes are the columns (0 for D, 1 for C, 2 for S) of the
+# A-labelled values, a(1), a(2), ..., and of the B-labelled ones, b(1),
+# b(2), ..., so shifted in two bits at a time, a pair code is
+# 4*column(a(n)) + column(b(n)).
+_PAIR_PLANES = (_keep({2: 0, 4: 1, 6: 2}), _keep({3: 0, 5: 1, 7: 2}))
+_PAIR_CLASSES = {4 * i + j: x + y for i, x in enumerate("DCS") for j, y in enumerate("DCS")}
+
+
+def _tagged_values(top: int) -> bytearray:
+    """tags[v] = 2*column(v) + [v is B] for v in [1, top], in phi_spec(3); tags[0] is 0.
+
+    The Fibonacci word (A -> 0, B -> 1) is shifted into the column labels
+    in place.  Callers check their index limit first: both buffers take
+    top bytes.
+    """
+    tags = partition.column_labels(THREE_SET_SPEC, top)
+    is_b = bytearray(top + 1)
+    fibonacci_fill(memoryview(is_b)[1:], b"\x00", b"\x01")
+    _shift_in(tags, 1, is_b)
+    return tags
+
+
+def _tally(codes: bytes | bytearray, names: dict[int, str]) -> Census:
+    """Census of index k = 1, ..., len(codes) with code codes[k - 1], keyed by names, in order of first occurrence."""
+    found = sorted((at, code) for code in names if (at := codes.find(code)) >= 0)
+    counts = {names[code]: codes.count(code) for _, code in found}
+    return Census(len(codes), counts, {names[code]: at + 1 for at, code in found})
+
+
+def _select(tags: bytearray, limit: int, shift: int, planes: tuple[tuple[bytes, bytes], ...]) -> bytearray:
+    """Codes of indices 1, ..., limit: the k-th value each plane keeps, shifted in plane by plane.
+
+    Each plane must keep at least limit values: the row planes do when
+    tags runs to d(limit), the pair planes when it runs to b(limit).  A
+    plane is translated a block of tags at a time, up to its limit-th
+    value, so it never takes more than about limit bytes, and one plane
+    is held at a time.
+    """
+    codes = bytearray(limit)
+    for keep in planes:
+        plane = bytearray()
+        for lo in range(0, len(tags), _BLOCK):
+            plane += tags[lo : lo + _BLOCK].translate(*keep)
+            if len(plane) >= limit:
+                break
+        _shift_in(codes, shift, plane)
+    return codes
 
 
 def row_codes(limit: int) -> Iterator[str]:
-    """row_class(k).code for k in [1, limit], read from one Fibonacci word.
+    """row_class(k).code for k in [1, limit], read from one tag buffer.
 
-    Per k, a(k) and a(ceil(k/2)) cost one isqrt each (lower and the col_*
-    closed forms inlined); word[m - 1] is the A/B label of m, and d(limit)
-    is the largest value read.  A limit outside [1, MAX_INDEX] raises
-    ValueError on the first read, before the word is built.
+    A limit outside [1, MAX_INDEX] raises ValueError before any buffer is
+    built.
     """
     _require_index_limit(limit)
-    word = ab_word(col_d(limit))
-    for k in range(1, limit + 1):
-        a = (k + isqrt(5 * k * k)) // 2
-        h = (k + 1) // 2
-        c_h = (h + isqrt(5 * h * h)) // 2 + 2 * h - 1  # c(ceil(k/2))
-        s = c_h + 1 if k % 2 == 0 else c_h - 1
-        yield word[s - 1] + word[a + 2 * k - 2] + word[3 * a + k - 1]
+    return map(_ROW_CLASSES.__getitem__, _select(_tagged_values(col_d(limit)), limit, 1, _ROW_PLANES))
 
 
 def row_class_census(limit: int) -> Census:
@@ -209,19 +271,14 @@ def row_class_census(limit: int) -> Census:
     Any class outside the six admissible ones would disprove the
     classification; callers should treat such keys as defects.
     """
-    return _census(limit, row_codes(limit))
-
-
-def _pair_codes(limit: int) -> Iterator[str]:
-    labels = partition.column_labels(THREE_SET_SPEC, upper(limit))
-    for n in range(1, limit + 1):
-        a = (n + isqrt(5 * n * n)) // 2  # a(n), and b(n) = a(n) + n
-        yield _COLUMN_LETTER[labels[a]] + _COLUMN_LETTER[labels[a + n]]
+    _require_index_limit(limit)
+    return _tally(_select(_tagged_values(col_d(limit)), limit, 1, _ROW_PLANES), _ROW_CLASSES)
 
 
 def ab_over_scd_census(limit: int) -> Census:
     """Census of (column of a(n), column of b(n)) for n in [1, limit]."""
-    return _census(limit, _pair_codes(limit))
+    _require_index_limit(limit)
+    return _tally(_select(_tagged_values(upper(limit)), limit, 2, _PAIR_PLANES), _PAIR_CLASSES)
 
 
 # -- density measurements ------------------------------------------------------
@@ -260,6 +317,24 @@ class DensityReport:
         raise KeyError(name)
 
 
+def _c_half_counts(limit: int) -> tuple[int, int]:
+    """(c-half-in-A, a-in-C) counts over indices up to limit.
+
+    The values c_half(i) are marked by the standard word of slope
+    2/phi^2 = 3 - sqrt5 (README), and the A values by the Fibonacci word.
+    The A values up to a(limit) are a(1), ..., a(limit), so a value up to
+    a(limit) marked both C and A is one a(n) in C, and one up to
+    c_half(limit) is one c_half(i) in A.
+    """
+    top = lower(limit)
+    marks = bytearray(top)
+    fibonacci_fill(marks, b"\x01", b"\x01\x01\x00", repeat=4)
+    in_a = bytearray(top)
+    fibonacci_fill(in_a, b"\x01", b"\x00")
+    _shift_in(marks, 1, in_a)  # marks[m - 1] = 2*[m in C] + [m in A]
+    return marks.count(3, 0, c_half(limit)), marks.count(3)
+
+
 def density_report(limit: int) -> DensityReport:
     """Desk-scale density measurements over indices up to limit.
 
@@ -269,22 +344,11 @@ def density_report(limit: int) -> DensityReport:
     A and the six row-class frequencies have no proof and are flagged
     empirical-open.
     """
-    rows = row_class_census(limit)
-    # One pass over the C values m = c_half(i) <= a(limit), reading the
-    # Fibonacci word: the A values up to a(limit) are a(1), ..., a(limit),
-    # so an m labelled A is one a(n) in C, and for i <= limit it is also a
-    # c_half(i) in A.
-    top = lower(limit)
-    word = ab_word(top)
-    c_in_a = 0
-    a_in_c = 0
-    i = 1
-    while (m := (3 * i + isqrt(5 * i * i)) // 4) <= top:
-        if word[m - 1] == "A":
-            a_in_c += 1
-            if i <= limit:
-                c_in_a += 1
-        i += 1
+    _require_index_limit(limit)
+    c_in_a, a_in_c = _c_half_counts(limit)
+    tags = _tagged_values(col_d(limit))
+    rows = _tally(_select(tags, limit, 1, _ROW_PLANES), _ROW_CLASSES)
+    pairs = _tally(_select(tags, limit, 2, _PAIR_PLANES), _PAIR_CLASSES)
     # a row-class code starts with the letter of s(k), ab_label(col_s(k))
     s_in_a = sum(count for code, count in rows.counts.items() if code[0] == ABLabel.A.value)
     entries = [
@@ -299,7 +363,6 @@ def density_report(limit: int) -> DensityReport:
         )
     for code in sorted(rows.counts.keys() - ADMISSIBLE_ROW_CLASSES):
         entries.append(DensityEntry(f"row-class-{code}", rows.counts[code], limit, None, "empirical-open"))
-    pairs = ab_over_scd_census(limit)
     for code in ALL_PAIR_CLASSES:
         entries.append(
             DensityEntry(

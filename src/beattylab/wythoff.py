@@ -15,8 +15,8 @@ forms), so hitting one raises ArithmeticError instead of tie-breaking.
 The per-index kernels (klm, ab_label, unit_interval_label, cd_label and
 classify_ab) work on plain integer coordinates (p, q) of
 p + q*sqrt5 and never build a QuadraticReal; {n*phi} is
-(n - 2a(n) + n*sqrt5)/2 in those coordinates.  Range scans read the A/B
-labels of a whole range from ab_word, the Fibonacci word, and the
+(n - 2a(n) + n*sqrt5)/2 in those coordinates.  Range scans fill the A/B
+labels of a whole range with fibonacci_fill, the Fibonacci word, and the
 per-index kernels are its test oracle.
 """
 
@@ -222,37 +222,26 @@ def classify_ab(m: int) -> ABMembership:
     return ABMembership(ABLabel.B, _witness_search(m, i, upper))
 
 
-def fibonacci_fill(buffer: bytearray | memoryview, a: bytes, b: bytes) -> None:
-    """Fill a writable buffer with the image of the Fibonacci word under A -> a, B -> b.
+def fibonacci_fill(buffer: bytearray | memoryview, a: bytes, b: bytes, repeat: int = 1) -> None:
+    """Fill a writable buffer with the standard word T1 = a, T2 = a + b, T(k+1) = T(k)^repeat + T(k-1).
 
-    The word is S1 = "A", S2 = "AB", S(k+1) = S(k) + S(k-1), so its image
-    is T1 = a, T2 = a + b, T(k+1) = T(k) + T(k-1), cut to len(buffer).
-    T(k-1) is a prefix of T(k), so each step copies a prefix of the buffer
-    behind its end, in place.
+    repeat = 1 gives the image of the Fibonacci word S1 = "A", S2 = "AB",
+    S(k+1) = S(k) + S(k-1) under A -> a, B -> b.  The word is cut to
+    len(buffer).  T(k-1) is a prefix of T(k), so T(k+1) has period |T(k)|
+    and each step copies prefixes of the buffer behind its end, in place.
     """
+    if repeat < 1:
+        raise ValueError(f"repeat must be positive, got {repeat}")
     with memoryview(buffer) as view:
         size = len(view)
         previous, end = len(a), min(len(a) + len(b), size)  # |T(k-1)|, |T(k)|
         view[:end] = (a + b)[:end]
         while end < size:
-            step = min(previous, size - end)
-            view[end : end + step] = view[:step]
-            previous, end = end, end + previous
-
-
-def ab_word(limit: int) -> str:
-    """A/B labels of 1, 2, ..., limit as one string: ab_word(limit)[m - 1] is ab_label(m).
-
-    The labels of the positive integers form the Fibonacci word (OEIS
-    A003849), filled by fibonacci_fill with A -> "A", B -> "B" into one
-    buffer of limit bytes and decoded once; ab_word(0) is "".  Range
-    scans read it in place of one ab_label call per index.
-    """
-    if limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
-    word = bytearray(limit)
-    fibonacci_fill(word, b"A", b"B")
-    return word.decode("ascii")
+            top = min(repeat * end + previous, size)
+            for start in range(end, top, end):
+                step = min(end, top - start)
+                view[start : start + step] = view[:step]
+            previous, end = end, top
 
 
 def cd_label(m: int) -> CDLabel:

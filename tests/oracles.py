@@ -7,7 +7,10 @@ the csv and json encoders, the reference for gen's own emitters.
 fib_shift_converse and klm_grid are the field-arithmetic converse scan
 and the full coefficient grid, the references for the integer scans in
 wythoff.fib_shift_converse and identities._check_klm_grid; ab_word builds
-the Fibonacci word by string concatenation.
+the Fibonacci word by string concatenation.  row_codes, pair_codes and
+c_half_counts are the per-index scans behind the three_set censuses and
+densities, one isqrt per index, the references for the bytes
+operations over three_set's tag buffer.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import csv
 import io
 import json
 from itertools import product
-from typing import NamedTuple
+from math import isqrt
+from typing import Iterator, NamedTuple
 
-from beattylab import partition, wythoff
+from beattylab import partition, three_set, wythoff
 from beattylab.qfield import ONE, QuadraticReal, phi_pow
 from beattylab.wythoff import CDLabel, c_half, cd_label, d_cubed, frac_phi, klm, lower, phi_pow_ext
 
@@ -101,3 +105,48 @@ def ab_word(limit: int) -> str:
     while len(word) < limit:
         previous, word = word, word + previous
     return word[:limit]
+
+
+def row_codes(limit: int) -> Iterator[str]:
+    """row_class(k).code for k in [1, limit], read from one Fibonacci word.
+
+    Per k, a(k) and a(ceil(k/2)) cost one isqrt each; word[m - 1] is the
+    A/B label of m, and d(limit) is the largest value read.
+    """
+    word = ab_word(three_set.col_d(limit))
+    for k in range(1, limit + 1):
+        a = (k + isqrt(5 * k * k)) // 2
+        h = (k + 1) // 2
+        c_h = (h + isqrt(5 * h * h)) // 2 + 2 * h - 1  # c(ceil(k/2))
+        s = c_h + 1 if k % 2 == 0 else c_h - 1
+        yield word[s - 1] + word[a + 2 * k - 2] + word[3 * a + k - 1]
+
+
+def pair_codes(limit: int) -> Iterator[str]:
+    """Column letters of (a(n), b(n)) for n in [1, limit], read from the column labels."""
+    letters = {1: "D", 2: "C", 3: "S"}
+    labels = partition.column_labels(three_set.THREE_SET_SPEC, wythoff.upper(limit))
+    for n in range(1, limit + 1):
+        a = (n + isqrt(5 * n * n)) // 2  # a(n), and b(n) = a(n) + n
+        yield letters[labels[a]] + letters[labels[a + n]]
+
+
+def c_half_counts(limit: int) -> tuple[int, int]:
+    """(c-half-in-A, a-in-C) counts of density_report, one pass over the values c_half(i) <= a(limit).
+
+    The A values up to a(limit) are a(1), ..., a(limit), so a value
+    c_half(i) labelled A is one a(n) in C, and for i <= limit it is also a
+    c_half(i) in A.
+    """
+    top = lower(limit)
+    word = ab_word(top)
+    c_in_a = 0
+    a_in_c = 0
+    i = 1
+    while (m := (3 * i + isqrt(5 * i * i)) // 4) <= top:
+        if word[m - 1] == "A":
+            a_in_c += 1
+            if i <= limit:
+                c_in_a += 1
+        i += 1
+    return c_in_a, a_in_c

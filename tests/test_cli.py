@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from beattylab import identities, partition, three_set, wythoff
+from beattylab import identities, partition, three_set
 from beattylab.cli import _parse_alpha
 from beattylab.qfield import QuadraticReal
 
@@ -365,8 +365,7 @@ class TestDensity:
     def test_empty_scans_exit_2_before_any_work(self, run_cli, monkeypatch):
         # the census scans allocate a Fibonacci word and a column-label array
         # sized from --N; a rejected --N must stop before either
-        monkeypatch.setattr(wythoff, "ab_word", _no_work)
-        monkeypatch.setattr(three_set, "ab_word", _no_work)
+        monkeypatch.setattr(three_set, "fibonacci_fill", _no_work)
         monkeypatch.setattr(partition, "column_labels", _no_work)
         cases = [
             (("classify", "census", "--N", "0"), "--N must be positive, got 0"),
@@ -381,8 +380,7 @@ class TestDensity:
                 assert err == f"error: {message}\n"
 
     def test_oversize_scans_exit_2_before_any_work(self, run_cli, monkeypatch):
-        monkeypatch.setattr(wythoff, "ab_word", _no_work)
-        monkeypatch.setattr(three_set, "ab_word", _no_work)
+        monkeypatch.setattr(three_set, "fibonacci_fill", _no_work)
         monkeypatch.setattr(partition, "column_labels", _no_work)
         monkeypatch.setattr(three_set, "scd", _no_work)
         monkeypatch.setattr(three_set, "row_class", _no_work)

@@ -25,7 +25,6 @@ from beattylab.wythoff import (
     CDLabel,
     IntervalLabel,
     ab_label,
-    ab_word,
     c_half,
     classify_ab,
     d_cubed,
@@ -123,16 +122,21 @@ class TestZeckendorfOracle:
         assert ab_label(m) is zeckendorf_label(m)
 
 
+def fill_word(limit: int) -> str:
+    """The A/B labels of 1, ..., limit as fibonacci_fill writes them with A -> "A", B -> "B"."""
+    word = bytearray(limit)
+    fibonacci_fill(word, b"A", b"B")
+    return word.decode("ascii")
+
+
 class TestFibonacciWord:
     def test_small_limits(self):
-        assert ab_word(0) == ""
-        assert ab_word(1) == "A"
-        assert ab_word(8) == "ABAABABA"
-        with pytest.raises(ValueError):
-            ab_word(-1)
+        assert fill_word(0) == ""
+        assert fill_word(1) == "A"
+        assert fill_word(8) == "ABAABABA"
 
     def test_word_matches_kernel_and_oracle(self):
-        word = ab_word(10**5)
+        word = fill_word(10**5)
         assert len(word) == 10**5
         for m, letter in enumerate(word, start=1):
             assert letter == ab_label(m).value == zeckendorf_label(m).value, m
@@ -148,19 +152,35 @@ class TestFibonacciWord:
             limits += [g - 1, g, g + 1]
             f, g = g, f + g
         for limit in limits:
-            assert ab_word(limit) == word[:limit], limit
+            assert fill_word(limit) == word[:limit], limit
 
-    def test_peak_memory_is_two_bytes_per_letter(self):
-        # one bytearray of limit bytes, then the decoded str
-        limit = 10**6
+    def test_fill_allocates_nothing_per_letter(self):
+        # every step copies within the buffer
+        buffer = bytearray(10**6)
         tracemalloc.start()
         try:
-            word = ab_word(limit)
+            fibonacci_fill(buffer, b"A", b"B")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(word) == limit
-        assert peak <= 2.1 * limit, peak
+        assert buffer[:8] == b"ABAABABA"
+        assert peak <= 10_000, peak
+
+    def test_repeat_four_marks_the_c_half_values(self):
+        # T1 = "1", T2 = "1110", T(k+1) = T(k)^4 T(k-1) is the standard word
+        # of slope 3 - sqrt5 = [0; 1, 3, 4, 4, ...], the density of the
+        # values floor(i*phi^2/2); checked here against c_half for every m
+        top = 10**6
+        marks = bytearray(top + 1)
+        i = 1
+        while (m := c_half(i)) <= top:
+            marks[m] = 1
+            i += 1
+        word = bytearray(top)
+        fibonacci_fill(word, b"\x01", b"\x01\x01\x00", repeat=4)
+        assert word == marks[1:]
+        with pytest.raises(ValueError, match="repeat must be positive, got 0"):
+            fibonacci_fill(word, b"\x01", b"\x01\x01\x00", repeat=0)
 
 
 class TestFibonacciFill:

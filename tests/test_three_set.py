@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 
+import oracles
 import pytest
 
-from beattylab import three_set
+from beattylab import partition, three_set
 from beattylab.partition import MAX_LIMIT, build_columns, column_labels, decompose, phi_spec
 from beattylab.qfield import INV_PHI, INV_PHI_SQ, ONE, PHI, QuadraticReal
 from beattylab.three_set import (
@@ -58,15 +62,64 @@ def closed_form_labels(limit: int) -> bytearray:
     return labels
 
 
-def row_class_recount(limit: int) -> tuple[dict[str, int], dict[str, int]]:
-    """Counts and first indices of row_class(k).code, one per-point call per k."""
+def tally(codes) -> tuple[dict[str, int], dict[str, int]]:
+    """Counts and first indices of the codes of k = 1, 2, ..."""
     counts: dict[str, int] = {}
     first: dict[str, int] = {}
-    for k in range(1, limit + 1):
-        code = row_class(k).code
+    for k, code in enumerate(codes, start=1):
         counts[code] = counts.get(code, 0) + 1
         first.setdefault(code, k)
     return counts, first
+
+
+def row_class_recount(limit: int) -> tuple[dict[str, int], dict[str, int]]:
+    """Counts and first indices of row_class(k).code, one per-point call per k."""
+    return tally(row_class(k).code for k in range(1, limit + 1))
+
+
+ORACLE_TOP = 10**5
+
+
+def scan_limits() -> list[int]:
+    """Limits where the bytes scans could go wrong: small ones, Fibonacci numbers and block edges, +-1.
+
+    _shift_in works in blocks of _BLOCK bytes over buffers of limit
+    codes, d(limit) + 1 and b(limit) + 1 tags and a(limit) c-half marks,
+    so each limit where one of those sizes reaches a multiple of _BLOCK
+    is taken with its neighbours.
+    """
+    limits = set(range(1, 201)) | {ORACLE_TOP}
+    f, g = 1, 2
+    while g <= ORACLE_TOP:
+        limits |= {g - 1, g, g + 1}
+        f, g = g, f + g
+    indices = range(1, ORACLE_TOP + 1)
+    for size in (lambda n: n, lambda n: col_d(n) + 1, lambda n: upper(n) + 1, lower):
+        for edge in range(three_set._BLOCK, size(ORACLE_TOP) + 1, three_set._BLOCK):
+            n = indices[bisect_left(indices, edge, key=size)]  # the first limit whose size reaches edge
+            limits |= {n - 1, n, n + 1}
+    return sorted(limits & set(indices))
+
+
+class PrefixTally:
+    """Codes of every index up to ORACLE_TOP from a per-index scan, tallied over any prefix.
+
+    A code depends on its index only, so the codes up to a limit are a
+    prefix of the codes up to ORACLE_TOP.
+    """
+
+    def __init__(self, codes):
+        self.codes = list(codes)
+        self.first = tally(self.codes)[1]
+
+    def __call__(self, limit: int) -> tuple[dict[str, int], dict[str, int]]:
+        first = {code: k for code, k in self.first.items() if k <= limit}
+        return dict(Counter(self.codes[:limit])), first
+
+
+@pytest.fixture(scope="module")
+def oracle_codes() -> tuple[PrefixTally, PrefixTally]:
+    return PrefixTally(oracles.row_codes(ORACLE_TOP)), PrefixTally(oracles.pair_codes(ORACLE_TOP))
 
 
 class TestRows:
@@ -93,15 +146,16 @@ class TestRows:
                 census(0)
             with pytest.raises(ValueError, match=f"limit must be at most {MAX_INDEX}, got {MAX_INDEX + 1}"):
                 census(MAX_INDEX + 1)
-        # the pair census at the cap sweeps [1, b(MAX_INDEX)], which the sweep accepts
-        assert upper(MAX_INDEX) <= MAX_LIMIT
+        # the row census at the cap tags [1, d(MAX_INDEX)], which the sweep accepts
+        assert col_d(MAX_INDEX) <= MAX_LIMIT
 
     def test_row_codes_checks_its_range_before_the_word(self, monkeypatch):
-        # the word runs to d(limit), about 5.9 bytes per index
-        def no_word(limit):
-            raise AssertionError(f"ab_word({limit}) built for a rejected limit")
+        # the tag buffer and the Fibonacci word run to d(limit), about 5.9 bytes per index each
+        def no_word(*args):
+            raise AssertionError(f"a buffer built for a rejected limit: {args}")
 
-        monkeypatch.setattr(three_set, "ab_word", no_word)
+        monkeypatch.setattr(three_set, "fibonacci_fill", no_word)
+        monkeypatch.setattr(partition, "column_labels", no_word)
         for limit in (MAX_INDEX + 1, 10**19):
             with pytest.raises(ValueError, match=f"limit must be at most {MAX_INDEX}, got {limit}"):
                 next(row_codes(limit))
@@ -235,6 +289,16 @@ class TestPairCensus:
         assert census.first_index["CS"] == 4  # a(4)=6 in C, b(4)=10 in S
         assert census.first_index["CD"] == 6  # a(6)=9 in C, b(6)=15 in D
 
+    @pytest.mark.parametrize("limit", [*range(1, 61), 2000])
+    def test_census_matches_per_point_recount(self, limit):
+        spec = phi_spec(3)
+        census = ab_over_scd_census(limit)
+        recount = tally(
+            LETTER[decompose(lower(n), spec).column] + LETTER[decompose(upper(n), spec).column]
+            for n in range(1, limit + 1)
+        )
+        assert (census.counts, census.first_index) == recount
+
     def test_pair_label_definition(self):
         spec = phi_spec(3)
         census = ab_over_scd_census(200)
@@ -288,3 +352,38 @@ class TestDensities:
             entry = report.entry(f"pair-{code}")
             assert entry.status == "reported-density"
             assert abs(float(entry.frequency) - float(entry.expected)) < 0.01
+
+    def test_peak_memory_per_index(self):
+        # at the peak: the tag buffer and the Fibonacci word shifted into
+        # it, d(N) ~ 5.9*N bytes each, plus a few blocks; a conversion or
+        # translate of whole buffers would hold more buffers that long
+        limit = 10**5
+        density_report(100)
+        tracemalloc.start()
+        try:
+            density_report(limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * limit, peak
+
+
+class TestAgainstPerIndexScans:
+    @pytest.mark.parametrize("limit", scan_limits())
+    def test_censuses_and_proved_counts(self, limit, oracle_codes):
+        rows, pairs = oracle_codes
+        expected_rows = rows(limit)
+        census = row_class_census(limit)
+        assert (census.counts, census.first_index) == expected_rows
+        assert list(row_codes(limit)) == rows.codes[:limit]
+        census = ab_over_scd_census(limit)
+        assert (census.counts, census.first_index) == pairs(limit)
+        report = density_report(limit)
+        for code in ADMISSIBLE_ROW_CLASSES:
+            assert report.entry(f"row-class-{code}").count == expected_rows[0].get(code, 0)
+        for code in ALL_PAIR_CLASSES:
+            assert report.entry(f"pair-{code}").count == census.counts.get(code, 0)
+        c_in_a, a_in_c = oracles.c_half_counts(limit)
+        assert report.entry("c-half-in-A").count == c_in_a
+        assert report.entry("a-in-C").count == a_in_c
+        assert report.entry("a-in-D").count == limit - a_in_c
