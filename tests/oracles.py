@@ -3,7 +3,9 @@
 beatty_term is a QuadraticReal oracle for Beatty values; classify_cd
 recovers the witness index of a C/D label, the C/D counterpart of
 wythoff.classify_ab; gen_csv and gen_json render gen's columns through
-the csv and json encoders, the reference for gen's own emitters.
+the csv and json encoders, the reference for gen's own emitters, and
+appended_columns builds the columns with one append per value, the
+reference for partition.column_values.
 fib_shift_converse and klm_grid are the field-arithmetic converse scan
 and the full coefficient grid, the references for the integer scans in
 wythoff.fib_shift_converse and identities._check_klm_grid; ab_word builds
@@ -51,6 +53,15 @@ def classify_cd(m: int) -> CDMembership:
         return CDMembership(CDLabel.C, wythoff._witness_search(m, i, c_half))
     i = wythoff._floor5(-2 * (m + 1), m + 1, 1)  # (m+1)/phi^3 = (m+1)*(sqrt5 - 2)
     return CDMembership(CDLabel.D, wythoff._witness_search(m, i, d_cubed))
+
+
+def appended_columns(spec: partition.PartitionSpec, limit: int) -> list[list[int]]:
+    """The n columns of column_labels(spec, limit), one list append per value."""
+    columns: list[list[int]] = [[] for _ in range(spec.n)]
+    appenders = [[].append] + [column.append for column in columns]  # label 0: not reached
+    for v, j in enumerate(partition.column_labels(spec, limit)):
+        appenders[j](v)
+    return columns
 
 
 def gen_csv(columns: list[list[int]]) -> str:

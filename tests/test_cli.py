@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from beattylab import identities, partition, three_set
-from beattylab.cli import _parse_alpha
+from beattylab.cli import _parse_alpha, main
 from beattylab.qfield import QuadraticReal
 
 EXPECTED_TABLE_GEN = """\
@@ -115,6 +116,21 @@ class TestGen:
         code2, out_default, _ = run_cli("gen", "--n", "2", "--alpha", "7,0,4", "--limit", "20")
         assert code == code2 == 0, err
         assert out_square == out_default
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_stays_below_the_columns(self, tmp_path, fmt):
+        # the labels take one byte per value; the 10**6 values as ints would take about 36 MB
+        target = tmp_path / f"cols.{fmt}"
+        tracemalloc.start()
+        try:
+            code = main(
+                ["gen", "--n", "3", "--h", "phi", "--limit", "1000000", "--format", fmt, "--out", str(target)]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2**20, peak
 
     def test_out_file(self, run_cli, tmp_path):
         target = tmp_path / "cols.csv"

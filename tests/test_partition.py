@@ -20,7 +20,9 @@ from beattylab.partition import (
     PartitionSpec,
     alpha_spec,
     build_columns,
+    column_labels,
     column_offsets,
+    column_values,
     d2_closed_form,
     decompose,
     decompositions,
@@ -34,7 +36,7 @@ from beattylab.partition import (
 )
 from beattylab.qfield import PHI, PHI_CUBED, QuadraticReal, SQRT2
 from beattylab.wythoff import lower
-from oracles import beatty_term
+from oracles import appended_columns, beatty_term
 
 
 class TestGapSet:
@@ -387,7 +389,7 @@ class TestLimitingPrefix:
         def no_work(*args):
             raise AssertionError("a rejected prefix must stop before any work")
 
-        monkeypatch.setattr(partition, "build_columns", no_work)
+        monkeypatch.setattr(partition, "column_labels", no_work)
         for n, e in ((64, 0), (64, 63), (24, 0)):
             assert 2**e * (2 ** (n - e) - 1) > MAX_LIMIT
             with pytest.raises(ValueError, match="limit cap"):
@@ -438,6 +440,42 @@ class TestRandomGenerators:
     def test_validate_accepts_what_it_generated(self, spec):
         values = list(spec.generator.values)
         assert build_columns(spec, values[-1])[0] == values
+
+
+class TestColumnValues:
+    """column_values against one append per value, on every kind of label buffer."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_phi_both_sides_of_the_fill_threshold(self, n):
+        threshold = partition._TILE_COST * n << n
+        for limit in (threshold - 1, threshold):
+            assert build_columns(phi_spec(n), limit) == appended_columns(phi_spec(n), limit), (n, limit)
+
+    @pytest.mark.parametrize(
+        "spec, limit",
+        [
+            (identity_spec(40), 5000),
+            (alpha_spec(2, SQRT2), 5000),
+            (alpha_spec(3, QuadraticReal(7, -1, 4)), 5000),
+        ],
+        ids=["identity-40", "sqrt2", "7,-1,4"],
+    )
+    def test_other_generators(self, spec, limit):
+        assert build_columns(spec, limit) == appended_columns(spec, limit)
+
+    def test_unreached_values(self):
+        spec = explicit_spec(3, [4, 11, 15, 22])
+        labels = column_labels(spec, 60)
+        assert labels.count(0) > 1  # 0 and every value past 22 + 3
+        assert build_columns(spec, 60) == appended_columns(spec, 60)
+        assert list(column_values(labels, 0)) == [0, *range(26, 61)]
+
+    def test_wide_columns_mostly_empty(self):
+        spec = identity_spec(64)
+        columns = build_columns(spec, 2**20)
+        assert columns == appended_columns(spec, 2**20)
+        # the first term 2**63 reaches column 64 - v2(v) for v <= 2**20
+        assert sum(1 for column in columns if column) == 21
 
 
 class TestIntervalSeparation:

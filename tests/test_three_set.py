@@ -31,6 +31,7 @@ from beattylab.three_set import (
     row_class_census,
     row_codes,
     scd,
+    scd_rows,
 )
 from beattylab.wythoff import (
     ABLabel,
@@ -136,9 +137,17 @@ class TestRows:
             assert col_c(k) == cols[1][k - 1]
             assert col_s(k) == cols[2][k - 1]
 
+    def test_rows_read_from_the_columns_match_scd(self):
+        limit = 20000
+        expected = [(t.k, t.s, t.c, t.d) for t in map(scd, range(1, limit + 1))]
+        assert list(scd_rows(limit)) == expected
+
     def test_domain(self):
         with pytest.raises(ValueError):
             scd(0)
+        for limit in (0, MAX_INDEX + 1):
+            with pytest.raises(ValueError, match="limit must be"):
+                scd_rows(limit)
         with pytest.raises(ValueError):
             row_class(0)
         for census in (row_class_census, ab_over_scd_census, density_report):
