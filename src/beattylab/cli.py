@@ -10,8 +10,9 @@ path that cannot be opened for writing is a usage error.  gen reads its
 columns straight from the partition labels and formats 4096 values per %
 call, byte for byte what csv.writer and json.dump(indent=2) would write:
 no column is held as a list, so gen --n 3 --h phi --limit 10**7 peaks at
-27 MB in either format (fresh interpreter, 2-vCPU Xeon).  Every other
-result goes through csv or json.
+27 MB in either format (fresh interpreter, 2-vCPU Xeon).  classify rows
+streams its JSON rows the same way; every other result goes through csv
+or json.
 """
 
 from __future__ import annotations
@@ -128,14 +129,15 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# gen formats its columns with one % per chunk of values instead of csv or
-# json: every value is a decimal int, which csv (QUOTE_MINIMAL) never quotes
-# and JSON never escapes, so the bytes are those of csv.writer and
-# json.dump(indent=2).
+# gen and classify rows format one % per chunk of values instead of csv or
+# json: every value is a decimal int or an A/B row class, which csv
+# (QUOTE_MINIMAL) never quotes and JSON never escapes, so the bytes are those
+# of csv.writer and json.dump(indent=2).
 _CHUNK = 4096
+_JSON_ROW = '\n  {\n    "k": %d,\n    "s": "%d",\n    "c": "%d",\n    "d": "%d",\n    "class": "%s"\n  },'
 
 
-def _chunks(values: Iterator[int]) -> Iterator[tuple[int, ...]]:
+def _chunks(values: Iterator) -> Iterator[tuple]:
     """values in tuples of _CHUNK, the last one shorter."""
     while chunk := tuple(islice(values, _CHUNK)):
         yield chunk
@@ -275,16 +277,14 @@ def _cmd_classify(args) -> int:
     if args.what == "rows":
         if args.N > three_set.MAX_INDEX:
             raise UsageError(f"--N must be at most {three_set.MAX_INDEX}, got {args.N}")
-        rows = [
-            (*row, code) for row, code in zip(three_set.scd_rows(args.N), three_set.row_codes(args.N))
-        ]
+        rows = three_set.rows(args.N)
         with _output(args.out) as fh:
             if args.format == "json":
-                payload = [
-                    {"k": k, "s": str(s), "c": str(c), "d": str(d), "class": code} for k, s, c, d, code in rows
-                ]
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+                lead = "["  # N >= 1, so there is a first chunk
+                for chunk in _chunks(rows):
+                    fh.write(lead + (_JSON_ROW * len(chunk))[:-1] % tuple(chain.from_iterable(chunk)))
+                    lead = ","
+                fh.write("\n]\n")
             else:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["k", "s", "c", "d", "s_class", "c_class", "d_class"])

@@ -8,8 +8,8 @@ positive integer and no integer lands in two different columns.  This
 module materializes the columns, inverts the construction (decompose),
 and verifies cover/disjointness by brute force.  Columns and verification
 share one labelling of [1, limit] with one column byte per value: the phi
-generator's labels are the image of the Fibonacci word under its two gap
-pieces, and every other generator is swept term by term, value by value.
+generator's labels are the image of the Fibonacci word under two
+prefixes of the ruler word, and every other generator is swept value by value.
 
 An integer inside the overlap of two consecutive generator intervals has
 two valid (index, signs) representations; they always agree on the
@@ -296,33 +296,8 @@ def decompose(m: int, spec: PartitionSpec) -> Decomposition:
     return found[0]
 
 
-# _phi_labels labels one term's interval of 2**n - 1 values through
-# _sign_expansion, whose greedy walk takes up to n - 1 steps per value, so it
-# costs about as much as the per-value loop over 2*n*2**n values: the loop
-# takes 0.84 to 2.09 times the fill's time at that limit, 1.7 to 3.3 times
-# at twice it (phi_spec(n), n = 3 to 16, in-process, 2-vCPU Xeon).  Ranges
-# shorter than _TILE_COST*n*2**n are swept value by value.
-_TILE_COST = 2
-
-
 def _is_phi(spec: PartitionSpec) -> bool:
     return isinstance(spec.generator, AlphaH) and spec.generator.alpha == PHI
-
-
-def _interval_labels(n: int, gaps: Iterable[int]) -> bytes:
-    """The labels of t - w .. t + w around one generator term t, w = 2**(n-1) - 1.
-
-    The labels come from the inverse map _sign_expansion, independently of
-    the per-value loop's column_offsets grid, and raise ArithmeticError
-    where the intervals of t and t + g disagree on a value for a gap g.
-    """
-    w = 2 ** (n - 1) - 1
-    interval = bytes(_sign_expansion(n, d)[0] for d in range(-w, w + 1))
-    for g in gaps:
-        # t + i for g - w <= i <= w lies in both intervals: interval[w + i] vs interval[w + i - g]
-        if interval[g:] != interval[: 2 * w + 1 - g]:
-            raise ArithmeticError(f"consecutive terms {g} apart put a value in two columns (n = {n})")
-    return interval
 
 
 def _phi_labels(n: int, limit: int) -> bytearray:
@@ -330,14 +305,29 @@ def _phi_labels(n: int, limit: int) -> bytearray:
 
     Term t with gap g to the next term owns [t - w, t - w + g), the first
     g labels of its own interval (g <= 2w + 1; the values it shares with
-    a neighbour agree), and l(1) - w = 1.  The gaps of phi_spec(n) follow
-    the Fibonacci word with A -> 2**n - 1 and B -> 2**(n-1), because
-    a(k+1) - a(k) = 2 exactly when k is labelled A, so labels[1:] is its
-    image under A -> interval, B -> interval[:2**(n-1)].
+    a neighbour agree), and l(1) - w = 1.  Label i of that interval is
+    n - v2(i + 1): the ruler word P(n), P(k) = P(k-1) + [n - k + 1] +
+    P(k-1), written in place one byte and one prefix copy per step.  The
+    gaps of phi_spec(n) follow the Fibonacci word with A -> 2**n - 1 and
+    B -> 2**(n-1), because a(k+1) - a(k) = 2 exactly when k is labelled
+    A, so labels[1:] is its image under A -> interval and
+    B -> interval[:2**(n-1)], both read from the buffer's prefix.
     """
-    interval = _interval_labels(n, (2**n - 1, 2 ** (n - 1)))
     labels = bytearray(limit + 1)
-    fibonacci_fill(memoryview(labels)[1:], interval, interval[: 2 ** (n - 1)])
+    view = memoryview(labels)[1:]
+    size = min(limit, 2**n - 1)
+    done = 0  # view[:done] holds P(n - column), cut to size
+    for column in range(n, 0, -1):
+        if done < size:
+            view[done] = column
+            copied = min(done, size - done - 1)
+            view[done + 1 : done + 1 + copied] = view[:copied]
+            done += 1 + copied
+    half = 2 ** (n - 1)
+    fibonacci_fill(view, view[:size], view[:half])
+    # view[:size] is still the interval: terms half apart share its last and first half - 1 values
+    if not labels.startswith(view[half:size], 1):
+        raise ArithmeticError(f"consecutive terms {half} apart put a value in two columns (n = {n})")
     return labels
 
 
@@ -347,15 +337,15 @@ def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, Gene
     Returns labels (labels[v] is the column of v, 0 where no term reaches
     it; labels[0] is unused), the smallest value reached in two different
     columns, and the first start/gap violation among the terms read.
-    phi_spec(n) over a range long enough for the fill to pay is filled
-    (_phi_labels) and has neither; every other generator and range is
-    measured as given by _value_sweep, which is also the fill's test oracle.
+    phi_spec(n) is filled (_phi_labels) and has neither; every other
+    generator is measured as given by _value_sweep, which is also the
+    fill's test oracle.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit must be at most {MAX_LIMIT}, got {limit}")
-    if _is_phi(spec) and _TILE_COST * spec.n << spec.n <= limit:
+    if _is_phi(spec):
         return _phi_labels(spec.n, limit), None, None
     return _value_sweep(spec, limit)
 
@@ -367,8 +357,8 @@ def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None
     lands in column n - v2(v - t), i.e. column j collects t plus
     column_offsets(n, j).  Explicit generators are read in full, so
     non-monotone (invalid) data is measured faithfully and checked
-    everywhere; the infinite generators are strictly increasing by
-    construction and stop at the first interval past the limit.
+    everywhere (an empty one lacks l(1)); the infinite generators are
+    strictly increasing and stop at the first interval past the limit.
     """
     width = spec.half_width
     allowed = gap_set(spec.n)
@@ -383,6 +373,8 @@ def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None
     while True:
         t = spec.term(k)
         if t is None:
+            if k == 1:
+                violation = GeneratorError(1, f"no l(1) in an empty list, expected {2 ** (spec.n - 1)}")
             break
         if violation is None:
             message = _term_violation(spec, k, t, prev, allowed)

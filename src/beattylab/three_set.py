@@ -15,8 +15,8 @@ to b(N) for the pairs), built from the partition labels of phi_spec(3)
 and the Fibonacci word: bytes.translate keeps one column's (or one
 label's) values, the kept planes are combined bytewise through
 big-endian integers, and bytes.count and bytes.find read the result.
-scd_rows reads the rows themselves from the same column labels.
-row_class is the per-point path and the scans' test oracle.
+rows reads the rows themselves and their codes from one such buffer.
+scd and row_class are the per-point paths and the scans' test oracles.
 """
 
 from __future__ import annotations
@@ -103,18 +103,6 @@ def scd(k: int) -> SCDTriple:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     return SCDTriple(k, col_s(k), col_c(k), col_d(k))
-
-
-def scd_rows(limit: int) -> Iterator[tuple[int, int, int, int]]:
-    """(k, s(k), c(k), d(k)) for k in [1, limit], read from the column labels of [1, d(limit)].
-
-    The k-th smallest values of columns S, C and D (partition columns 3,
-    2 and 1) are s(k), c(k) and d(k).  A limit outside [1, MAX_INDEX]
-    raises ValueError before any buffer is built.
-    """
-    _require_index_limit(limit)
-    labels = partition.column_labels(THREE_SET_SPEC, col_d(limit))
-    return zip(range(1, limit + 1), *(partition.column_values(labels, j) for j in (3, 2, 1)))
 
 
 def frac_col_d(k: int) -> QuadraticReal:
@@ -225,6 +213,7 @@ _ROW_CLASSES = dict(enumerate(s + c + d for s in "AB" for c in "AB" for d in "AB
 # 4*column(a(n)) + column(b(n)).
 _PAIR_PLANES = (_keep({2: 0, 4: 1, 6: 2}), _keep({3: 0, 5: 1, 7: 2}))
 _PAIR_CLASSES = {4 * i + j: x + y for i, x in enumerate("DCS") for j, y in enumerate("DCS")}
+_TAG_COLUMNS = bytes(tag >> 1 for tag in range(256))  # bytes.translate table: tag -> partition column
 
 
 def _tagged_values(top: int) -> bytearray:
@@ -268,14 +257,19 @@ def _select(tags: bytearray, limit: int, shift: int, planes: tuple[tuple[bytes, 
     return codes
 
 
-def row_codes(limit: int) -> Iterator[str]:
-    """row_class(k).code for k in [1, limit], read from one tag buffer.
+def rows(limit: int) -> Iterator[tuple[int, int, int, int, str]]:
+    """(k, s(k), c(k), d(k), row_class(k).code) for k in [1, limit], read from one tag buffer.
 
-    A limit outside [1, MAX_INDEX] raises ValueError before any buffer is
+    The k-th smallest values of columns S, C and D (partition columns 3,
+    2 and 1) are s(k), c(k) and d(k), read from the tags' column bits.  A
+    limit outside [1, MAX_INDEX] raises ValueError before any buffer is
     built.
     """
     _require_index_limit(limit)
-    return map(_ROW_CLASSES.__getitem__, _select(_tagged_values(col_d(limit)), limit, 1, _ROW_PLANES))
+    tags = _tagged_values(col_d(limit))
+    codes = map(_ROW_CLASSES.__getitem__, _select(tags, limit, 1, _ROW_PLANES))
+    labels = tags.translate(_TAG_COLUMNS)
+    return zip(range(1, limit + 1), *(partition.column_values(labels, j) for j in (3, 2, 1)), codes)
 
 
 def row_class_census(limit: int) -> Census:

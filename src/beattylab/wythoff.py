@@ -222,20 +222,25 @@ def classify_ab(m: int) -> ABMembership:
     return ABMembership(ABLabel.B, _witness_search(m, i, upper))
 
 
-def fibonacci_fill(buffer: bytearray | memoryview, a: bytes, b: bytes, repeat: int = 1) -> None:
+def fibonacci_fill(
+    buffer: bytearray | memoryview, a: bytes | memoryview, b: bytes | memoryview, repeat: int = 1
+) -> None:
     """Fill a writable buffer with the standard word T1 = a, T2 = a + b, T(k+1) = T(k)^repeat + T(k-1).
 
     repeat = 1 gives the image of the Fibonacci word S1 = "A", S2 = "AB",
     S(k+1) = S(k) + S(k-1) under A -> a, B -> b.  The word is cut to
     len(buffer).  T(k-1) is a prefix of T(k), so T(k+1) has period |T(k)|
     and each step copies prefixes of the buffer behind its end, in place.
+    a may be a view of the buffer's own prefix and b one of a's prefixes:
+    a is written first, then b after it, so neither is copied out.
     """
     if repeat < 1:
         raise ValueError(f"repeat must be positive, got {repeat}")
     with memoryview(buffer) as view:
         size = len(view)
         previous, end = len(a), min(len(a) + len(b), size)  # |T(k-1)|, |T(k)|
-        view[:end] = (a + b)[:end]
+        view[:previous] = a[:size]
+        view[previous:end] = b[: max(end - previous, 0)]
         while end < size:
             top = min(repeat * end + previous, size)
             for start in range(end, top, end):

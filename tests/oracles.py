@@ -5,7 +5,9 @@ recovers the witness index of a C/D label, the C/D counterpart of
 wythoff.classify_ab; gen_csv and gen_json render gen's columns through
 the csv and json encoders, the reference for gen's own emitters, and
 appended_columns builds the columns with one append per value, the
-reference for partition.column_values.
+reference for partition.column_values, and interval_labels labels one
+generator term's interval through the inverse map, the reference for the
+ruler word that partition._phi_labels writes in place.
 fib_shift_converse and klm_grid are the field-arithmetic converse scan
 and the full coefficient grid, the references for the integer scans in
 wythoff.fib_shift_converse and identities._check_klm_grid; ab_word builds
@@ -62,6 +64,12 @@ def appended_columns(spec: partition.PartitionSpec, limit: int) -> list[list[int
     for v, j in enumerate(partition.column_labels(spec, limit)):
         appenders[j](v)
     return columns
+
+
+def interval_labels(n: int, size: int | None = None) -> bytes:
+    """The first size labels (all 2**n - 1 by default) of t - w .. t + w around a term t, w = 2**(n-1) - 1."""
+    w = 2 ** (n - 1) - 1
+    return bytes(partition._sign_expansion(n, d)[0] for d in range(-w, w + 1)[:size])
 
 
 def gen_csv(columns: list[list[int]]) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -81,6 +83,20 @@ class TestGen:
         assert code == 2
         assert "violation" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_explicit_list_exits_2(self, run_cli, tmp_path, fmt):
+        # an empty list has no l(1) = 2**(n-1)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        target = tmp_path / f"cols.{fmt}"
+        argv = ("gen", "--n", "3", "--explicit", str(empty), "--limit", "10", "--format", fmt)
+        code, out, err = run_cli(*argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert "l(1)" in err
+        assert not target.exists()
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+
     def test_violation_past_the_limit_exits_2(self, run_cli, tmp_path):
         late = tmp_path / "late.txt"
         late.write_text("4 11 15 22 29 33 30")
@@ -152,6 +168,14 @@ class TestVerify:
         code, out, _ = run_cli("verify", "--n", "3", "--explicit", str(bad), "--limit", "10")
         assert code == 1
         assert out.strip().endswith("6")
+
+    def test_empty_explicit_list_exits_1(self, run_cli, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        argv = ("verify", "--n", "3", "--explicit", str(empty), "--limit", "10", "--format", "json")
+        code, out, _ = run_cli(*argv)
+        assert code == 1
+        assert json.loads(out)["first_defect"] == "1"
 
     def test_eight_columns_at_scale(self, run_cli):
         code, out, _ = run_cli("verify", "--n", "8", "--h", "identity", "--limit", "10000")
@@ -227,6 +251,11 @@ class TestDecompose:
         short = tmp_path / "short.txt"
         short.write_text("4\n11\n")
         code, _, err = run_cli("decompose", "--n", "3", "--explicit", str(short), "--m", "100")
+        assert code == 1
+        assert "defect" in err
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        code, _, err = run_cli("decompose", "--n", "3", "--explicit", str(empty), "--m", "1")
         assert code == 1
         assert "defect" in err
 
@@ -333,6 +362,36 @@ class TestClassify:
         assert code == 0
         payload = json.loads(out)
         assert payload[0] == {"k": 1, "s": "1", "c": "2", "d": "4", "class": "ABA"}
+
+    @pytest.mark.parametrize("N", [1, 2, 4097, 10**4])
+    def test_rows_match_the_encoders(self, run_cli, N):
+        # the rows as csv.writer and json.dump(indent=2) write them, from the per-index scd and row_class
+        triples = map(three_set.scd, range(1, N + 1))
+        expected = [(t.k, t.s, t.c, t.d, three_set.row_class(t.k).code) for t in triples]
+        fh = io.StringIO()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["k", "s", "c", "d", "s_class", "c_class", "d_class"])
+        writer.writerows((k, s, c, d, *code) for k, s, c, d, code in expected)
+        code, out, _ = run_cli("classify", "rows", "--N", str(N))
+        assert code == 0 and out == fh.getvalue()
+        payload = [
+            {"k": k, "s": str(s), "c": str(c), "d": str(d), "class": cls} for k, s, c, d, cls in expected
+        ]
+        code, out, _ = run_cli("classify", "rows", "--N", str(N), "--format", "json")
+        assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_memory_stays_below_the_rows(self, tmp_path, fmt):
+        # one tag buffer of d(N) bytes and the codes; the rows are written as they are read
+        target = tmp_path / f"rows.{fmt}"
+        tracemalloc.start()
+        try:
+            code = main(["classify", "rows", "--N", "100000", "--format", fmt, "--out", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 10 * 2**20, peak
 
     def test_census(self, run_cli):
         code, out, _ = run_cli("classify", "census", "--N", "5000")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from beattylab import partition, wythoff
+from beattylab import wythoff
 from beattylab.qfield import INV_PHI, INV_PHI_CUBED, INV_PHI_SQ, ONE, ONE_HALF, PHI, QuadraticReal
 from beattylab.wythoff import (
     BREAK_HIGH,
@@ -186,7 +186,7 @@ class TestFibonacciWord:
 class TestFibonacciFill:
     # the phi partition's pieces: A -> the labels of a term's interval, B -> its first 2**(n-1)
     PIECES = [(b"A", b"B"), (b"xyz", b"q")] + [
-        (interval, interval[: 2 ** (n - 1)]) for n in range(2, 7) for interval in [partition._interval_labels(n, ())]
+        (interval, interval[: 2 ** (n - 1)]) for n in range(2, 7) for interval in [oracles.interval_labels(n)]
     ]
 
     def test_fill_matches_concatenated_pieces(self):
@@ -206,6 +206,14 @@ class TestFibonacciFill:
                 buffer = bytearray(length)
                 fibonacci_fill(buffer, a, b)
                 assert buffer == image[:length], (a, b, length)
+                if a.startswith(b):
+                    # as the phi partition calls it: a is already the buffer's
+                    # prefix, and both pieces are views of that prefix
+                    buffer = bytearray(length)
+                    view = memoryview(buffer)
+                    view[: len(a)] = a[:length]
+                    fibonacci_fill(view, view[: len(a)], view[: len(b)])
+                    assert buffer == image[:length], (a, b, length)
 
 
 # -- kernels against the QuadraticReal reference -------------------------------

@@ -36,7 +36,7 @@ from beattylab.partition import (
 )
 from beattylab.qfield import PHI, PHI_CUBED, QuadraticReal, SQRT2
 from beattylab.wythoff import lower
-from oracles import appended_columns, beatty_term
+from oracles import appended_columns, beatty_term, interval_labels
 
 
 class TestGapSet:
@@ -447,8 +447,9 @@ class TestColumnValues:
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_phi_both_sides_of_the_fill_threshold(self, n):
-        threshold = partition._TILE_COST * n << n
-        for limit in (threshold - 1, threshold):
+        # a cut interval, the whole interval of l(1) (the fill copies from
+        # the next value on), one value more, and a range of 2n*2**n values
+        for limit in (2**n - 2, 2**n - 1, 2**n, 2 * n << n):
             assert build_columns(phi_spec(n), limit) == appended_columns(phi_spec(n), limit), (n, limit)
 
     @pytest.mark.parametrize(
@@ -507,13 +508,21 @@ class TestIntervalSeparation:
 # -- the fill: the labels of phi_spec(n) as the image of the Fibonacci word -------
 
 
+def _ruler_edges(size: int) -> set[int]:
+    """Each side of the ruler word's copy edges 2**k - 1, up to size."""
+    return {2**k + d for k in range(1, size.bit_length() + 1) for d in (-2, -1, 0) if 0 < 2**k + d <= size}
+
+
 def _boundary_limits(n: int) -> set[int]:
-    """1, 2, 2**(n-1) +- 1, each side of the first terms, a long range, and
-    each side of the fill's copy edges: value 1 + |T(k)| starts the copy
-    after the image T(k) of S(k), with |T(k+1)| = |T(k)| + |T(k-1)|."""
+    """1, 2, 2**(n-1) +- 1, each side of the first terms, a long range,
+    each side of the copy edges of the ruler word that labels l(1)'s
+    interval, and each side of the fill's copy edges: value 1 + |T(k)|
+    starts the copy after the image T(k) of S(k), with |T(k+1)| = |T(k)| +
+    |T(k-1)|."""
     spec = phi_spec(n)
     half = 2 ** (n - 1)
     limits = {1, 2, half - 1, half, half + 1, 40 * half, 30000}
+    limits |= _ruler_edges(2**n - 1)
     for k in range(2, 6):
         t = spec.term(k)
         limits |= {t - 1, t, t + 1}
@@ -522,10 +531,6 @@ def _boundary_limits(n: int) -> set[int]:
         limits |= {1 + size + d for d in (-1, 0, 1) if 1 + size + d <= 30000}
         previous, size = size, size + previous
     return limits
-
-
-def _first_tiled_limit(n: int) -> int:
-    return partition._TILE_COST * n << n
 
 
 def _assert_tiled_matches_value_sweep(n: int, limit: int) -> None:
@@ -550,44 +555,60 @@ class TestTiles:
         # [1, 2**n - 1] because its gap is the long one (1 is labelled A)
         for n in range(2, 11):
             w = 2 ** (n - 1) - 1
-            interval = partition._interval_labels(n, gap_set(n))
+            interval = interval_labels(n)
             assert len(interval) == 2 * w + 1 and interval[w] == 1
             labels = partition._phi_labels(n, 2 * w + 1)
             assert labels[0] == 0 and labels[1:] == interval
 
-    def test_sweep_tiles_long_phi_ranges_only(self, monkeypatch):
+    def test_interval_matches_the_inverse_map(self):
+        # the ruler word written in place against the column of each offset
+        # through _sign_expansion, whole for n <= 20 and its first 10**5
+        # labels at n = 24 and 64 (the first 2**12 at every other n), cut at
+        # every length to 300 and at each side of every copy edge
+        for n in range(2, MAX_COLUMNS + 1):
+            size = 2**n - 1 if n <= 20 else 10**5 if n in (24, 64) else 2**12
+            reference = interval_labels(n, size)
+            for cut in sorted(_ruler_edges(size) | set(range(1, min(size, 300) + 1)) | {size}):
+                assert partition._phi_labels(n, cut)[1:] == reference[:cut], (n, cut)
+
+    def test_sweep_fills_every_phi_range(self, monkeypatch):
         def not_reached(*args):
             raise AssertionError("the other path labels this range")
 
         with monkeypatch.context() as patch:
             patch.setattr(partition, "_value_sweep", not_reached)
+            for n in range(2, MAX_COLUMNS + 1):
+                for limit in (1, min(2**n - 2, 5000)):
+                    assert verify_partition(phi_spec(n), limit).ok, (n, limit)
             for n in (3, 8):
-                assert verify_partition(phi_spec(n), _first_tiled_limit(n)).ok
-        monkeypatch.setattr(partition, "_interval_labels", not_reached)
-        assert verify_partition(phi_spec(8), _first_tiled_limit(8) - 1).ok
-        # every other generator is swept value by value, however long the range
+                assert verify_partition(phi_spec(n), 2 * n << n).ok
+        # every other generator is swept value by value, however short or long the range
+        monkeypatch.setattr(partition, "_phi_labels", not_reached)
         for spec in (identity_spec(5), alpha_spec(4, SQRT2)):
-            assert verify_partition(spec, _first_tiled_limit(spec.n)).ok
-        report = verify_partition(explicit_spec(3, [4, 11, 18, 22]), _first_tiled_limit(3))
+            for limit in (1, 2 * spec.n << spec.n):
+                assert verify_partition(spec, limit).ok, (spec, limit)
+        assert verify_partition(explicit_spec(2, [2]), 1).ok
+        report = verify_partition(explicit_spec(3, [4, 11, 18, 22]), 48)
         assert not report.covered and report.first_defect == 26
 
     def test_flipped_tile_byte_raises(self, monkeypatch):
         # a wrong column for one offset d != 0 breaks the agreement of two
         # consecutive intervals on their overlap (d and d - 2**(n-1) pair up
-        # under the smallest gap, which phi uses), so labelling the interval refuses it
-        real = partition._sign_expansion
+        # under the smallest gap, which phi uses), so the fill refuses it;
+        # the byte is flipped in the written interval before the fill reads it
+        real = partition.fibonacci_fill
         for n in range(2, 7):
             w = 2 ** (n - 1) - 1
             for flipped in [d for d in range(-w, w + 1) if d != 0]:
 
-                def wrong(m, delta, flipped=flipped):
-                    column, signs = real(m, delta)
-                    return (column % m + 1 if delta == flipped else column), signs
+                def corrupted(view, a, b, at=w + flipped, n=n):
+                    a[at] = a[at] % n + 1
+                    real(view, a, b)
 
-                monkeypatch.setattr(partition, "_sign_expansion", wrong)
+                monkeypatch.setattr(partition, "fibonacci_fill", corrupted)
                 with pytest.raises(ArithmeticError):
-                    partition._interval_labels(n, gap_set(n))
+                    partition._phi_labels(n, 2 * w + 1)
                 with pytest.raises(ArithmeticError):
-                    verify_partition(phi_spec(n), _first_tiled_limit(n))
-        monkeypatch.setattr(partition, "_sign_expansion", real)
-        assert verify_partition(phi_spec(6), _first_tiled_limit(6)).ok
+                    verify_partition(phi_spec(n), 2 * n << n)
+        monkeypatch.setattr(partition, "fibonacci_fill", real)
+        assert verify_partition(phi_spec(6), 2 * 6 << 6).ok

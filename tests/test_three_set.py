@@ -29,9 +29,8 @@ from beattylab.three_set import (
     frac_col_s,
     row_class,
     row_class_census,
-    row_codes,
+    rows,
     scd,
-    scd_rows,
 )
 from beattylab.wythoff import (
     ABLabel,
@@ -139,15 +138,15 @@ class TestRows:
 
     def test_rows_read_from_the_columns_match_scd(self):
         limit = 20000
-        expected = [(t.k, t.s, t.c, t.d) for t in map(scd, range(1, limit + 1))]
-        assert list(scd_rows(limit)) == expected
+        expected = [(t.k, t.s, t.c, t.d, row_class(t.k).code) for t in map(scd, range(1, limit + 1))]
+        assert list(rows(limit)) == expected
 
     def test_domain(self):
         with pytest.raises(ValueError):
             scd(0)
         for limit in (0, MAX_INDEX + 1):
             with pytest.raises(ValueError, match="limit must be"):
-                scd_rows(limit)
+                rows(limit)
         with pytest.raises(ValueError):
             row_class(0)
         for census in (row_class_census, ab_over_scd_census, density_report):
@@ -167,9 +166,9 @@ class TestRows:
         monkeypatch.setattr(partition, "column_labels", no_word)
         for limit in (MAX_INDEX + 1, 10**19):
             with pytest.raises(ValueError, match=f"limit must be at most {MAX_INDEX}, got {limit}"):
-                next(row_codes(limit))
+                rows(limit)
         with pytest.raises(ValueError, match="limit must be positive, got 0"):
-            next(row_codes(0))
+            rows(0)
 
     def test_c_gaps_are_three_or_four(self):
         for k in range(1, 10**4):
@@ -384,7 +383,7 @@ class TestAgainstPerIndexScans:
         expected_rows = rows(limit)
         census = row_class_census(limit)
         assert (census.counts, census.first_index) == expected_rows
-        assert list(row_codes(limit)) == rows.codes[:limit]
+        assert [code for *_, code in three_set.rows(limit)] == rows.codes[:limit]
         census = ab_over_scd_census(limit)
         assert (census.counts, census.first_index) == pairs(limit)
         report = density_report(limit)
