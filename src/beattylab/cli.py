@@ -6,13 +6,14 @@ census class), 2 on invalid input: every ValueError, UsageError
 included.  Output is CSV by default or JSON with --format json; big
 integer values are serialized as decimal strings in JSON.  Each result
 is written once, after it is computed, to stdout or to --out; an --out
-path that cannot be opened for writing is a usage error.  gen reads its
-columns straight from the partition labels and formats 4096 values per %
-call, byte for byte what csv.writer and json.dump(indent=2) would write:
-no column is held as a list, so gen --n 3 --h phi --limit 10**7 peaks at
-27 MB in either format (fresh interpreter, 2-vCPU Xeon).  classify rows
-streams its JSON rows the same way; every other result goes through csv
-or json.
+path that cannot be opened for writing is a usage error.  The small
+results (verify, decompose, identities --format, classify census and
+ab-over-scd, density) go through one writer, _write, which calls csv or
+json.  The streamed tables, gen's columns and classify rows, are read
+straight from their label buffers and formatted 4096 values or rows per
+% template, byte for byte what csv.writer and json.dump(indent=2) would
+write: no column is held as a list, so gen --n 3 --h phi --limit 10**7
+peaks at 27 MB in either format (fresh interpreter, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import identities, partition, three_set
 from .qfield import HALF_PHI_SQ, PHI, PHI_CUBED, PHI_SQ, QuadraticReal, SQRT2
@@ -105,6 +106,21 @@ def _output(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
         raise UsageError(f"cannot write --out file: {exc}") from exc
 
 
+def _write(args, payload: Callable[[], object], rows: Iterable[Iterable]) -> None:
+    """Write a small result to stdout or --out in args.format.
+
+    JSON is payload() as json.dump(indent=2) writes it plus a newline; CSV
+    is rows, the header first, through csv.writer.  payload is called only
+    for JSON, so a CSV run never builds the JSON objects.
+    """
+    with _output(args.out) as fh:
+        if args.format == "json":
+            json.dump(payload(), fh, indent=2)
+            fh.write("\n")
+        else:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def _frequency_string(fr: Fraction, places: int = 12) -> str:
     scaled = fr.numerator * 10**places // fr.denominator
     return f"{scaled // 10 ** places}.{scaled % 10 ** places:0{places}d}"
@@ -134,6 +150,7 @@ def _cmd_gen(args) -> int:
 # (QUOTE_MINIMAL) never quotes and JSON never escapes, so the bytes are those
 # of csv.writer and json.dump(indent=2).
 _CHUNK = 4096
+_CSV_ROW = "%d,%d,%d,%d,%s,%s,%s\n"
 _JSON_ROW = '\n  {\n    "k": %d,\n    "s": "%d",\n    "c": "%d",\n    "d": "%d",\n    "class": "%s"\n  },'
 
 
@@ -179,14 +196,8 @@ def _cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     report = partition.verify_partition(spec, args.limit)
     record = report.to_json_dict()
-    with _output(args.out) as fh:
-        if args.format == "json":
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
-        else:  # the same record as one CSV row under its keys; None is written as ""
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(record)
-            writer.writerow(record.values())
+    # CSV: the same record as one row under its keys; None is written as ""
+    _write(args, lambda: record, [record.keys(), record.values()])
     return EXIT_OK if report.ok else EXIT_DEFECT
 
 
@@ -199,21 +210,12 @@ def _cmd_decompose(args) -> int:
     except ArithmeticError as exc:
         print(f"decomposition defect: {exc}", file=sys.stderr)
         return EXIT_DEFECT
-    with _output(args.out) as fh:
-        if args.format == "json":
-            payload = {
-                "m": str(args.m),
-                "column": dec.column,
-                "k": dec.index,
-                "signs": list(dec.signs),
-            }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            signs = "".join("+" if e > 0 else "-" for e in dec.signs)
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["m", "column", "k", "signs"])
-            writer.writerow([args.m, dec.column, dec.index, signs])
+    signs = "".join("+" if e > 0 else "-" for e in dec.signs)
+    _write(
+        args,
+        lambda: {"m": str(args.m), "column": dec.column, "k": dec.index, "signs": list(dec.signs)},
+        [("m", "column", "k", "signs"), (args.m, dec.column, dec.index, signs)],
+    )
     return EXIT_OK
 
 
@@ -242,17 +244,14 @@ def _cmd_identities(args) -> int:
     opts = _identity_options(args)
     if args.format:
         checks = [check for name in names for check in identities.iter_identity_checks(name, args.N, opts)]
-        with _output(args.out) as fh:
-            if args.format == "json":
-                json.dump([check.to_json_dict() for check in checks], fh, indent=2)
-                fh.write("\n")
-            else:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["identity", "n", "case", "lhs", "rhs", "pass"])
-                writer.writerows(
-                    (check.identity, check.n, check.case, str(check.lhs), str(check.rhs), check.passed)
-                    for check in checks
-                )
+        _write(
+            args,
+            lambda: [check.to_json_dict() for check in checks],
+            chain(
+                [("identity", "n", "case", "lhs", "rhs", "pass")],
+                ((c.identity, c.n, c.case, str(c.lhs), str(c.rhs), c.passed) for c in checks),
+            ),
+        )
         return EXIT_OK if all(check.passed for check in checks) else EXIT_DEFECT
     lines = [f"{'identity':24} {'checks':>8} {'failed':>8}  first failure"]
     any_failed = False
@@ -286,9 +285,9 @@ def _cmd_classify(args) -> int:
                     lead = ","
                 fh.write("\n]\n")
             else:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["k", "s", "c", "d", "s_class", "c_class", "d_class"])
-                writer.writerows((k, s, c, d, *code) for k, s, c, d, code in rows)
+                fh.write("k,s,c,d,s_class,c_class,d_class\n")
+                for chunk in _chunks((k, s, c, d, *code) for k, s, c, d, code in rows):
+                    fh.write((_CSV_ROW * len(chunk)) % tuple(chain.from_iterable(chunk)))
         return EXIT_OK
     if args.what == "census":
         census = three_set.row_class_census(args.N)
@@ -299,33 +298,28 @@ def _cmd_classify(args) -> int:
         keys = list(ALL_PAIR_CLASSES)
         admissible = True
     rows = [(key, census.counts.get(key, 0), census.first_index.get(key)) for key in keys]
-    with _output(args.out) as fh:
-        if args.format == "json":
-            classes = [
-                {
-                    "class": key,
-                    "count": count,
-                    "frequency": {"num": count, "den": census.total},
-                    "first_k": first,
-                }
+    _write(
+        args,
+        lambda: {
+            "N": args.N,
+            "classes": [
+                {"class": key, "count": count, "frequency": {"num": count, "den": census.total}, "first_k": first}
                 for key, count, first in rows
-            ]
-            json.dump({"N": args.N, "classes": classes}, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["class", "count", "frequency", "first_k"])
-            writer.writerows(
-                (key, count, _frequency_string(census.frequency(key)), first) for key, count, first in rows
-            )
+            ],
+        },
+        [("class", "count", "frequency", "first_k")]
+        + [(key, count, _frequency_string(census.frequency(key)), first) for key, count, first in rows],
+    )
     return EXIT_OK if admissible else EXIT_DEFECT
 
 
 def _cmd_density(args) -> int:
     report = three_set.density_report(args.N)
-    with _output(args.out) as fh:
-        if args.format == "json":
-            densities = [
+    _write(
+        args,
+        lambda: {
+            "N": args.N,
+            "densities": [
                 {
                     "name": e.name,
                     "count": e.count,
@@ -334,16 +328,11 @@ def _cmd_density(args) -> int:
                     "status": e.status,
                 }
                 for e in report.entries
-            ]
-            json.dump({"N": args.N, "densities": densities}, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["name", "count", "total", "frequency", "expected", "status"])
-            writer.writerows(
-                (e.name, e.count, e.total, _frequency_string(e.frequency), e.expected, e.status)
-                for e in report.entries
-            )
+            ],
+        },
+        [("name", "count", "total", "frequency", "expected", "status")]
+        + [(e.name, e.count, e.total, _frequency_string(e.frequency), e.expected, e.status) for e in report.entries],
+    )
     return EXIT_OK
 
 

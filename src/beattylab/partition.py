@@ -51,22 +51,12 @@ def _require_columns(n: int) -> None:
 
 
 @dataclass(frozen=True)
-class IdentityH:
-    """Step sequence h(k) = k; the columns become arithmetic progressions."""
-
-    def h(self, k: int) -> int:
-        return k
-
-    def describe(self) -> str:
-        return "h=identity"
-
-
-@dataclass(frozen=True)
 class AlphaH:
     """Step sequence h(k) = floor(k*alpha) for an exact alpha in [1, 2).
 
     The gap condition holds automatically because consecutive Beatty
-    differences for such alpha are 1 or 2.
+    differences for such alpha are 1 or 2.  alpha = 1 is the identity
+    step h(k) = k, whose columns are arithmetic progressions.
     """
 
     alpha: QuadraticReal
@@ -94,6 +84,8 @@ class AlphaH:
     def describe(self) -> str:
         if self.alpha == PHI:
             return "h=phi"
+        if self.alpha == ONE:
+            return "h=identity"
         return f"alpha={self.alpha}"
 
 
@@ -109,7 +101,7 @@ class ExplicitColumn:
         return f"explicit[{head}{tail}]"
 
 
-Generator = IdentityH | AlphaH | ExplicitColumn
+Generator = AlphaH | ExplicitColumn
 
 
 @dataclass(frozen=True)
@@ -141,7 +133,7 @@ class PartitionSpec:
 
 
 def identity_spec(n: int) -> PartitionSpec:
-    return PartitionSpec(n, IdentityH())
+    return PartitionSpec(n, AlphaH(ONE))
 
 
 def phi_spec(n: int) -> PartitionSpec:

@@ -39,6 +39,21 @@ def _sign_of(p: int, q: int, r: int) -> int:
     return -1 if p * p > r * q * q else 1
 
 
+def floor_surd(p: int, q: int, d: int, r: int = DEFAULT_RADICAND) -> int:
+    """floor((p + q*sqrt(r))/d) for d > 0 and non-square r, via one integer square root.
+
+    floor(q*sqrt(r)) is isqrt(q^2 r) for q >= 0 and -isqrt(q^2 r) - 1
+    for q < 0 (q^2 r is never a perfect square for q != 0).  Adding p
+    and flooring the division by d then gives the result, because the
+    value lies strictly between consecutive integers p + floor(q*sqrt(r))
+    and p + floor(q*sqrt(r)) + 1.
+    """
+    m = isqrt(q * q * r)
+    if q < 0:
+        m = -m - 1
+    return (p + m) // d
+
+
 class QuadraticReal:
     """An exact element (p + q*sqrt(radicand))/d of Q(sqrt(radicand))."""
 
@@ -231,21 +246,8 @@ class QuadraticReal:
     # -- floor and fractional part -------------------------------------------
 
     def floor(self) -> int:
-        """Greatest integer <= value, via integer square roots only.
-
-        floor(q*sqrt(r)) is isqrt(q^2 r) for q >= 0 and -isqrt(q^2 r) - 1
-        for q < 0 (q^2 r is never a perfect square for q != 0).  Adding p
-        and flooring the division by d then gives the result, because the
-        value lies strictly between consecutive integers p + floor(q*sqrt(r))
-        and p + floor(q*sqrt(r)) + 1.
-        """
-        q = self._q
-        if q == 0:
-            return self._p // self._d
-        m = isqrt(q * q * self._r)
-        if q < 0:
-            m = -m - 1
-        return (self._p + m) // self._d
+        """Greatest integer <= value, via integer square roots only (floor_surd)."""
+        return floor_surd(self._p, self._q, self._d, self._r)
 
     def frac(self) -> QuadraticReal:
         """Fractional part, exactly self - floor(self); in [0, 1)."""

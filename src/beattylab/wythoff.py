@@ -33,6 +33,8 @@ from .qfield import (
     ONE_HALF,
     QuadraticReal,
     ZERO,
+    _sign_of,
+    floor_surd,
     phi_pow,
 )
 
@@ -97,37 +99,20 @@ def strict_compare(x: QuadraticReal, y: QuadraticReal) -> int:
     return c
 
 
-def _sign5(p: int, q: int) -> int:
-    """Exact sign of p + q*sqrt5, where zero signals an arithmetic bug.
+def _frac_phi_sign(m: int, a: int, breakpoint: tuple[int, int]) -> int:
+    """Exact sign of {m*phi} - (bp + bq*sqrt5)/2, given a = floor(m*phi).
 
-    The term of larger magnitude decides; p^2 = 5q^2 only for p = q = 0
-    because 5 is not a square.
+    A zero would put {m*phi} on a breakpoint, which the closed forms rule
+    out, so it signals an arithmetic bug.
     """
-    pp, qq = p * p, 5 * q * q
-    if pp == qq:
+    bp, bq = breakpoint
+    sign = _sign_of(m - 2 * a - bp, m - bq, 5)
+    if sign == 0:
         raise ArithmeticError(
             "fractional part equals a breakpoint exactly; this is impossible "
             "and signals an arithmetic bug"
         )
-    return 1 if (p if pp > qq else q) > 0 else -1
-
-
-def _floor5(p: int, q: int, d: int) -> int:
-    """floor((p + q*sqrt5)/d) for d > 0 with one integer square root.
-
-    floor(q*sqrt5) is isqrt(5q^2), or -isqrt(5q^2) - 1 for q < 0, and the
-    remaining fraction in [0, 1) cannot carry the division by d.
-    """
-    m = isqrt(5 * q * q)
-    if q < 0:
-        m = -m - 1
-    return (p + m) // d
-
-
-def _frac_phi_sign(m: int, a: int, breakpoint: tuple[int, int]) -> int:
-    """Exact sign of {m*phi} - (bp + bq*sqrt5)/2, given a = floor(m*phi)."""
-    bp, bq = breakpoint
-    return _sign5(m - 2 * a - bp, m - bq)
+    return sign
 
 
 def _require_positive(n: int, name: str = "n") -> None:
@@ -181,7 +166,7 @@ def klm(K: int, L: int, M: int, n: int) -> int:
     gp, gq = 5 * fq - fp, fp - fq  # {n*phi}/phi = {n*phi}*(-1 + sqrt5)/2, over 4
     hp, hq = L - 2 * K, L  # L*phi - K, over 2
     tp, tq = hp * gp + 5 * hq * gq, hp * gq + hq * gp  # (L*phi - K)*{n*phi}/phi, over 8
-    correction = _floor5(tp + 4 * M, tq + 4 * M, 8)  # + M*phi = (4M + 4M*sqrt5)/8
+    correction = floor_surd(tp + 4 * M, tq + 4 * M, 8)  # + M*phi = (4M + 4M*sqrt5)/8
     return K * bn + L * an + correction
 
 
@@ -216,9 +201,9 @@ def classify_ab(m: int) -> ABMembership:
     floor((m+1)/phi^2), validated by recomputation with a +-1 fallback.
     """
     if ab_label(m) is ABLabel.A:
-        i = _floor5(-(m + 1), m + 1, 2)  # (m+1)/phi = (m+1)*(-1 + sqrt5)/2
+        i = floor_surd(-(m + 1), m + 1, 2)  # (m+1)/phi = (m+1)*(-1 + sqrt5)/2
         return ABMembership(ABLabel.A, _witness_search(m, i, lower))
-    i = _floor5(3 * (m + 1), -(m + 1), 2)  # (m+1)/phi^2 = (m+1)*(3 - sqrt5)/2
+    i = floor_surd(3 * (m + 1), -(m + 1), 2)  # (m+1)/phi^2 = (m+1)*(3 - sqrt5)/2
     return ABMembership(ABLabel.B, _witness_search(m, i, upper))
 
 

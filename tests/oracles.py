@@ -27,7 +27,7 @@ from math import isqrt
 from typing import Iterator, NamedTuple
 
 from beattylab import partition, three_set, wythoff
-from beattylab.qfield import ONE, QuadraticReal, phi_pow
+from beattylab.qfield import ONE, QuadraticReal, floor_surd, phi_pow
 from beattylab.wythoff import CDLabel, c_half, cd_label, d_cubed, frac_phi, klm, lower, phi_pow_ext
 
 
@@ -51,9 +51,9 @@ def classify_cd(m: int) -> CDMembership:
     resp. floor((m+1)/phi^3), validated by recomputation with a +-1 fallback.
     """
     if cd_label(m) is CDLabel.C:
-        i = wythoff._floor5(3 * (m + 1), -(m + 1), 1)  # (m+1)*2/phi^2 = (m+1)*(3 - sqrt5)
+        i = floor_surd(3 * (m + 1), -(m + 1), 1)  # (m+1)*2/phi^2 = (m+1)*(3 - sqrt5)
         return CDMembership(CDLabel.C, wythoff._witness_search(m, i, c_half))
-    i = wythoff._floor5(-2 * (m + 1), m + 1, 1)  # (m+1)/phi^3 = (m+1)*(sqrt5 - 2)
+    i = floor_surd(-2 * (m + 1), m + 1, 1)  # (m+1)/phi^3 = (m+1)*(sqrt5 - 2)
     return CDMembership(CDLabel.D, wythoff._witness_search(m, i, d_cubed))
 
 

@@ -9,7 +9,9 @@ representation ends in an even number of zeros (OEIS A003849, A000201).
 
 from __future__ import annotations
 
+import math
 import tracemalloc
+from decimal import Decimal
 from itertools import product
 
 import pytest
@@ -17,7 +19,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beattylab import wythoff
-from beattylab.qfield import INV_PHI, INV_PHI_CUBED, INV_PHI_SQ, ONE, ONE_HALF, PHI, QuadraticReal
+from beattylab.qfield import (
+    INV_PHI,
+    INV_PHI_CUBED,
+    INV_PHI_SQ,
+    ONE,
+    ONE_HALF,
+    PHI,
+    QuadraticReal,
+    _sign_of,
+    floor_surd,
+)
 from beattylab.wythoff import (
     BREAK_HIGH,
     ABLabel,
@@ -274,16 +286,19 @@ class TestAgainstReference:
 
 class TestExactness:
     def test_zero_sign_is_a_defect(self):
+        # {1*phi} = (-1 + sqrt5)/2 against the breakpoint (-1 + sqrt5)/2 itself
         with pytest.raises(ArithmeticError):
-            wythoff._sign5(0, 0)
+            wythoff._frac_phi_sign(1, lower(1), (-1, 1))
 
+    # the kernels' integer sign and floor of p + q*sqrt5, against decimals
     @pytest.mark.parametrize("p, q", [(3, 1), (-3, 1), (3, -1), (-3, -1), (2, 1), (-2, 1), (0, 1), (5, 0)])
     def test_sign5(self, p, q):
-        assert wythoff._sign5(p, q) == QuadraticReal(p, q).sign()
+        value = Decimal(p) + q * Decimal(5).sqrt()
+        assert _sign_of(p, q, 5) == (value > 0) - (value < 0)
 
     @pytest.mark.parametrize("p, q, d", [(1, 1, 2), (-1, 1, 2), (3, -1, 2), (7, 0, 3), (-7, 0, 3), (0, -4, 1)])
     def test_floor5(self, p, q, d):
-        assert wythoff._floor5(p, q, d) == QuadraticReal(p, q, d).floor()
+        assert floor_surd(p, q, d) == math.floor((Decimal(p) + q * Decimal(5).sqrt()) / d)
 
     def test_nonpositive_rejected(self):
         for fn in (ab_label, unit_interval_label, classify_ab, classify_cd):
