@@ -7,9 +7,10 @@ sum eps*2**(n-2) + ... + eps*2**(n-j); together the columns cover every
 positive integer and no integer lands in two different columns.  This
 module materializes the columns, inverts the construction (decompose),
 and verifies cover/disjointness by brute force.  Columns and verification
-share one labelling of [1, limit] with one column byte per value: the phi
-generator's labels are the image of the Fibonacci word under two
-prefixes of the ruler word, and every other generator is swept value by value.
+share one labelling of [1, limit] with one column byte per value: an
+alpha generator's labels are the image of the characteristic word of
+slope alpha - 1 under two prefixes of the ruler word, and an explicit
+list is swept value by value.
 
 An integer inside the overlap of two consecutive generator intervals has
 two valid (index, signs) representations; they always agree on the
@@ -26,7 +27,7 @@ from math import isqrt
 from typing import Iterable, Iterator
 
 from .qfield import ONE, PHI, QuadraticReal
-from .wythoff import fibonacci_fill, lower
+from .wythoff import lower, standard_fill
 
 # Column labels are stored one byte per value, and gap_set / _sign_expansion
 # cost grows with n; no construction in this package needs more columns.
@@ -34,8 +35,8 @@ MAX_COLUMNS = 64
 
 # The sweep allocates one byte per value of [1, limit], and gen reads its
 # columns from those labels a chunk at a time.  At this cap verify peaks at
-# about 30 MB (phi, n = 2) and gen --n 3 --h phi at 27 MB in either format
-# (18 MB at 10**6; fresh interpreter, ru_maxrss, 2-vCPU Xeon).
+# about 26 MB for any AlphaH generator and gen --n 3 --h phi at 27 MB in
+# either format (18 MB at 10**6; fresh interpreter, ru_maxrss, 2-vCPU Xeon).
 MAX_LIMIT = 10**7
 
 
@@ -164,21 +165,6 @@ def _term_violation(spec: PartitionSpec, k: int, t: int, prev: int | None, allow
     return None
 
 
-def linear_form(n: int, t: int, j: int, signs: tuple[int, ...]) -> int:
-    """t + signs[0]*2**(n-2) + ... + signs[j-1]*2**(n-j-1); j = 0 gives t."""
-    _require_columns(n)
-    if not 0 <= j <= n - 1:
-        raise ValueError(f"form index must be in [0, {n - 1}], got {j}")
-    if len(signs) != j:
-        raise ValueError(f"sign prefix has length {len(signs)}, form index {j} needs exactly {j}")
-    total = t
-    for i, eps in enumerate(signs):
-        if eps not in (-1, 1):
-            raise ValueError(f"signs must be +-1, got {eps}")
-        total += eps * 2 ** (n - 2 - i)
-    return total
-
-
 def column_offsets(n: int, column: int) -> range:
     """All signed-sum offsets of one column, ascending.
 
@@ -288,38 +274,33 @@ def decompose(m: int, spec: PartitionSpec) -> Decomposition:
     return found[0]
 
 
-def _is_phi(spec: PartitionSpec) -> bool:
-    return isinstance(spec.generator, AlphaH) and spec.generator.alpha == PHI
+def _ruler_word(view: memoryview, n: int) -> None:
+    """Write the ruler word P(n), P(k) = P(k-1) + [n - k + 1] + P(k-1), into view in place, cut to its length."""
+    for k in range(min(n, len(view).bit_length())):  # view[:2**k - 1] holds P(k)
+        start = 2**k - 1
+        view[start] = n - k
+        view[start + 1 : 2 * start + 1] = view[: min(start, len(view) - start - 1)]
 
 
-def _phi_labels(n: int, limit: int) -> bytearray:
-    """Labels of [0, limit] for phi_spec(n): 0, then the image of the Fibonacci word.
+def _alpha_labels(n: int, alpha: QuadraticReal, limit: int) -> bytearray:
+    """Labels of [0, limit] for PartitionSpec(n, AlphaH(alpha)): 0, then a characteristic word's image.
 
     Term t with gap g to the next term owns [t - w, t - w + g), the first
     g labels of its own interval (g <= 2w + 1; the values it shares with
     a neighbour agree), and l(1) - w = 1.  Label i of that interval is
-    n - v2(i + 1): the ruler word P(n), P(k) = P(k-1) + [n - k + 1] +
-    P(k-1), written in place one byte and one prefix copy per step.  The
-    gaps of phi_spec(n) follow the Fibonacci word with A -> 2**n - 1 and
-    B -> 2**(n-1), because a(k+1) - a(k) = 2 exactly when k is labelled
-    A, so labels[1:] is its image under A -> interval and
-    B -> interval[:2**(n-1)], both read from the buffer's prefix.
+    n - v2(i + 1), the ruler word P(n).  The gap after term k is 2**n - 1
+    when c(k) = 1, else 2**(n-1), as h(k+1) - h(k) - 1 = c(k) for slope
+    alpha - 1, so labels[1:] is c's image under 1 -> interval and
+    0 -> interval[:2**(n-1)], both read from the buffer.
     """
     labels = bytearray(limit + 1)
     view = memoryview(labels)[1:]
-    size = min(limit, 2**n - 1)
-    done = 0  # view[:done] holds P(n - column), cut to size
-    for column in range(n, 0, -1):
-        if done < size:
-            view[done] = column
-            copied = min(done, size - done - 1)
-            view[done + 1 : done + 1 + copied] = view[:copied]
-            done += 1 + copied
-    half = 2 ** (n - 1)
-    fibonacci_fill(view, view[:size], view[:half])
-    # view[:size] is still the interval: terms half apart share its last and first half - 1 values
+    size, half = min(limit, 2**n - 1), 2 ** (n - 1)
+    _ruler_word(view[:size], n)
+    # terms half apart share the interval's last and first half - 1 values
     if not labels.startswith(view[half:size], 1):
         raise ArithmeticError(f"consecutive terms {half} apart put a value in two columns (n = {n})")
+    standard_fill(view, alpha - 1, view[:size], view[:half])
     return labels
 
 
@@ -328,52 +309,43 @@ def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, Gene
 
     Returns labels (labels[v] is the column of v, 0 where no term reaches
     it; labels[0] is unused), the smallest value reached in two different
-    columns, and the first start/gap violation among the terms read.
-    phi_spec(n) is filled (_phi_labels) and has neither; every other
-    generator is measured as given by _value_sweep, which is also the
-    fill's test oracle.
+    columns, and the first start/gap violation among the terms read.  An
+    AlphaH generator is filled (_alpha_labels) and has neither: 1 <= alpha
+    < 2 gives l(1) = 2**(n-1) and gaps in {2**(n-1), 2**n - 1}.  An explicit
+    list is measured as given by _value_sweep, also the fill's test oracle.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit must be at most {MAX_LIMIT}, got {limit}")
-    if _is_phi(spec):
-        return _phi_labels(spec.n, limit), None, None
+    if isinstance(spec.generator, AlphaH):
+        return _alpha_labels(spec.n, spec.generator.alpha, limit), None, None
     return _value_sweep(spec, limit)
 
 
 def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, GeneratorError | None]:
-    """_sweep one generator term at a time, one value at a time.
+    """_sweep an explicit generator one term at a time, one value at a time.
 
     Term t fills [t - w, t + w] with w = 2**(n-1) - 1, and a value v there
     lands in column n - v2(v - t), i.e. column j collects t plus
-    column_offsets(n, j).  Explicit generators are read in full, so
-    non-monotone (invalid) data is measured faithfully and checked
-    everywhere (an empty one lacks l(1)); the infinite generators are
-    strictly increasing and stop at the first interval past the limit.
+    column_offsets(n, j).  The list is read in full, so non-monotone
+    (invalid) data is measured faithfully and checked everywhere (an
+    empty one lacks l(1)).
     """
     width = spec.half_width
     allowed = gap_set(spec.n)
     offsets = (column_offsets(spec.n, j) for j in range(1, spec.n + 1))
     grid = [(j, offs.start, offs.stop, offs.step) for j, offs in enumerate(offsets, start=1)]
-    explicit = isinstance(spec.generator, ExplicitColumn)
     labels = bytearray(limit + 1)
     conflict: int | None = None
-    violation: GeneratorError | None = None
+    values = spec.generator.values  # type: ignore[union-attr]
+    violation = None if values else GeneratorError(1, f"no l(1) in an empty list, expected {2 ** (spec.n - 1)}")
     prev = None
-    k = 1
-    while True:
-        t = spec.term(k)
-        if t is None:
-            if k == 1:
-                violation = GeneratorError(1, f"no l(1) in an empty list, expected {2 ** (spec.n - 1)}")
-            break
+    for k, t in enumerate(values, start=1):
         if violation is None:
             message = _term_violation(spec, k, t, prev, allowed)
             if message is not None:
                 violation = GeneratorError(k, message)
-        if not explicit and t - width > limit:
-            break
         inside = 1 <= t - width and t + width <= limit
         for j, lo, hi, step in grid:
             first, stop = t + lo, t + hi
@@ -388,7 +360,6 @@ def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None
                 elif seen != j and (conflict is None or v < conflict):
                     conflict = v
         prev = t
-        k += 1
     return labels, conflict, violation
 
 
@@ -478,9 +449,8 @@ def d2_closed_form(n: int, k: int, spec: PartitionSpec | None = None) -> int:
     _require_columns(n)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if spec is not None:
-        if spec.n != n or not _is_phi(spec):
-            raise ValueError(f"closed form unsupported for generator {spec.describe()}")
+    if spec is not None and spec != phi_spec(n):
+        raise ValueError(f"closed form unsupported for generator {spec.describe()}")
     return lower(k) + (2 ** (n - 1) - 2) * k - (2 ** (n - 2) - 1)
 
 

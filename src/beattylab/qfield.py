@@ -91,13 +91,6 @@ class QuadraticReal:
     def radicand(self) -> int:
         return self._r
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> QuadraticReal:
-        radicand = int(obj.get("radicand", DEFAULT_RADICAND))
-        return cls(int(obj["p"]), int(obj["q"]), int(obj["d"]), radicand)
-
     def to_json_dict(self) -> dict:
         """JSON form with decimal digit strings, bit-exact across platforms."""
         obj = {"p": str(self._p), "q": str(self._q), "d": str(self._d)}

@@ -12,11 +12,11 @@ column D, C or S is d(k), c(k) or s(k), and the n-th smallest value
 labelled A or B is a(n) or b(n).  So each census is a selection from one
 buffer of tags, 2*column(v) + [v is B] for every value v up to d(N) (up
 to b(N) for the pairs), built from the partition labels of phi_spec(3)
-and the Fibonacci word: bytes.translate keeps one column's (or one
-label's) values, the kept planes are combined bytewise through
-big-endian integers, and bytes.count and bytes.find read the result.
-rows reads the rows themselves and their codes from one such buffer.
-scd and row_class are the per-point paths and the scans' test oracles.
+and the B word (standard_fill, slope 1/phi^2): bytes.translate keeps one
+column's (or one label's) values, the kept planes are combined bytewise
+through big-endian integers, and bytes.count and bytes.find read the
+result.  rows reads the rows themselves and their codes from one such
+buffer.  scd and row_class are the per-point paths and the scans' oracles.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .wythoff import (
     ABLabel,
     ab_label,
     c_half,
-    fibonacci_fill,
     frac_phi,
     lower,
+    standard_fill,
     strict_compare,
     upper,
 )
@@ -219,13 +219,13 @@ _TAG_COLUMNS = bytes(tag >> 1 for tag in range(256))  # bytes.translate table: t
 def _tagged_values(top: int) -> bytearray:
     """tags[v] = 2*column(v) + [v is B] for v in [1, top], in phi_spec(3); tags[0] is 0.
 
-    The Fibonacci word (A -> 0, B -> 1) is shifted into the column labels
-    in place.  Callers check their index limit first: both buffers take
+    The B word (slope 1/phi^2) is shifted into the column labels in
+    place.  Callers check their index limit first: both buffers take
     top bytes.
     """
     tags = partition.column_labels(THREE_SET_SPEC, top)
     is_b = bytearray(top + 1)
-    fibonacci_fill(memoryview(is_b)[1:], b"\x00", b"\x01")
+    standard_fill(memoryview(is_b)[1:], INV_PHI_SQ, b"\x01", b"\x00")
     _shift_in(tags, 1, is_b)
     return tags
 
@@ -317,27 +317,21 @@ class DensityReport:
     total: int
     entries: tuple[DensityEntry, ...]
 
-    def entry(self, name: str) -> DensityEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
 
 def _c_half_counts(limit: int) -> tuple[int, int]:
     """(c-half-in-A, a-in-C) counts over indices up to limit.
 
-    The values c_half(i) are marked by the standard word of slope
-    2/phi^2 = 3 - sqrt5 (README), and the A values by the Fibonacci word.
+    The values c_half(i) = floor(i*phi^2/2) are marked by the word of
+    slope 2/phi^2 = 3 - sqrt5, and the A values by the word of slope 1/phi.
     The A values up to a(limit) are a(1), ..., a(limit), so a value up to
     a(limit) marked both C and A is one a(n) in C, and one up to
     c_half(limit) is one c_half(i) in A.
     """
     top = lower(limit)
     marks = bytearray(top)
-    fibonacci_fill(marks, b"\x01", b"\x01\x01\x00", repeat=4)
+    standard_fill(marks, 2 * INV_PHI_SQ, b"\x01", b"\x00")
     in_a = bytearray(top)
-    fibonacci_fill(in_a, b"\x01", b"\x00")
+    standard_fill(in_a, INV_PHI, b"\x01", b"\x00")
     _shift_in(marks, 1, in_a)  # marks[m - 1] = 2*[m in C] + [m in A]
     return marks.count(3, 0, c_half(limit)), marks.count(3)
 

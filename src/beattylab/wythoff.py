@@ -15,16 +15,18 @@ forms), so hitting one raises ArithmeticError instead of tie-breaking.
 The per-index kernels (klm, ab_label, unit_interval_label, cd_label and
 classify_ab) work on plain integer coordinates (p, q) of
 p + q*sqrt5 and never build a QuadraticReal; {n*phi} is
-(n - 2a(n) + n*sqrt5)/2 in those coordinates.  Range scans fill the A/B
-labels of a whole range with fibonacci_fill, the Fibonacci word, and the
+(n - 2a(n) + n*sqrt5)/2 in those coordinates.  Range scans fill the
+labels of a whole range with standard_fill, the characteristic word of
+an exact slope (1/phi marks the A values, 1/phi^2 the B values), and the
 per-index kernels are its test oracle.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain, repeat
 from math import isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .qfield import (
     INV_PHI,
@@ -207,31 +209,49 @@ def classify_ab(m: int) -> ABMembership:
     return ABMembership(ABLabel.B, _witness_search(m, i, upper))
 
 
-def fibonacci_fill(
-    buffer: bytearray | memoryview, a: bytes | memoryview, b: bytes | memoryview, repeat: int = 1
-) -> None:
-    """Fill a writable buffer with the standard word T1 = a, T2 = a + b, T(k+1) = T(k)^repeat + T(k-1).
+def _quotients(slope: QuadraticReal) -> Iterator[int]:
+    """d1 - 1, d2, d3, ... of slope = [0; d1, d2, ...]; a rational's odd [..., d] is read as [..., d - 1, 1]."""
+    x, k = slope, 0
+    while x:  # x = [0; d(k+1), ...]
+        x = x.inverse()
+        d = x.floor()
+        x -= d
+        k += 1
+        yield d - (k == 1) - (k % 2 and not x)
+    if k % 2:
+        yield 1
 
-    repeat = 1 gives the image of the Fibonacci word S1 = "A", S2 = "AB",
-    S(k+1) = S(k) + S(k-1) under A -> a, B -> b.  The word is cut to
-    len(buffer).  T(k-1) is a prefix of T(k), so T(k+1) has period |T(k)|
-    and each step copies prefixes of the buffer behind its end, in place.
-    a may be a view of the buffer's own prefix and b one of a's prefixes:
-    a is written first, then b after it, so neither is copied out.
+
+def standard_fill(
+    buffer: bytearray | memoryview, slope: QuadraticReal, one: bytes | memoryview, zero: bytes | memoryview
+) -> None:
+    """Fill a writable buffer with the image of c(k) = floor((k+1)*slope) - floor(k*slope), k >= 1.
+
+    c, the characteristic word of slope = [0; d1, d2, ...] in [0, 1), is the
+    limit of the standard words s(-1) = 1, s(0) = 0, s(1) = s(0)^(d1-1) s(-1),
+    s(k) = s(k-1)^dk s(k-2) (Lothaire, ch. 2); a rational's last s(k) ends in
+    10 and is c's period.  s(k-2) is a prefix of s(k-1) from s(1) on, so each
+    step copies doubling prefixes of the buffer in place.  one may be a view
+    of the buffer's prefix and zero one of one's: s(k-2) goes in first.
     """
-    if repeat < 1:
-        raise ValueError(f"repeat must be positive, got {repeat}")
+    if not (ZERO <= slope < ONE and len(one) and len(zero)):
+        raise ValueError(f"need 0 <= slope < 1 and non-empty pieces, got slope {slope}")
     with memoryview(buffer) as view:
         size = len(view)
-        previous, end = len(a), min(len(a) + len(b), size)  # |T(k-1)|, |T(k)|
-        view[:previous] = a[:size]
-        view[previous:end] = b[: max(end - previous, 0)]
-        while end < size:
-            top = min(repeat * end + previous, size)
-            for start in range(end, top, end):
-                step = min(end, top - start)
-                view[start : start + step] = view[:step]
-            previous, end = end, top
+        view[: len(zero)] = zero[:size]
+        previous, end = len(one), len(zero)  # |s(k-2)|, |s(k-1)|
+        quotients = chain(_quotients(slope), repeat(size))  # past a rational's last one, a period repeats
+        for last, d in zip(chain((one, zero), repeat(view)), quotients):  # last is s(k-2)
+            at, top = min(d * end, size), min(d * end + previous, size)
+            view[at:top] = last[: top - at]
+            previous, done = end, end
+            while done < at:  # s(k-1)^d
+                step = min(done, at - done)
+                view[done : done + step] = view[:step]
+                done += step
+            end = top
+            if end == size:
+                return
 
 
 def cd_label(m: int) -> CDLabel:

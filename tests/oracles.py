@@ -1,5 +1,8 @@
 """Kernels that only the tests use.
 
+linear_form evaluates one signed sum of the partition construction,
+density_entry looks up one density by name, and quadratic_from_json reads back
+QuadraticReal.to_json_dict.
 beatty_term is a QuadraticReal oracle for Beatty values; classify_cd
 recovers the witness index of a C/D label, the C/D counterpart of
 wythoff.classify_ab; gen_csv and gen_json render gen's columns through
@@ -7,7 +10,7 @@ the csv and json encoders, the reference for gen's own emitters, and
 appended_columns builds the columns with one append per value, the
 reference for partition.column_values, and interval_labels labels one
 generator term's interval through the inverse map, the reference for the
-ruler word that partition._phi_labels writes in place.
+ruler word that partition._ruler_word writes in place.
 fib_shift_converse and klm_grid are the field-arithmetic converse scan
 and the full coefficient grid, the references for the integer scans in
 wythoff.fib_shift_converse and identities._check_klm_grid; ab_word builds
@@ -27,8 +30,34 @@ from math import isqrt
 from typing import Iterator, NamedTuple
 
 from beattylab import partition, three_set, wythoff
-from beattylab.qfield import ONE, QuadraticReal, floor_surd, phi_pow
+from beattylab.qfield import DEFAULT_RADICAND, ONE, QuadraticReal, floor_surd, phi_pow
 from beattylab.wythoff import CDLabel, c_half, cd_label, d_cubed, frac_phi, klm, lower, phi_pow_ext
+
+
+def linear_form(n: int, t: int, j: int, signs: tuple[int, ...]) -> int:
+    """t + signs[0]*2**(n-2) + ... + signs[j-1]*2**(n-j-1); j = 0 gives t."""
+    partition._require_columns(n)
+    if not 0 <= j <= n - 1:
+        raise ValueError(f"form index must be in [0, {n - 1}], got {j}")
+    if len(signs) != j:
+        raise ValueError(f"sign prefix has length {len(signs)}, form index {j} needs exactly {j}")
+    total = t
+    for i, eps in enumerate(signs):
+        if eps not in (-1, 1):
+            raise ValueError(f"signs must be +-1, got {eps}")
+        total += eps * 2 ** (n - 2 - i)
+    return total
+
+
+def density_entry(report: three_set.DensityReport, name: str) -> three_set.DensityEntry:
+    """The density called name in report; KeyError when there is none."""
+    return {e.name: e for e in report.entries}[name]
+
+
+def quadratic_from_json(obj: dict) -> QuadraticReal:
+    """The QuadraticReal whose to_json_dict is obj."""
+    radicand = int(obj.get("radicand", DEFAULT_RADICAND))
+    return QuadraticReal(int(obj["p"]), int(obj["q"]), int(obj["d"]), radicand)
 
 
 def beatty_term(alpha: QuadraticReal, k: int) -> int:

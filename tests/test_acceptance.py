@@ -20,7 +20,6 @@ from beattylab.partition import (
     decompositions,
     identity_spec,
     limiting_prefix_check,
-    linear_form,
     phi_spec,
     verify_partition,
 )
@@ -31,6 +30,7 @@ from beattylab.three_set import (
     row_class_census,
 )
 from beattylab.wythoff import fib_shift_converse, klm, lower
+from oracles import density_entry, linear_form
 
 N_DESK = 100_000
 
@@ -175,11 +175,11 @@ def test_criterion_07_densities(desk_densities):
         ("pair-CD", QuadraticReal(-1, 1, 10)),
         ("pair-SS", QuadraticReal(5, -1, 10)),
     ):
-        entry = report.entry(name)
+        entry = density_entry(report, name)
         assert entry.expected == expected
         assert _within(entry.count, entry.total, expected, tol), (name, entry.count)
     for name in ("pair-SD", "pair-DC", "pair-CC", "pair-DD"):
-        assert report.entry(name).count == 0, name
+        assert density_entry(report, name).count == 0, name
     print(f"\nACCEPTANCE 7 densities at N=1e5 within 0.01: PASS")
 
 
@@ -230,13 +230,13 @@ def test_criterion_09_structural_inverses():
 
 def test_criterion_10_open_measurements_emitted(desk_densities, desk_row_census):
     report = desk_densities
-    s_entry = report.entry("s-col-in-A")
+    s_entry = density_entry(report, "s-col-in-A")
     assert s_entry.status == "empirical-open"
     assert s_entry.expected is None
     assert s_entry.frequency == Fraction(s_entry.count, N_DESK)  # exact rational
     lines = [f"s-col-in-A = {s_entry.count}/{N_DESK} ~ {float(s_entry.frequency):.5f}"]
     for code in sorted(ADMISSIBLE_ROW_CLASSES):
-        entry = report.entry(f"row-class-{code}")
+        entry = density_entry(report, f"row-class-{code}")
         assert entry.status == "empirical-open"
         assert entry.count == desk_row_census.counts[code]
         lines.append(f"row-class-{code} = {entry.count}/{N_DESK} ~ {float(entry.frequency):.5f}")

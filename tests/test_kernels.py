@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from decimal import Decimal
-from itertools import product
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from beattylab import wythoff
 from beattylab.qfield import (
+    HALF_PHI_SQ,
     INV_PHI,
     INV_PHI_CUBED,
     INV_PHI_SQ,
@@ -27,6 +29,7 @@ from beattylab.qfield import (
     ONE_HALF,
     PHI,
     QuadraticReal,
+    SQRT2,
     _sign_of,
     floor_surd,
 )
@@ -40,10 +43,10 @@ from beattylab.wythoff import (
     c_half,
     classify_ab,
     d_cubed,
-    fibonacci_fill,
     frac_phi,
     klm,
     lower,
+    standard_fill,
     strict_compare,
     unit_interval_label,
     upper,
@@ -135,9 +138,9 @@ class TestZeckendorfOracle:
 
 
 def fill_word(limit: int) -> str:
-    """The A/B labels of 1, ..., limit as fibonacci_fill writes them with A -> "A", B -> "B"."""
+    """The A/B labels of 1, ..., limit as standard_fill writes them with slope 1/phi, 1 -> "A", 0 -> "B"."""
     word = bytearray(limit)
-    fibonacci_fill(word, b"A", b"B")
+    standard_fill(word, INV_PHI, b"A", b"B")
     return word.decode("ascii")
 
 
@@ -153,8 +156,14 @@ class TestFibonacciWord:
         for m, letter in enumerate(word, start=1):
             assert letter == ab_label(m).value == zeckendorf_label(m).value, m
 
+    def test_b_word_has_slope_inv_phi_sq(self):
+        # m is an upper Wythoff value exactly when c(m) = 1 for slope 1/phi^2
+        word = bytearray(10**5)
+        standard_fill(word, INV_PHI_SQ, b"B", b"A")
+        assert word.decode("ascii") == fill_word(10**5)
+
     def test_limits_at_and_around_fibonacci_numbers(self):
-        # the substitution words have Fibonacci lengths, so these limits cut
+        # the standard words have Fibonacci lengths, so these limits cut
         # exactly at, just before and just after a built word; the reference
         # builds the word by string concatenation
         word = oracles.ab_word(10**6)
@@ -171,17 +180,125 @@ class TestFibonacciWord:
         buffer = bytearray(10**6)
         tracemalloc.start()
         try:
-            fibonacci_fill(buffer, b"A", b"B")
+            standard_fill(buffer, INV_PHI, b"A", b"B")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert buffer[:8] == b"ABAABABA"
         assert peak <= 10_000, peak
 
-    def test_repeat_four_marks_the_c_half_values(self):
-        # T1 = "1", T2 = "1110", T(k+1) = T(k)^4 T(k-1) is the standard word
-        # of slope 3 - sqrt5 = [0; 1, 3, 4, 4, ...], the density of the
-        # values floor(i*phi^2/2); checked here against c_half for every m
+
+def brute_word(slope: QuadraticReal, size: int) -> bytes:
+    """c(1), ..., c(size) with c(k) = floor((k+1)*slope) - floor(k*slope), one QuadraticReal floor per k."""
+    floors = [(slope * k).floor() for k in range(1, size + 2)]
+    return bytes(b - a for a, b in zip(floors, floors[1:]))
+
+
+def expansion(slope: QuadraticReal, count: int) -> list[int]:
+    """The first count quotients d1, d2, ... of slope = [0; d1, d2, ...], independent of QuadraticReal.
+
+    Euclid on a Fraction for a rational slope; for an irrational one,
+    (p + q*sqrt(r))/d in 400-digit Decimal arithmetic, where a count of 30
+    small quotients leaves well over 100 digits of margin.
+    """
+    if slope.q == 0:
+        x, out = Fraction(slope.p, slope.d), []
+        while x and len(out) < count:
+            x = 1 / x
+            out.append(math.floor(x))
+            x -= out[-1]
+        return out
+    with localcontext() as context:
+        context.prec = 400
+        x = (Decimal(slope.p) + Decimal(slope.q) * Decimal(slope.radicand).sqrt()) / Decimal(slope.d)
+        out = []
+        while len(out) < count:
+            x = 1 / x
+            out.append(int(x))
+            x -= out[-1]
+        return out
+
+
+class TestStandardFill:
+    # irrationals in Q(sqrt5), Q(sqrt2), Q(sqrt3) and Q(sqrt13); rationals
+    # whose expansion has odd (1/2, 1/3, 3/8) and even length; and 0
+    SLOPES = [
+        INV_PHI,
+        INV_PHI_SQ,
+        2 * INV_PHI_SQ,
+        SQRT2 - 1,
+        2 - SQRT2,
+        QuadraticReal(-1, 1, 1, radicand=3),
+        QuadraticReal(-2, 1, 3, radicand=13),
+    ] + [QuadraticReal(p, 0, q) for p, q in [(1, 2), (1, 3), (3, 8), (2, 3), (3, 7), (5, 8), (37, 64), (63, 64), (0, 1)]]
+    # one-byte and multi-byte pieces, and pieces with one starting with zero
+    # (the partition's: one -> a term's interval, zero -> its first 2**(n-1) labels)
+    PIECES = [(b"\x01", b"\x00"), (b"xyz", b"q"), (b"q", b"xyz"), (b"xyzw", b"xy")] + [
+        (interval, interval[: 2 ** (n - 1)]) for n in range(2, 7) for interval in [oracles.interval_labels(n)]
+    ]
+
+    def test_fill_matches_brute_force_words(self):
+        # every length to 300 (including buffers shorter than one piece), and
+        # each side of the image lengths of the standard words s(k) and of
+        # the first periods of a rational word, to 10**5 bytes for 1/phi
+        # (whose word is oracles.ab_word, built by concatenation) and to 3000
+        # for the other slopes (one QuadraticReal floor per k)
+        for slope in self.SLOPES:
+            top = 10**5 if slope == INV_PHI else 3000
+            if slope == INV_PHI:
+                word = bytes(letter == "A" for letter in oracles.ab_word(top + 2))
+            else:
+                word = brute_word(slope, top + 2)
+            for one, zero in self.PIECES:
+                image = b"".join(one if c else zero for c in word)[: top + 2]
+                lengths = set(range(301))
+                previous, size = len(one), len(zero)  # s(-1), s(0)
+                quotients = wythoff._quotients(slope)
+                while size <= top:
+                    d = next(quotients, 1)  # past a rational's expansion: its period, again and again
+                    previous, size = size, d * size + previous
+                    lengths |= {size - 1, size, size + 1}
+                for length in sorted(n for n in lengths if n <= top + 1):
+                    buffer = bytearray(length)
+                    standard_fill(buffer, slope, one, zero)
+                    assert buffer == image[:length], (slope, one, zero, length)
+                    if length and one.startswith(zero):
+                        # as the partition calls it: one is already the buffer's
+                        # prefix, and both (non-empty) pieces are views of that prefix
+                        buffer = bytearray(length)
+                        view = memoryview(buffer)
+                        view[: len(one)] = one[:length]
+                        standard_fill(view, slope, view[: len(one)], view[: len(zero)])
+                        assert buffer == image[:length], (slope, one, zero, length)
+
+    def test_quotients_match_the_expansion(self):
+        # d1 - 1, d2, ..., and a rational's odd expansion [..., d] read as
+        # [..., d - 1, 1], against Euclid and Decimal expansions
+        slopes = [
+            QuadraticReal(p, q, d, radicand=r).frac()
+            for p, q, d, r in product(range(-7, 8, 2), range(-3, 4), (1, 2, 3, 10), (2, 3, 5, 13))
+        ]
+        for slope in slopes + self.SLOPES:
+            expected = expansion(slope, 30)
+            if slope.q == 0 and len(expected) % 2:
+                expected[-1:] = [expected[-1] - 1, 1]
+            expected[:1] = [d - 1 for d in expected[:1]]
+            # a rational's quotients end; islice asks for one more to show it
+            assert list(islice(wythoff._quotients(slope), len(expected) + (slope.q == 0))) == expected, slope
+
+    def test_huge_quotient_finishes(self):
+        # 1/10**30 = [0; 10**30] and 1 - 1/10**30 = [0; 1, 10**30 - 1]: the
+        # first word takes only as many copies as the buffer holds
+        buffer = bytearray(10**6)
+        standard_fill(buffer, QuadraticReal(1, 0, 10**30), b"\x01", b"\x00")
+        assert buffer.count(0) == 10**6
+        standard_fill(buffer, 1 - QuadraticReal(1, 0, 10**30), b"\x01", b"\x00")
+        assert buffer.count(1) == 10**6
+        assert brute_word(QuadraticReal(1, 0, 10**30), 300) == bytes(300)
+
+    def test_slope_three_minus_sqrt5_marks_every_c_half_value(self):
+        # m = floor(i*phi^2/2) for some i exactly when c(m) = 1 for slope
+        # 2/phi^2 = 3 - sqrt5, checked here against c_half for every m
         top = 10**6
         marks = bytearray(top + 1)
         i = 1
@@ -189,43 +306,17 @@ class TestFibonacciWord:
             marks[m] = 1
             i += 1
         word = bytearray(top)
-        fibonacci_fill(word, b"\x01", b"\x01\x01\x00", repeat=4)
+        standard_fill(word, 2 * INV_PHI_SQ, b"\x01", b"\x00")
         assert word == marks[1:]
-        with pytest.raises(ValueError, match="repeat must be positive, got 0"):
-            fibonacci_fill(word, b"\x01", b"\x01\x01\x00", repeat=0)
 
-
-class TestFibonacciFill:
-    # the phi partition's pieces: A -> the labels of a term's interval, B -> its first 2**(n-1)
-    PIECES = [(b"A", b"B"), (b"xyz", b"q")] + [
-        (interval, interval[: 2 ** (n - 1)]) for n in range(2, 7) for interval in [oracles.interval_labels(n)]
-    ]
-
-    def test_fill_matches_concatenated_pieces(self):
-        # every length to 300 (including buffers shorter than a and between
-        # |a| and |a| + |b|), and each side of the image lengths |T(k)| of
-        # the Fibonacci words S(k), where a fill step copies up to the end
-        top = 10**5
-        word = oracles.ab_word(top + 2)
-        for a, b in self.PIECES:
-            image = b"".join(a if letter == "A" else b for letter in word)[: top + 2]
-            lengths = set(range(301))
-            previous, size = len(b), len(a)  # |T(0)| for S(0) = "B", then |T(1)|
-            while size <= top:
-                lengths |= {size - 1, size, size + 1}
-                previous, size = size, size + previous
-            for length in sorted(lengths):
-                buffer = bytearray(length)
-                fibonacci_fill(buffer, a, b)
-                assert buffer == image[:length], (a, b, length)
-                if a.startswith(b):
-                    # as the phi partition calls it: a is already the buffer's
-                    # prefix, and both pieces are views of that prefix
-                    buffer = bytearray(length)
-                    view = memoryview(buffer)
-                    view[: len(a)] = a[:length]
-                    fibonacci_fill(view, view[: len(a)], view[: len(b)])
-                    assert buffer == image[:length], (a, b, length)
+    def test_slope_outside_the_unit_interval_raises(self):
+        word = bytearray(10)
+        for slope in (HALF_PHI_SQ, ONE, 2 * INV_PHI_SQ - 1, PHI, SQRT2):
+            with pytest.raises(ValueError, match=r"need 0 <= slope < 1 and non-empty pieces, got slope"):
+                standard_fill(word, slope, b"\x01", b"\x00")
+        for one, zero in ((b"", b"\x00"), (b"\x01", b"")):
+            with pytest.raises(ValueError, match="need 0 <= slope < 1 and non-empty pieces"):
+                standard_fill(word, INV_PHI, one, zero)
 
 
 # -- kernels against the QuadraticReal reference -------------------------------

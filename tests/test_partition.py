@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beattylab import partition
+from beattylab import partition, wythoff
 from beattylab.partition import (
     MAX_COLUMNS,
     MAX_LIMIT,
@@ -30,13 +30,12 @@ from beattylab.partition import (
     gap_set,
     identity_spec,
     limiting_prefix_check,
-    linear_form,
     phi_spec,
     verify_partition,
 )
 from beattylab.qfield import PHI, PHI_CUBED, QuadraticReal, SQRT2
 from beattylab.wythoff import lower
-from oracles import appended_columns, beatty_term, interval_labels
+from oracles import appended_columns, beatty_term, interval_labels, linear_form
 
 
 class TestGapSet:
@@ -505,7 +504,29 @@ class TestIntervalSeparation:
                 previous = current
 
 
-# -- the fill: the labels of phi_spec(n) as the image of the Fibonacci word -------
+# -- the fill: the labels of every AlphaH range as the image of a characteristic word -------
+
+# phi, identity and irrationals in Q(sqrt5), Q(sqrt2), Q(sqrt3) and Q(sqrt13),
+# then rationals: alpha - 1 is the slope of the fill
+ALPHAS = [
+    PHI,
+    QuadraticReal(1),
+    SQRT2,
+    QuadraticReal(7, -1, 4),
+    QuadraticReal(3, 1, 4),
+    QuadraticReal(0, 1, 1, radicand=3),
+    QuadraticReal(1, 1, 3, radicand=13),
+    QuadraticReal(3, 1, 3, radicand=2),
+    QuadraticReal(25, -1, 20),
+] + [QuadraticReal(p, 0, q) for p, q in [(3, 2), (5, 3), (7, 4), (11, 7), (13, 8), (101, 64), (65, 64), (127, 64)]]
+
+
+def _explicit_twin(spec: PartitionSpec, limit: int) -> PartitionSpec:
+    """The same terms as an explicit list: every term whose interval reaches [1, limit], and one more."""
+    terms = [spec.term(1)]
+    while terms[-1] - spec.half_width <= limit:
+        terms.append(spec.term(len(terms) + 1))
+    return explicit_spec(spec.n, terms)
 
 
 def _ruler_edges(size: int) -> set[int]:
@@ -513,52 +534,69 @@ def _ruler_edges(size: int) -> set[int]:
     return {2**k + d for k in range(1, size.bit_length() + 1) for d in (-2, -1, 0) if 0 < 2**k + d <= size}
 
 
-def _boundary_limits(n: int) -> set[int]:
-    """1, 2, 2**(n-1) +- 1, each side of the first terms, a long range,
-    each side of the copy edges of the ruler word that labels l(1)'s
-    interval, and each side of the fill's copy edges: value 1 + |T(k)|
-    starts the copy after the image T(k) of S(k), with |T(k+1)| = |T(k)| +
-    |T(k-1)|."""
-    spec = phi_spec(n)
-    half = 2 ** (n - 1)
-    limits = {1, 2, half - 1, half, half + 1, 40 * half, 30000}
-    limits |= _ruler_edges(2**n - 1)
+def _boundary_limits(spec: PartitionSpec, top: int) -> set[int]:
+    """1, 2, 2**(n-1) +- 1, 2**n - 1, 40 * 2**(n-1), each side of the first terms, of the
+    ruler word's copy edges in l(1)'s interval, and of the fill's copy
+    edges up to top: value 1 + |s(k)| starts the copy after the image of
+    the standard word s(k), |s(k)| = d(k)*|s(k-1)| + |s(k-2)|."""
+    half = 2 ** (spec.n - 1)
+    limits = {1, 2, half - 1, half, half + 1, 2 * half - 1, 2 * half, 40 * half, top}
+    limits |= _ruler_edges(2 * half - 1)
     for k in range(2, 6):
         t = spec.term(k)
         limits |= {t - 1, t, t + 1}
-    previous, size = half, 2**n - 1  # |T(0)| for S(0) = "B", then |T(1)|
-    while size <= 30000:
-        limits |= {1 + size + d for d in (-1, 0, 1) if 1 + size + d <= 30000}
-        previous, size = size, size + previous
-    return limits
+    previous, size = 2 * half - 1, half  # the images of s(-1) and s(0)
+    quotients = wythoff._quotients(spec.generator.alpha - 1)
+    while size <= top:
+        d = next(quotients, 1)  # past a rational's expansion: its period, again and again
+        previous, size = size, d * size + previous
+        limits |= {size, size + 1, size + 2}
+    return {limit for limit in limits if 1 <= limit <= top}
 
 
-def _assert_tiled_matches_value_sweep(n: int, limit: int) -> None:
-    labels, conflict, violation = partition._value_sweep(phi_spec(n), limit)
+def _assert_fill_matches_value_sweep(spec: PartitionSpec, limit: int) -> None:
+    labels, conflict, violation = partition._value_sweep(_explicit_twin(spec, limit), limit)
     assert conflict is None and violation is None
-    assert partition._phi_labels(n, limit) == labels, (n, limit)
+    assert partition._alpha_labels(spec.n, spec.generator.alpha, limit) == labels, (spec, limit)
 
 
 class TestTiles:
     def test_tiled_labels_match_the_value_sweep(self):
-        for n in range(2, 11):
-            for limit in sorted(_boundary_limits(n)):
-                _assert_tiled_matches_value_sweep(n, limit)
+        # each limit of _boundary_limits against one value sweep of the terms
+        # to top: the labels of a valid generator do not depend on the
+        # limit, so each shorter range is its prefix; every alpha, n = 2..10,
+        # to 30000
+        top = 30000
+        for alpha in ALPHAS:
+            for n in range(2, 11):
+                spec = alpha_spec(n, alpha)
+                reference, conflict, violation = partition._value_sweep(_explicit_twin(spec, top), top)
+                assert conflict is None and violation is None
+                for limit in sorted(_boundary_limits(spec, top)):
+                    labels = partition._alpha_labels(n, alpha, limit)
+                    assert labels == reference[: limit + 1], (alpha, n, limit)
+                for limit in (1, 2, 2 ** (n - 1) - 1, 2 ** (n - 1) + 1, 2**n - 1):
+                    _assert_fill_matches_value_sweep(spec, limit)
 
     @settings(max_examples=120)
-    @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=5000))
-    def test_random_ranges_match_the_value_sweep(self, n, limit):
-        _assert_tiled_matches_value_sweep(n, limit)
+    @given(
+        st.sampled_from(ALPHAS),
+        st.integers(min_value=2, max_value=10),
+        st.integers(min_value=1, max_value=5000),
+    )
+    def test_random_ranges_match_the_value_sweep(self, alpha, n, limit):
+        _assert_fill_matches_value_sweep(alpha_spec(n, alpha), limit)
 
     def test_tile_lengths_and_head(self):
-        # label 0 is unused, and l(1) = 2**(n-1) owns its whole interval
-        # [1, 2**n - 1] because its gap is the long one (1 is labelled A)
-        for n in range(2, 11):
-            w = 2 ** (n - 1) - 1
-            interval = interval_labels(n)
-            assert len(interval) == 2 * w + 1 and interval[w] == 1
-            labels = partition._phi_labels(n, 2 * w + 1)
-            assert labels[0] == 0 and labels[1:] == interval
+        # label 0 is unused, and l(1) = 2**(n-1) owns [1, 2**(n-1)] whatever
+        # its gap; where the next term starts earlier, the two intervals agree
+        for alpha in ALPHAS:
+            for n in range(2, 11):
+                w = 2 ** (n - 1) - 1
+                interval = interval_labels(n)
+                assert len(interval) == 2 * w + 1 and interval[w] == 1
+                labels = partition._alpha_labels(n, alpha, 2 * w + 1)
+                assert labels[0] == 0 and labels[1:] == interval
 
     def test_interval_matches_the_inverse_map(self):
         # the ruler word written in place against the column of each offset
@@ -569,24 +607,26 @@ class TestTiles:
             size = 2**n - 1 if n <= 20 else 10**5 if n in (24, 64) else 2**12
             reference = interval_labels(n, size)
             for cut in sorted(_ruler_edges(size) | set(range(1, min(size, 300) + 1)) | {size}):
-                assert partition._phi_labels(n, cut)[1:] == reference[:cut], (n, cut)
+                assert partition._alpha_labels(n, PHI, cut)[1:] == reference[:cut], (n, cut)
 
-    def test_sweep_fills_every_phi_range(self, monkeypatch):
+    def test_sweep_fills_every_alpha_range(self, monkeypatch):
         def not_reached(*args):
             raise AssertionError("the other path labels this range")
 
         with monkeypatch.context() as patch:
             patch.setattr(partition, "_value_sweep", not_reached)
-            for n in range(2, MAX_COLUMNS + 1):
-                for limit in (1, min(2**n - 2, 5000)):
-                    assert verify_partition(phi_spec(n), limit).ok, (n, limit)
-            for n in (3, 8):
-                assert verify_partition(phi_spec(n), 2 * n << n).ok
-        # every other generator is swept value by value, however short or long the range
-        monkeypatch.setattr(partition, "_phi_labels", not_reached)
+            for alpha in ALPHAS:
+                for n in range(2, MAX_COLUMNS + 1):
+                    for limit in (1, min(2**n - 2, 5000)):
+                        assert verify_partition(alpha_spec(n, alpha), limit).ok, (alpha, n, limit)
+                for n in (3, 8):
+                    assert verify_partition(alpha_spec(n, alpha), 2 * n << n).ok, (alpha, n)
+        # an explicit list is swept value by value, however short or long the range,
+        # also when it lists an AlphaH generator's own terms
+        monkeypatch.setattr(partition, "_alpha_labels", not_reached)
         for spec in (identity_spec(5), alpha_spec(4, SQRT2)):
             for limit in (1, 2 * spec.n << spec.n):
-                assert verify_partition(spec, limit).ok, (spec, limit)
+                assert verify_partition(_explicit_twin(spec, limit), limit).ok, (spec, limit)
         assert verify_partition(explicit_spec(2, [2]), 1).ok
         report = verify_partition(explicit_spec(3, [4, 11, 18, 22]), 48)
         assert not report.covered and report.first_defect == 26
@@ -594,21 +634,24 @@ class TestTiles:
     def test_flipped_tile_byte_raises(self, monkeypatch):
         # a wrong column for one offset d != 0 breaks the agreement of two
         # consecutive intervals on their overlap (d and d - 2**(n-1) pair up
-        # under the smallest gap, which phi uses), so the fill refuses it;
-        # the byte is flipped in the written interval before the fill reads it
-        real = partition.fibonacci_fill
-        for n in range(2, 7):
-            w = 2 ** (n - 1) - 1
-            for flipped in [d for d in range(-w, w + 1) if d != 0]:
+        # under the smallest gap, which phi and sqrt2 use), so the labels are
+        # refused before the fill copies them; the byte is flipped in the
+        # written interval
+        real = partition._ruler_word
+        for alpha in (PHI, SQRT2):
+            for n in range(2, 7):
+                w = 2 ** (n - 1) - 1
+                for flipped in [d for d in range(-w, w + 1) if d != 0]:
 
-                def corrupted(view, a, b, at=w + flipped, n=n):
-                    a[at] = a[at] % n + 1
-                    real(view, a, b)
+                    def corrupted(view, n, at=w + flipped):
+                        real(view, n)
+                        view[at] = view[at] % n + 1
 
-                monkeypatch.setattr(partition, "fibonacci_fill", corrupted)
-                with pytest.raises(ArithmeticError):
-                    partition._phi_labels(n, 2 * w + 1)
-                with pytest.raises(ArithmeticError):
-                    verify_partition(phi_spec(n), 2 * n << n)
-        monkeypatch.setattr(partition, "fibonacci_fill", real)
+                    monkeypatch.setattr(partition, "_ruler_word", corrupted)
+                    with pytest.raises(ArithmeticError):
+                        partition._alpha_labels(n, alpha, 2 * w + 1)
+                    with pytest.raises(ArithmeticError):
+                        verify_partition(alpha_spec(n, alpha), 2 * n << n)
+                    monkeypatch.setattr(partition, "_ruler_word", real)
         assert verify_partition(phi_spec(6), 2 * 6 << 6).ok
+        assert verify_partition(alpha_spec(6, SQRT2), 2 * 6 << 6).ok
