@@ -21,10 +21,9 @@ returns all of them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import islice
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .qfield import ONE, PHI, QuadraticReal
 from .wythoff import lower, standard_fill
@@ -51,8 +50,43 @@ def _require_columns(n: int) -> None:
         raise ValueError(f"number of columns must be in [2, {MAX_COLUMNS}], got {n}")
 
 
-@dataclass(frozen=True)
-class AlphaH:
+class _SlotRecord:
+    """Immutable __slots__ record, the base of AlphaH and PartitionSpec.
+
+    Equality, hash, repr and pickling read the fields named in _fields, in
+    order.  A slot is read faster than a NamedTuple field, which counts in
+    PartitionSpec.term and AlphaH.h, once per generator term.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class AlphaH(_SlotRecord):
     """Step sequence h(k) = floor(k*alpha) for an exact alpha in [1, 2).
 
     The gap condition holds automatically because consecutive Beatty
@@ -60,15 +94,15 @@ class AlphaH:
     step h(k) = k, whose columns are arithmetic progressions.
     """
 
-    alpha: QuadraticReal
-    # (p, r*q^2, q < 0, d) of alpha = (p + q*sqrt r)/d, read once for h
-    _coords: tuple[int, int, bool, int] = field(init=False, repr=False, compare=False)
+    # _coords is (p, r*q^2, q < 0, d) of alpha = (p + q*sqrt r)/d, read once for h
+    __slots__ = ("alpha", "_coords")
+    _fields = ("alpha",)
 
-    def __post_init__(self):
-        if not (ONE <= self.alpha and self.alpha < 2):
-            raise ValueError(f"alpha must satisfy 1 <= alpha < 2, got {self.alpha}")
-        a = self.alpha
-        object.__setattr__(self, "_coords", (a.p, a.radicand * a.q * a.q, a.q < 0, a.d))
+    def __init__(self, alpha: QuadraticReal):
+        if alpha.floor() != 1:
+            raise ValueError(f"alpha must satisfy 1 <= alpha < 2, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_coords", (alpha.p, alpha.radicand * alpha.q * alpha.q, alpha.q < 0, alpha.d))
 
     def h(self, k: int) -> int:
         """floor((p*k + floor(q*k*sqrt r))/d) with one integer square root.
@@ -90,8 +124,7 @@ class AlphaH:
         return f"alpha={self.alpha}"
 
 
-@dataclass(frozen=True)
-class ExplicitColumn:
+class ExplicitColumn(NamedTuple):
     """First column given literally as a finite list of values."""
 
     values: tuple[int, ...]
@@ -105,15 +138,15 @@ class ExplicitColumn:
 Generator = AlphaH | ExplicitColumn
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(_SlotRecord):
     """Number of columns plus the first-column generator."""
 
-    n: int
-    generator: Generator
+    __slots__ = _fields = ("n", "generator")
 
-    def __post_init__(self):
-        _require_columns(self.n)
+    def __init__(self, n: int, generator: Generator):
+        _require_columns(n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "generator", generator)
 
     @property
     def half_width(self) -> int:
@@ -183,8 +216,7 @@ def column_offsets(n: int, column: int) -> range:
     return range(-top, top + 1, 2 * w)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """One realization of an integer as (column, generator index, signs)."""
 
     column: int
@@ -394,8 +426,7 @@ def build_columns(spec: PartitionSpec, limit: int) -> list[list[int]]:
     return [list(column_values(labels, j)) for j in range(1, spec.n + 1)]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     n: int
     generator: str
     limit: int

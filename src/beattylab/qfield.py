@@ -9,7 +9,7 @@ are exact; no floating point is ever consulted for a result.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd, isqrt
 
 DEFAULT_RADICAND = 5
@@ -216,9 +216,17 @@ class QuadraticReal:
         )
 
     def __hash__(self) -> int:
-        # rationals equal ints (see __eq__), so they must hash like numbers
+        # rationals equal ints (see __eq__), so they must hash like numbers:
+        # Python's documented hash of p/d, |p| times the inverse of d modulo
+        # sys.hash_info.modulus, which is also Fraction's
         if self._q == 0:
-            return hash(Fraction(self._p, self._d))
+            modulus = sys.hash_info.modulus
+            try:
+                h = hash(abs(self._p) * pow(self._d, -1, modulus))
+            except ValueError:  # d is a multiple of the modulus
+                h = sys.hash_info.inf
+            h = h if self._p >= 0 else -h
+            return -2 if h == -1 else h
         return hash((self._p, self._q, self._d, self._r))
 
     def __lt__(self, other: int | QuadraticReal) -> bool:

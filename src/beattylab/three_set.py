@@ -21,9 +21,7 @@ buffer.  scd and row_class are the per-point paths and the scans' oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import partition
 from .qfield import (
@@ -43,6 +41,9 @@ from .wythoff import (
     strict_compare,
     upper,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # slopes and offsets of the fractional-part closed forms
 SQRT5_OVER_PHI_SQ = QuadraticReal(-5, 3, 2)  # sqrt5/phi^2 = (3*sqrt5-5)/2
@@ -90,8 +91,7 @@ def col_s(k: int) -> int:
     return col_c((k + 1) // 2) - 1
 
 
-@dataclass(frozen=True)
-class SCDTriple:
+class SCDTriple(NamedTuple):
     k: int
     s: int
     c: int
@@ -154,8 +154,7 @@ def row_class(k: int) -> RowClass:
     return RowClass(ab_label(col_s(k)), ab_label(col_c(k)), ab_label(col_d(k)))
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Counts plus first-occurrence indices over an index range [1, total]."""
 
     total: int
@@ -163,6 +162,8 @@ class Census:
     first_index: dict[str, int]
 
     def frequency(self, key: str) -> Fraction:
+        from fractions import Fraction  # off the import path: fractions loads decimal
+
         return Fraction(self.counts.get(key, 0), self.total)
 
 
@@ -299,8 +300,7 @@ PAIR_DENSITY_REFERENCE: dict[str, QuadraticReal] = {
 }
 
 
-@dataclass(frozen=True)
-class DensityEntry:
+class DensityEntry(NamedTuple):
     name: str
     count: int
     total: int
@@ -309,11 +309,12 @@ class DensityEntry:
 
     @property
     def frequency(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.count, self.total)
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     total: int
     entries: tuple[DensityEntry, ...]
 

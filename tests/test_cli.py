@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from beattylab import identities, partition, three_set
-from beattylab.cli import _parse_alpha, main
+from beattylab.cli import _parse_alpha, build_parser, main
 from beattylab.qfield import QuadraticReal
 
 EXPECTED_TABLE_GEN = """\
@@ -512,3 +512,24 @@ def test_module_entry_point_subprocess():
     second = [int(v) for c, _, v in rows if c == "2"]
     assert first == [2, 5, 7, 10]
     assert second == [1, 3, 4, 6, 8, 9]
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # a usage error between two valid calls leaves the cached parser as it
+    # was: every call writes the bytes of a fresh interpreter's call
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
+    valid = ["classify", "census", "--N", "50"]
+    invalid = ["classify", "census", "--N"]
+    fresh = {}
+    for argv in (valid, invalid):
+        proc = subprocess.run([sys.executable, "-m", "beattylab", *argv], capture_output=True, text=True)
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    assert fresh[tuple(invalid)][0] == 2
+    for argv in (valid, invalid, valid):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh[tuple(argv)]
+    assert build_parser() is build_parser()

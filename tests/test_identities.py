@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from beattylab import identities
+from beattylab.qfield import ONE, PHI
 
 
 def test_registry_contents():
@@ -82,3 +83,15 @@ def test_custom_shift_indices():
     summary = identities.summarize_identity("fib-shift", 50, opts)
     assert summary.ok
     assert summary.checks == 100
+
+
+def test_phi_power_oracle_is_the_iterated_product():
+    products = [ONE]
+    for _ in range(identities.FIB_INDEX_CAP):
+        products.append(products[-1] * PHI)
+    identities._phi_product.cache_clear()
+    # the deepest index first: every smaller product is filled on the way down
+    assert identities._phi_product(identities.FIB_INDEX_CAP) == products[-1]
+    assert [identities._phi_product(n) for n in range(identities.FIB_INDEX_CAP + 1)] == products
+    record = identities._check_phi_power(identities.FIB_INDEX_CAP, identities.CheckOptions())[0]
+    assert (record.case, record.rhs, record.passed) == ("vs-iterated-product", products[-1], True)
