@@ -211,6 +211,8 @@ def _cmd_decompose(args) -> int:
     spec = _resolve_spec(args)
     if args.m < 1:
         raise UsageError(f"--m must be positive, got {args.m}")
+    if args.m >= 10**partition.MAX_M_DIGITS:
+        raise UsageError(f"--m must have at most {partition.MAX_M_DIGITS} digits, got {len(str(args.m))}")
     try:
         dec = partition.decompose(args.m, spec)
     except ArithmeticError as exc:

@@ -38,6 +38,11 @@ MAX_COLUMNS = 64
 # either format (18 MB at 10**6; fresh interpreter, ru_maxrss, 2-vCPU Xeon).
 MAX_LIMIT = 10**7
 
+# decompose's term search grows with the digits of m: --m 10**1000 + 7
+# takes about 0.4 s at --n 3 and 10**3000 about 6.5 s (fresh interpreter,
+# 2-vCPU Xeon), so the CLI takes m below 10**MAX_M_DIGITS.
+MAX_M_DIGITS = 1000
+
 
 def gap_set(n: int) -> set[int]:
     """Allowed consecutive generator gaps {2**n - 2**(n-b) : 1 <= b <= n}."""

@@ -16,7 +16,8 @@ and the B word (standard_fill, slope 1/phi^2): bytes.translate keeps one
 column's (or one label's) values, the kept planes are combined bytewise
 through big-endian integers, and bytes.count and bytes.find read the
 result.  rows reads the rows themselves and their codes from one such
-buffer.  scd and row_class are the per-point paths and the scans' oracles.
+buffer.  col_s, col_c, col_d and row_class are the per-point paths and
+the scans' oracles.
 """
 
 from __future__ import annotations
@@ -89,20 +90,6 @@ def col_s(k: int) -> int:
     if k % 2 == 0:
         return col_c(k // 2) + 1
     return col_c((k + 1) // 2) - 1
-
-
-class SCDTriple(NamedTuple):
-    k: int
-    s: int
-    c: int
-    d: int
-
-
-def scd(k: int) -> SCDTriple:
-    """Row k of the three-column table."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return SCDTriple(k, col_s(k), col_c(k), col_d(k))
 
 
 def frac_col_d(k: int) -> QuadraticReal:

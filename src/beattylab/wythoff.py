@@ -8,17 +8,17 @@ form for floor((K*a(n) + L*n + M)*phi), and exposes the exact
 fractional-part identities and interval decompositions that relate the
 two partitions, including the Fibonacci-shift family.
 
-Every breakpoint comparison is exact; a fractional part can never equal
-a breakpoint (all are irrational combinations ruled out by the closed
-forms), so hitting one raises ArithmeticError instead of tie-breaking.
-
-The per-index kernels (klm, ab_label, unit_interval_label, cd_label and
-classify_ab) work on plain integer coordinates (p, q) of
-p + q*sqrt5 and never build a QuadraticReal; {n*phi} is
-(n - 2a(n) + n*sqrt5)/2 in those coordinates.  Range scans fill the
-labels of a whole range with standard_fill, the characteristic word of
-an exact slope (1/phi marks the A values, 1/phi^2 the B values), and the
-per-index kernels are its test oracle.
+Membership has one rule, the one the range fills use: for irrational
+alpha > 1, exactly i = floor((m+1)/alpha) of the values floor(k*alpha)
+are <= m (Fraenkel 1969), so m is the i-th of them or the (m - i)-th
+value of the complement.  classify_ab and cd_label compute i with one
+integer floor, recompute both candidates and raise ArithmeticError
+unless exactly one is m; strict_compare likewise raises when a
+fractional part equals a breakpoint, which the closed forms rule out.
+These per-index kernels and klm work on plain integers and never build a
+QuadraticReal.  Range scans fill the labels of a whole range with
+standard_fill, the characteristic word of an exact slope (1/phi marks
+the A values, 1/phi^2 the B values), and the kernels are its test oracle.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ from .qfield import (
     ONE_HALF,
     QuadraticReal,
     ZERO,
-    _sign_of,
     floor_surd,
     phi_pow,
 )
 
-# interior breakpoints of the unit interval used by the classifications:
-# 1/phi^2 = (3 - sqrt5)/2, 1/2, and (4 - sqrt5)/2
+# 1/phi^2 = (3 - sqrt5)/2, 1/2 and (4 - sqrt5)/2 cut the unit interval
+# into the quarters below
 BREAK_HIGH = QuadraticReal(4, -1, 2)
 
 # interval endpoints for the fractional parts of the phi^2/2 and phi^3 pair
@@ -70,26 +69,6 @@ class ABMembership(NamedTuple):
     witness: int
 
 
-class IntervalLabel(Enum):
-    """Quarters of (0,1) cut at 1/phi^2, 1/2 and (4-sqrt5)/2."""
-
-    I1 = "I1"
-    I2 = "I2"
-    I3 = "I3"
-    I4 = "I4"
-
-
-UNIT_INTERVALS: dict[IntervalLabel, tuple[QuadraticReal, QuadraticReal]] = {
-    IntervalLabel.I1: (ZERO, INV_PHI_SQ),
-    IntervalLabel.I2: (INV_PHI_SQ, ONE_HALF),
-    IntervalLabel.I3: (ONE_HALF, BREAK_HIGH),
-    IntervalLabel.I4: (BREAK_HIGH, ONE),
-}
-
-# the three interior breakpoints as numerators (p, q) over 2, like {m*phi}
-_BREAKS_OVER_2 = tuple((b.p, b.q) for b in (INV_PHI_SQ, ONE_HALF, BREAK_HIGH))
-
-
 def strict_compare(x: QuadraticReal, y: QuadraticReal) -> int:
     """Exact comparison that treats equality as a defect, never a tie-break."""
     c = x.compare(y)
@@ -99,22 +78,6 @@ def strict_compare(x: QuadraticReal, y: QuadraticReal) -> int:
             "and signals an arithmetic bug"
         )
     return c
-
-
-def _frac_phi_sign(m: int, a: int, breakpoint: tuple[int, int]) -> int:
-    """Exact sign of {m*phi} - (bp + bq*sqrt5)/2, given a = floor(m*phi).
-
-    A zero would put {m*phi} on a breakpoint, which the closed forms rule
-    out, so it signals an arithmetic bug.
-    """
-    bp, bq = breakpoint
-    sign = _sign_of(m - 2 * a - bp, m - bq, 5)
-    if sign == 0:
-        raise ArithmeticError(
-            "fractional part equals a breakpoint exactly; this is impossible "
-            "and signals an arithmetic bug"
-        )
-    return sign
 
 
 def _require_positive(n: int, name: str = "n") -> None:
@@ -182,31 +145,32 @@ def frac_upper(n: int) -> QuadraticReal:
     return frac_phi(n) * INV_PHI_SQ
 
 
-def _witness_search(m: int, candidate: int, term) -> int:
-    for i in (candidate, candidate - 1, candidate + 1):
-        if i >= 1 and term(i) == m:
-            return i
-    raise ArithmeticError(f"no witness index found for {m}; arithmetic bug")
+def _split(m: int, count: int, first, second) -> tuple[bool, int]:
+    """(True, count) if m = first(count), (False, m - count) if m = second(m - count).
 
-
-def ab_label(m: int) -> ABLabel:
-    """A/B label of m alone: A exactly when {m*phi} > 1/phi^2."""
-    _require_positive(m, "m")
-    return ABLabel.A if _frac_phi_sign(m, lower(m), _BREAKS_OVER_2[0]) > 0 else ABLabel.B
+    first and second enumerate a complementary Beatty pair, and exactly
+    count values of first are <= m, so exactly one holds; neither or both
+    is an arithmetic bug.
+    """
+    in_first = first(count) == m
+    if in_first == (count < m and second(m - count) == m):
+        raise ArithmeticError(f"{m} is not exactly one of {first.__name__}({count}), {second.__name__}({m - count})")
+    return in_first, count if in_first else m - count
 
 
 def classify_ab(m: int) -> ABMembership:
     """A/B membership of m with a witness index i (a(i) = m or b(i) = m).
 
-    m is a lower Wythoff value exactly when {m*phi} > 1/phi^2.  The witness
-    is recovered by inverting the floor, i = floor((m+1)/phi) resp.
-    floor((m+1)/phi^2), validated by recomputation with a +-1 fallback.
+    i = floor((m+1)/phi) of the values a(k) are <= m, so m is a(i) or b(m - i).
     """
-    if ab_label(m) is ABLabel.A:
-        i = floor_surd(-(m + 1), m + 1, 2)  # (m+1)/phi = (m+1)*(-1 + sqrt5)/2
-        return ABMembership(ABLabel.A, _witness_search(m, i, lower))
-    i = floor_surd(3 * (m + 1), -(m + 1), 2)  # (m+1)/phi^2 = (m+1)*(3 - sqrt5)/2
-    return ABMembership(ABLabel.B, _witness_search(m, i, upper))
+    _require_positive(m, "m")
+    in_a, witness = _split(m, floor_surd(-(m + 1), m + 1, 2), lower, upper)  # (m+1)/phi = (m+1)*(-1 + sqrt5)/2
+    return ABMembership(ABLabel.A if in_a else ABLabel.B, witness)
+
+
+def ab_label(m: int) -> ABLabel:
+    """A/B label of m alone."""
+    return classify_ab(m).label
 
 
 def _quotients(slope: QuadraticReal) -> Iterator[int]:
@@ -255,18 +219,10 @@ def standard_fill(
 
 
 def cd_label(m: int) -> CDLabel:
-    """C/D label of m alone: C exactly when {m*phi} falls in I1 or I3."""
+    """C/D label of m alone: m is c_half(i) or d_cubed(m - i), i = floor(2(m+1)/phi^2) (the count of C values <= m)."""
     _require_positive(m, "m")
-    return CDLabel.C if unit_interval_label(m) in (IntervalLabel.I1, IntervalLabel.I3) else CDLabel.D
-
-
-def unit_interval_label(m: int) -> IntervalLabel:
-    """Which quarter of (0,1) contains {m*phi}."""
-    a = lower(m)
-    for label, breakpoint in zip(IntervalLabel, _BREAKS_OVER_2):
-        if _frac_phi_sign(m, a, breakpoint) < 0:
-            return label
-    return IntervalLabel.I4
+    in_c, _ = _split(m, floor_surd(3 * (m + 1), -(m + 1), 1), c_half, d_cubed)  # 2(m+1)/phi^2 = (m+1)*(3 - sqrt5)
+    return CDLabel.C if in_c else CDLabel.D
 
 
 def phi_pow_ext(e: int) -> QuadraticReal:

@@ -5,12 +5,19 @@ density_entry looks up one density by name, and quadratic_from_json reads back
 QuadraticReal.to_json_dict.
 beatty_term is a QuadraticReal oracle for Beatty values; classify_cd
 recovers the witness index of a C/D label, the C/D counterpart of
-wythoff.classify_ab; gen_csv and gen_json render gen's columns through
+wythoff.classify_ab.  unit_interval_label is the quarter rule, which
+places {m*phi} among the breakpoints of UNIT_INTERVALS by exact
+QuadraticReal comparison: m is B exactly in I1 and C exactly in I1 or
+I3.  With witness_search, the +-1 search around an inverted floor, it
+builds the references the counting-floor kernels are tested against.
+gen_csv and gen_json render gen's columns through
 the csv and json encoders, the reference for gen's own emitters, and
 appended_columns builds the columns with one append per value, the
 reference for partition.column_values, and interval_labels labels one
-generator term's interval through the inverse map, the reference for the
-ruler word that partition._ruler_word writes in place.
+generator term's interval by offset_column, the column n - v2(d) of
+each offset d, the reference for the ruler word that
+partition._ruler_word writes in place and for the inverse map
+partition._sign_expansion.
 fib_shift_converse and klm_grid are the field-arithmetic converse scan
 and the full coefficient grid, the references for the integer scans in
 wythoff.fib_shift_converse and identities._check_klm_grid; ab_word builds
@@ -25,13 +32,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from enum import Enum
 from itertools import product
 from math import isqrt
 from typing import Iterator, NamedTuple
 
 from beattylab import partition, three_set, wythoff
-from beattylab.qfield import DEFAULT_RADICAND, ONE, QuadraticReal, floor_surd, phi_pow
-from beattylab.wythoff import CDLabel, c_half, cd_label, d_cubed, frac_phi, klm, lower, phi_pow_ext
+from beattylab.qfield import DEFAULT_RADICAND, INV_PHI_SQ, ONE, ONE_HALF, ZERO, QuadraticReal, floor_surd, phi_pow
+from beattylab.wythoff import BREAK_HIGH, CDLabel, cd_label, frac_phi, klm, lower, phi_pow_ext, strict_compare
 
 
 def linear_form(n: int, t: int, j: int, signs: tuple[int, ...]) -> int:
@@ -68,6 +76,37 @@ def beatty_term(alpha: QuadraticReal, k: int) -> int:
     return (alpha * k).floor()
 
 
+class IntervalLabel(Enum):
+    """Quarters of (0,1) cut at 1/phi^2, 1/2 and (4-sqrt5)/2."""
+
+    I1 = "I1"
+    I2 = "I2"
+    I3 = "I3"
+    I4 = "I4"
+
+
+UNIT_INTERVALS: dict[IntervalLabel, tuple[QuadraticReal, QuadraticReal]] = {
+    IntervalLabel.I1: (ZERO, INV_PHI_SQ),
+    IntervalLabel.I2: (INV_PHI_SQ, ONE_HALF),
+    IntervalLabel.I3: (ONE_HALF, BREAK_HIGH),
+    IntervalLabel.I4: (BREAK_HIGH, ONE),
+}
+
+
+def unit_interval_label(m: int) -> IntervalLabel:
+    """The quarter of (0,1) that holds {m*phi}; a tie with a breakpoint raises ArithmeticError."""
+    f = frac_phi(m)
+    return next(label for label, (_, hi) in UNIT_INTERVALS.items() if strict_compare(f, hi) < 0)
+
+
+def witness_search(m: int, candidate: int, term) -> int:
+    """The first of candidate, candidate - 1, candidate + 1 that term maps to m."""
+    for i in (candidate, candidate - 1, candidate + 1):
+        if i >= 1 and term(i) == m:
+            return i
+    raise ArithmeticError(f"no witness index found for {m}; arithmetic bug")
+
+
 class CDMembership(NamedTuple):
     label: CDLabel
     witness: int
@@ -76,14 +115,13 @@ class CDMembership(NamedTuple):
 def classify_cd(m: int) -> CDMembership:
     """C/D membership of m (C: floor(i*phi^2/2) values, D: floor(i*phi^3)).
 
-    The witness is recovered by inverting the floor, i = floor((m+1)*2/phi^2)
-    resp. floor((m+1)/phi^3), validated by recomputation with a +-1 fallback.
+    The label is cd_label's.  i = floor((m+1)*2/phi^2) of the C values are
+    <= m, so the witness is i for C and m - i for D.
     """
+    i = floor_surd(3 * (m + 1), -(m + 1), 1)  # (m+1)*2/phi^2 = (m+1)*(3 - sqrt5)
     if cd_label(m) is CDLabel.C:
-        i = floor_surd(3 * (m + 1), -(m + 1), 1)  # (m+1)*2/phi^2 = (m+1)*(3 - sqrt5)
-        return CDMembership(CDLabel.C, wythoff._witness_search(m, i, c_half))
-    i = floor_surd(-2 * (m + 1), m + 1, 1)  # (m+1)/phi^3 = (m+1)*(sqrt5 - 2)
-    return CDMembership(CDLabel.D, wythoff._witness_search(m, i, d_cubed))
+        return CDMembership(CDLabel.C, i)
+    return CDMembership(CDLabel.D, m - i)
 
 
 def appended_columns(spec: partition.PartitionSpec, limit: int) -> list[list[int]]:
@@ -95,10 +133,15 @@ def appended_columns(spec: partition.PartitionSpec, limit: int) -> list[list[int
     return columns
 
 
+def offset_column(n: int, d: int) -> int:
+    """Column of the value t + d around a term t: 1 at d = 0, otherwise n - v2(d)."""
+    return n - (d & -d).bit_length() + 1 if d else 1
+
+
 def interval_labels(n: int, size: int | None = None) -> bytes:
     """The first size labels (all 2**n - 1 by default) of t - w .. t + w around a term t, w = 2**(n-1) - 1."""
     w = 2 ** (n - 1) - 1
-    return bytes(partition._sign_expansion(n, d)[0] for d in range(-w, w + 1)[:size])
+    return bytes(offset_column(n, d) for d in range(-w, w + 1)[:size])
 
 
 def gen_csv(columns: list[list[int]]) -> str:

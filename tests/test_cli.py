@@ -247,6 +247,19 @@ class TestDecompose:
         code, _, _ = run_cli("decompose", "--n", "3", "--h", "phi", "--m", "0")
         assert code == 2
 
+    def test_oversize_m_exits_2_before_any_work(self, run_cli, monkeypatch):
+        # the term search costs seconds at a few thousand digits
+        monkeypatch.setattr(partition, "decompositions", _no_work)
+        cap = partition.MAX_M_DIGITS
+        for m in (10**cap, 10**cap + 7, 10 ** (cap + 200)):
+            for fmt in ((), ("--format", "json")):
+                code, out, err = run_cli("decompose", "--n", "3", "--h", "phi", "--m", str(m), *fmt)
+                assert code == 2 and out == ""
+                assert err == f"error: --m must have at most {cap} digits, got {len(str(m))}\n"
+        # the largest m below the cap reaches the term search
+        with pytest.raises(AssertionError, match="before any work"):
+            run_cli("decompose", "--n", "3", "--h", "phi", "--m", str(10**cap - 1))
+
     def test_uncovered_exits_1(self, run_cli, tmp_path):
         short = tmp_path / "short.txt"
         short.write_text("4\n11\n")
@@ -365,9 +378,12 @@ class TestClassify:
 
     @pytest.mark.parametrize("N", [1, 2, 4096, 4097, 8192, 10**4])
     def test_rows_match_the_encoders(self, run_cli, N):
-        # the rows as csv.writer and json.dump(indent=2) write them, from the per-index scd and row_class
-        triples = map(three_set.scd, range(1, N + 1))
-        expected = [(t.k, t.s, t.c, t.d, three_set.row_class(t.k).code) for t in triples]
+        # the rows as csv.writer and json.dump(indent=2) write them, from the per-index
+        # col_s, col_c, col_d and row_class
+        expected = [
+            (k, three_set.col_s(k), three_set.col_c(k), three_set.col_d(k), three_set.row_class(k).code)
+            for k in range(1, N + 1)
+        ]
         fh = io.StringIO()
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["k", "s", "c", "d", "s_class", "c_class", "d_class"])
@@ -459,7 +475,7 @@ class TestDensity:
     def test_oversize_scans_exit_2_before_any_work(self, run_cli, monkeypatch):
         monkeypatch.setattr(three_set, "standard_fill", _no_work)
         monkeypatch.setattr(partition, "column_labels", _no_work)
-        monkeypatch.setattr(three_set, "scd", _no_work)
+        monkeypatch.setattr(three_set, "col_s", _no_work)
         monkeypatch.setattr(three_set, "row_class", _no_work)
         cap = three_set.MAX_INDEX
         for n in (cap + 1, 10**19):

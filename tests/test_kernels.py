@@ -1,15 +1,19 @@
 """Differential tests of the integer kernels in wythoff.
 
 The reference implementations below evaluate the same closed forms in
-QuadraticReal field arithmetic, comparing against the QuadraticReal
-breakpoints with strict_compare.  A second, independent oracle is the
-Fibonacci word: m is a lower Wythoff value exactly when its Zeckendorf
-representation ends in an even number of zeros (OEIS A003849, A000201).
+QuadraticReal field arithmetic.  The kernels decide membership by the
+counting floor; the references decide it by the quarter rule, comparing
+{m*phi} with the QuadraticReal breakpoints (oracles.unit_interval_label),
+and find each witness by a +-1 search around the inverted floor.  A
+second, independent oracle is the Fibonacci word: m is a lower Wythoff
+value exactly when its Zeckendorf representation ends in an even number
+of zeros (OEIS A003849, A000201).
 """
 
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -26,7 +30,6 @@ from beattylab.qfield import (
     INV_PHI_CUBED,
     INV_PHI_SQ,
     ONE,
-    ONE_HALF,
     PHI,
     QuadraticReal,
     SQRT2,
@@ -34,13 +37,12 @@ from beattylab.qfield import (
     floor_surd,
 )
 from beattylab.wythoff import (
-    BREAK_HIGH,
     ABLabel,
     ABMembership,
     CDLabel,
-    IntervalLabel,
     ab_label,
     c_half,
+    cd_label,
     classify_ab,
     d_cubed,
     frac_phi,
@@ -48,11 +50,10 @@ from beattylab.wythoff import (
     lower,
     standard_fill,
     strict_compare,
-    unit_interval_label,
     upper,
 )
 import oracles
-from oracles import CDMembership, classify_cd
+from oracles import CDMembership, IntervalLabel, classify_cd, unit_interval_label, witness_search
 
 BIG = 10**30
 indices = st.integers(min_value=1, max_value=BIG)
@@ -75,31 +76,20 @@ def ref_ab_label(m: int) -> ABLabel:
     return ABLabel.A if strict_compare(frac_phi(m), INV_PHI_SQ) > 0 else ABLabel.B
 
 
-def ref_unit_interval_label(m: int) -> IntervalLabel:
-    f = frac_phi(m)
-    if strict_compare(f, INV_PHI_SQ) < 0:
-        return IntervalLabel.I1
-    if strict_compare(f, ONE_HALF) < 0:
-        return IntervalLabel.I2
-    if strict_compare(f, BREAK_HIGH) < 0:
-        return IntervalLabel.I3
-    return IntervalLabel.I4
-
-
 def ref_classify_ab(m: int) -> ABMembership:
     if ref_ab_label(m) is ABLabel.A:
         i = (INV_PHI * (m + 1)).floor()
-        return ABMembership(ABLabel.A, wythoff._witness_search(m, i, lower))
+        return ABMembership(ABLabel.A, witness_search(m, i, lower))
     i = (INV_PHI_SQ * (m + 1)).floor()
-    return ABMembership(ABLabel.B, wythoff._witness_search(m, i, upper))
+    return ABMembership(ABLabel.B, witness_search(m, i, upper))
 
 
 def ref_classify_cd(m: int) -> CDMembership:
-    if ref_unit_interval_label(m) in (IntervalLabel.I1, IntervalLabel.I3):
+    if unit_interval_label(m) in (IntervalLabel.I1, IntervalLabel.I3):
         i = ((ONE - INV_PHI_CUBED) * (m + 1)).floor()  # (m+1) * 2/phi^2
-        return CDMembership(CDLabel.C, wythoff._witness_search(m, i, c_half))
+        return CDMembership(CDLabel.C, witness_search(m, i, c_half))
     i = (INV_PHI_CUBED * (m + 1)).floor()  # (m+1) / phi^3
-    return CDMembership(CDLabel.D, wythoff._witness_search(m, i, d_cubed))
+    return CDMembership(CDLabel.D, witness_search(m, i, d_cubed))
 
 
 # -- Zeckendorf oracle ---------------------------------------------------------
@@ -350,7 +340,6 @@ class TestAgainstReference:
     def test_classifiers_exhaustive(self):
         for m in range(1, 5001):
             assert ab_label(m) is ref_ab_label(m), m
-            assert unit_interval_label(m) is ref_unit_interval_label(m), m
             assert classify_ab(m) == ref_classify_ab(m), m
             assert classify_cd(m) == ref_classify_cd(m), m
 
@@ -358,11 +347,6 @@ class TestAgainstReference:
     @given(indices)
     def test_ab_label(self, m):
         assert ab_label(m) is ref_ab_label(m)
-
-    @settings(max_examples=300, deadline=None)
-    @given(indices)
-    def test_unit_interval_label(self, m):
-        assert unit_interval_label(m) is ref_unit_interval_label(m)
 
     @settings(max_examples=300, deadline=None)
     @given(indices)
@@ -375,11 +359,47 @@ class TestAgainstReference:
         assert classify_cd(m) == ref_classify_cd(m)
 
 
+# the label of the values each enumerator lists
+OWN_LABEL = {"lower": ABLabel.A, "upper": ABLabel.B, "c_half": CDLabel.C, "d_cubed": CDLabel.D}
+FAULT_POINTS = list(range(1, 3001)) + [int(10 ** (30 * random.Random(k).random())) + 1 for k in range(300)]
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("offset", [-1, 1])
+    @pytest.mark.parametrize("name", OWN_LABEL)
+    def test_off_by_one_enumerator_raises(self, monkeypatch, name, offset):
+        # a value of the faulty enumerator's set matches neither candidate and
+        # must raise ArithmeticError; a value of the complement may match both
+        # (which raises too) but never only the wrong one.  A ValueError, which
+        # the CLI reports as a usage error, fails the test.
+        truth = {m: (classify_ab(m), cd_label(m)) for m in FAULT_POINTS}
+        real = getattr(wythoff, name)
+        monkeypatch.setattr(wythoff, name, lambda n: real(n) + offset)
+        raised = 0
+        for m in FAULT_POINTS:
+            membership, cd = truth[m]
+            if name in ("c_half", "d_cubed"):
+                cases = [(cd_label, cd)]
+            else:
+                cases = [(classify_ab, membership), (ab_label, membership.label)]
+            for fn, expected in cases:
+                try:
+                    got = fn(m)
+                except ArithmeticError:
+                    raised += 1
+                    continue
+                assert OWN_LABEL[name] not in (membership.label, cd), (fn.__name__, m)
+                assert got == expected, (fn.__name__, m)
+        assert raised
+
+
 class TestExactness:
     def test_zero_sign_is_a_defect(self):
-        # {1*phi} = (-1 + sqrt5)/2 against the breakpoint (-1 + sqrt5)/2 itself
-        with pytest.raises(ArithmeticError):
-            wythoff._frac_phi_sign(1, lower(1), (-1, 1))
+        # {1*phi} = (-1 + sqrt5)/2 against the breakpoint 1/phi = (-1 + sqrt5)/2 itself:
+        # the only breakpoint comparison left, strict_compare, and the quarter rule built on it
+        with pytest.raises(ArithmeticError, match="equals breakpoint"):
+            strict_compare(frac_phi(1), INV_PHI)
+        assert strict_compare(frac_phi(1), INV_PHI_SQ) > 0
 
     # the kernels' integer sign and floor of p + q*sqrt5, against decimals
     @pytest.mark.parametrize("p, q", [(3, 1), (-3, 1), (3, -1), (-3, -1), (2, 1), (-2, 1), (0, 1), (5, 0)])
@@ -392,6 +412,6 @@ class TestExactness:
         assert floor_surd(p, q, d) == math.floor((Decimal(p) + q * Decimal(5).sqrt()) / d)
 
     def test_nonpositive_rejected(self):
-        for fn in (ab_label, unit_interval_label, classify_ab, classify_cd):
+        for fn in (ab_label, classify_ab, cd_label, classify_cd):
             with pytest.raises(ValueError):
                 fn(0)

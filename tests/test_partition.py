@@ -35,7 +35,7 @@ from beattylab.partition import (
 )
 from beattylab.qfield import PHI, PHI_CUBED, QuadraticReal, SQRT2
 from beattylab.wythoff import lower
-from oracles import appended_columns, beatty_term, interval_labels, linear_form
+from oracles import appended_columns, beatty_term, interval_labels, linear_form, offset_column
 
 
 class TestGapSet:
@@ -600,14 +600,22 @@ class TestTiles:
 
     def test_interval_matches_the_inverse_map(self):
         # the ruler word written in place against the column of each offset
-        # through _sign_expansion, whole for n <= 20 and its first 10**5
-        # labels at n = 24 and 64 (the first 2**12 at every other n), cut at
-        # every length to 300 and at each side of every copy edge
+        # (oracles.offset_column, which the next test holds to _sign_expansion),
+        # whole for n <= 20 and its first 10**5 labels at n = 24 and 64 (the
+        # first 2**12 at every other n), cut at every length to 300 and at
+        # each side of every copy edge
         for n in range(2, MAX_COLUMNS + 1):
             size = 2**n - 1 if n <= 20 else 10**5 if n in (24, 64) else 2**12
             reference = interval_labels(n, size)
             for cut in sorted(_ruler_edges(size) | set(range(1, min(size, 300) + 1)) | {size}):
                 assert partition._alpha_labels(n, PHI, cut)[1:] == reference[:cut], (n, cut)
+
+    def test_inverse_map_columns_follow_the_offset_rule(self):
+        # the column decompose's inverse map gives each offset of a whole interval
+        for n in range(2, 15):
+            w = 2 ** (n - 1) - 1
+            for d in range(-w, w + 1):
+                assert partition._sign_expansion(n, d)[0] == offset_column(n, d), (n, d)
 
     def test_sweep_fills_every_alpha_range(self, monkeypatch):
         def not_reached(*args):

@@ -45,7 +45,6 @@ RECORDS = {
         ("n", "generator", "limit", "covered", "disjoint", "first_defect"),
         True,
     ),
-    "SCDTriple": (lambda: three_set.SCDTriple(1, 1, 2, 4), ("k", "s", "c", "d"), True),
     "Census": (
         lambda: three_set.Census(5, {"AAA": 3, "BAB": 2}, {"AAA": 2, "BAB": 1}),
         ("total", "counts", "first_index"),

@@ -30,7 +30,6 @@ from beattylab.three_set import (
     row_class,
     row_class_census,
     rows,
-    scd,
 )
 from beattylab.wythoff import (
     ABLabel,
@@ -126,8 +125,7 @@ def oracle_codes() -> tuple[PrefixTally, PrefixTally]:
 class TestRows:
     def test_first_six_rows(self):
         for k, expected in enumerate(TABLE_ROWS, start=1):
-            triple = scd(k)
-            assert (triple.s, triple.c, triple.d) == expected
+            assert (col_s(k), col_c(k), col_d(k)) == expected
 
     def test_rows_match_partition_columns(self):
         limit = col_d(200) + 3
@@ -139,12 +137,10 @@ class TestRows:
 
     def test_rows_read_from_the_columns_match_scd(self):
         limit = 20000
-        expected = [(t.k, t.s, t.c, t.d, row_class(t.k).code) for t in map(scd, range(1, limit + 1))]
+        expected = [(k, col_s(k), col_c(k), col_d(k), row_class(k).code) for k in range(1, limit + 1)]
         assert list(rows(limit)) == expected
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            scd(0)
         for limit in (0, MAX_INDEX + 1):
             with pytest.raises(ValueError, match="limit must be"):
                 rows(limit)

@@ -27,8 +27,6 @@ from beattylab.wythoff import (
     CDLabel,
     D_FRAC_ABOVE_HALF,
     D_FRAC_BELOW_HALF,
-    IntervalLabel,
-    UNIT_INTERVALS,
     ab_label,
     c_half,
     cd_label,
@@ -40,10 +38,9 @@ from beattylab.wythoff import (
     frac_upper,
     klm,
     lower,
-    unit_interval_label,
     upper,
 )
-from oracles import beatty_term, classify_cd
+from oracles import UNIT_INTERVALS, IntervalLabel, beatty_term, classify_cd, unit_interval_label
 
 N_SCAN = 2000
 
@@ -212,11 +209,13 @@ class TestClassification:
         while c_half(n) <= limit:
             in_c.add(c_half(n))
             n += 1
+        # the quarter rule (the references' oracle) and the counting-floor labels
         for m in range(1, limit + 1):
             label = unit_interval_label(m)
             assert (label is IntervalLabel.I1) == (m in in_b)
             assert (label in (IntervalLabel.I1, IntervalLabel.I3)) == (m in in_c)
             assert (ab_label(m) is ABLabel.B) == (m in in_b)
+            assert (cd_label(m) is CDLabel.C) == (m in in_c)
 
     def test_interval_table_geometry(self):
         lengths = [hi - lo for lo, hi in UNIT_INTERVALS.values()]
@@ -244,7 +243,7 @@ class TestPairClasses:
         # label-only versions of the same facts, pushed to 1e5
         for n in range(1, 10**5 + 1):
             assert ab_label(d_cubed(n)) is ABLabel.A
-            assert unit_interval_label(upper(n)) in (IntervalLabel.I1, IntervalLabel.I3)
+            assert cd_label(upper(n)) is CDLabel.C
 
     def test_pair_value_sets(self):
         for n in range(1, N_SCAN + 1):
