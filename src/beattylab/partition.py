@@ -229,30 +229,21 @@ class Decomposition(NamedTuple):
     signs: tuple[int, ...]
 
 
-def _sign_expansion(n: int, delta: int) -> tuple[int, tuple[int, ...]] | None:
-    """Column and sign prefix whose offset sum equals delta, if any.
+def _sign_expansion(n: int, delta: int) -> tuple[int, tuple[int, ...]]:
+    """Column and signs of the one signed sum equal to delta, for |delta| <= 2**(n-1) - 1.
 
-    The offset of column c is an odd multiple of 2**(n-c), so the 2-adic
-    valuation of delta pins the column and a straight greedy walk over the
-    weights recovers the signs.
+    Column c's sum eps(1)*2**(n-2) + ... + eps(c-1)*2**(n-c) is 2**(n-c)
+    times u = 2*b - (2**(c-1) - 1), where the c - 1 bits of b, from the
+    top, are 1 where eps is +1 and 0 where it is -1.  So u is odd, c is
+    n - v2(delta), and the signs are the bits of
+    (u + 2**(c-1) - 1) >> 1 with u = delta >> v2(delta).
     """
     if delta == 0:
         return 1, ()
     valuation = (delta & -delta).bit_length() - 1
-    if valuation > n - 2:
-        return None
     column = n - valuation
-    if abs(delta >> valuation) > 2 ** (column - 1) - 1:
-        return None
-    signs = []
-    rest = delta
-    for i in range(column - 1):
-        eps = 1 if rest > 0 else -1
-        signs.append(eps)
-        rest -= eps * 2 ** (n - 2 - i)
-    if rest != 0:
-        return None
-    return column, tuple(signs)
+    bits = ((delta >> valuation) + (1 << column - 1) - 1) >> 1
+    return column, tuple([bits >> i & 1 or -1 for i in range(column - 2, -1, -1)])
 
 
 def _first_index_at_least(spec: PartitionSpec, target: int) -> int:
@@ -294,9 +285,8 @@ def decompositions(m: int, spec: PartitionSpec) -> list[Decomposition]:
         if t is None or t > m + width:
             break
         if t >= m - width:
-            expansion = _sign_expansion(spec.n, m - t)
-            if expansion is not None:
-                out.append(Decomposition(expansion[0], k, expansion[1]))
+            column, signs = _sign_expansion(spec.n, m - t)
+            out.append(Decomposition(column, k, signs))
         k += 1
     if len({dec.column for dec in out}) > 1:
         raise ArithmeticError(f"{m} realized in two different columns: {out}")
@@ -367,15 +357,24 @@ def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None
     lands in column n - v2(v - t), i.e. column j collects t plus
     column_offsets(n, j).  The list is read in full, so non-monotone
     (invalid) data is measured faithfully and checked everywhere (an
-    empty one lacks l(1)).
+    empty one lacks l(1)).  Terms at least 2**(n-1) apart put no value in
+    three intervals, so their intervals, cut to [1, limit], hold at most
+    2*limit values in all; a list past that raises ValueError before
+    anything is labelled, which bounds the sweep's work by the limit.
     """
     width = spec.half_width
+    values = spec.generator.values  # type: ignore[union-attr]
+    reached = sum(max(0, min(t + width, limit) - max(t - width, 1) + 1) for t in values)
+    if reached > 2 * limit:
+        raise ValueError(
+            f"the explicit terms' intervals hold {reached} values of [1, {limit}] in all, "
+            f"more than 2*limit = {2 * limit}; terms at least {2 ** (spec.n - 1)} apart never do"
+        )
     allowed = gap_set(spec.n)
     offsets = (column_offsets(spec.n, j) for j in range(1, spec.n + 1))
     grid = [(j, offs.start, offs.stop, offs.step) for j, offs in enumerate(offsets, start=1)]
     labels = bytearray(limit + 1)
     conflict: int | None = None
-    values = spec.generator.values  # type: ignore[union-attr]
     violation = None if values else GeneratorError(1, f"no l(1) in an empty list, expected {2 ** (spec.n - 1)}")
     prev = None
     for k, t in enumerate(values, start=1):

@@ -16,13 +16,13 @@ and the B word (standard_fill, slope 1/phi^2): bytes.translate keeps one
 column's (or one label's) values, the kept planes are combined bytewise
 through big-endian integers, and bytes.count and bytes.find read the
 result.  rows reads the rows themselves and their codes from one such
-buffer.  col_s, col_c, col_d and row_class are the per-point paths and
-the scans' oracles.
+buffer.  col_s, col_c and col_d are the per-point rows; the tests build
+each row's class from them as the scans' oracle.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import partition
 from .qfield import (
@@ -34,7 +34,6 @@ from .qfield import (
 )
 from .wythoff import (
     ABLabel,
-    ab_label,
     c_half,
     frac_phi,
     lower,
@@ -42,9 +41,6 @@ from .wythoff import (
     strict_compare,
     upper,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # slopes and offsets of the fractional-part closed forms
 SQRT5_OVER_PHI_SQ = QuadraticReal(-5, 3, 2)  # sqrt5/phi^2 = (3*sqrt5-5)/2
@@ -124,34 +120,12 @@ def frac_col_s(k: int) -> tuple[QuadraticReal, QuadraticReal]:
     return offset, value
 
 
-class RowClass(NamedTuple):
-    s: ABLabel
-    c: ABLabel
-    d: ABLabel
-
-    @property
-    def code(self) -> str:
-        return self.s.value + self.c.value + self.d.value
-
-
-def row_class(k: int) -> RowClass:
-    """A/B memberships of (s(k), c(k), d(k))."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return RowClass(ab_label(col_s(k)), ab_label(col_c(k)), ab_label(col_d(k)))
-
-
 class Census(NamedTuple):
     """Counts plus first-occurrence indices over an index range [1, total]."""
 
     total: int
     counts: dict[str, int]
     first_index: dict[str, int]
-
-    def frequency(self, key: str) -> Fraction:
-        from fractions import Fraction  # off the import path: fractions loads decimal
-
-        return Fraction(self.counts.get(key, 0), self.total)
 
 
 def _require_index_limit(limit: int) -> None:
@@ -246,7 +220,7 @@ def _select(tags: bytearray, limit: int, shift: int, planes: tuple[tuple[bytes, 
 
 
 def rows(limit: int) -> Iterator[tuple[int, int, int, int, str]]:
-    """(k, s(k), c(k), d(k), row_class(k).code) for k in [1, limit], read from one tag buffer.
+    """(k, s(k), c(k), d(k), class code of row k) for k in [1, limit], read from one tag buffer.
 
     The k-th smallest values of columns S, C and D (partition columns 3,
     2 and 1) are s(k), c(k) and d(k), read from the tags' column bits.  A
@@ -294,12 +268,6 @@ class DensityEntry(NamedTuple):
     expected: QuadraticReal | None
     status: str  # "proved-density" | "reported-density" | "empirical-open"
 
-    @property
-    def frequency(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.count, self.total)
-
 
 class DensityReport(NamedTuple):
     total: int
@@ -338,7 +306,7 @@ def density_report(limit: int) -> DensityReport:
     tags = _tagged_values(col_d(limit))
     rows = _tally(_select(tags, limit, 1, _ROW_PLANES), _ROW_CLASSES)
     pairs = _tally(_select(tags, limit, 2, _PAIR_PLANES), _PAIR_CLASSES)
-    # a row-class code starts with the letter of s(k), ab_label(col_s(k))
+    # a row-class code starts with the A/B letter of s(k)
     s_in_a = sum(count for code, count in rows.counts.items() if code[0] == ABLabel.A.value)
     entries = [
         DensityEntry("c-half-in-A", c_in_a, limit, QuadraticReal(1, 0, 2), "proved-density"),

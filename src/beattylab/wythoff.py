@@ -11,14 +11,15 @@ two partitions, including the Fibonacci-shift family.
 Membership has one rule, the one the range fills use: for irrational
 alpha > 1, exactly i = floor((m+1)/alpha) of the values floor(k*alpha)
 are <= m (Fraenkel 1969), so m is the i-th of them or the (m - i)-th
-value of the complement.  classify_ab and cd_label compute i with one
-integer floor, recompute both candidates and raise ArithmeticError
-unless exactly one is m; strict_compare likewise raises when a
-fractional part equals a breakpoint, which the closed forms rule out.
-These per-index kernels and klm work on plain integers and never build a
-QuadraticReal.  Range scans fill the labels of a whole range with
-standard_fill, the characteristic word of an exact slope (1/phi marks
-the A values, 1/phi^2 the B values), and the kernels are its test oracle.
+value of the complement.  classify_ab computes i with one integer floor,
+and _split recomputes both candidates and raises ArithmeticError unless
+exactly one is m; strict_compare likewise raises when a fractional part
+equals a breakpoint, which the closed forms rule out.  classify_ab and
+klm work on plain integers and never build a QuadraticReal.  Range scans
+fill the labels of a whole range with standard_fill, the characteristic
+word of an exact slope (1/phi marks the A values, 1/phi^2 the B values).
+The per-point A/B and C/D labels the scans are tested against are test
+oracles, built on classify_ab and _split.
 """
 
 from __future__ import annotations
@@ -55,13 +56,6 @@ class ABLabel(Enum):
 
     A = "A"
     B = "B"
-
-
-class CDLabel(Enum):
-    """Membership among the floor(n*phi^2/2) (C) / floor(n*phi^3) (D) values."""
-
-    C = "C"
-    D = "D"
 
 
 class ABMembership(NamedTuple):
@@ -168,11 +162,6 @@ def classify_ab(m: int) -> ABMembership:
     return ABMembership(ABLabel.A if in_a else ABLabel.B, witness)
 
 
-def ab_label(m: int) -> ABLabel:
-    """A/B label of m alone."""
-    return classify_ab(m).label
-
-
 def _quotients(slope: QuadraticReal) -> Iterator[int]:
     """d1 - 1, d2, d3, ... of slope = [0; d1, d2, ...]; a rational's odd [..., d] is read as [..., d - 1, 1]."""
     x, k = slope, 0
@@ -216,13 +205,6 @@ def standard_fill(
             end = top
             if end == size:
                 return
-
-
-def cd_label(m: int) -> CDLabel:
-    """C/D label of m alone: m is c_half(i) or d_cubed(m - i), i = floor(2(m+1)/phi^2) (the count of C values <= m)."""
-    _require_positive(m, "m")
-    in_c, _ = _split(m, floor_surd(3 * (m + 1), -(m + 1), 1), c_half, d_cubed)  # 2(m+1)/phi^2 = (m+1)*(3 - sqrt5)
-    return CDLabel.C if in_c else CDLabel.D
 
 
 def phi_pow_ext(e: int) -> QuadraticReal:

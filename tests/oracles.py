@@ -3,9 +3,12 @@
 linear_form evaluates one signed sum of the partition construction,
 density_entry looks up one density by name, and quadratic_from_json reads back
 QuadraticReal.to_json_dict.
-beatty_term is a QuadraticReal oracle for Beatty values; classify_cd
-recovers the witness index of a C/D label, the C/D counterpart of
-wythoff.classify_ab.  unit_interval_label is the quarter rule, which
+beatty_term is a QuadraticReal oracle for Beatty values.  ab_label is
+the A/B label of wythoff.classify_ab alone; classify_cd and cd_label
+decide C/D membership by the same counting floor, the C/D counterpart of
+classify_ab, through wythoff._split, and row_class labels one row of the
+three-column partition with three ab_label calls: the per-point
+references for the range scans.  unit_interval_label is the quarter rule, which
 places {m*phi} among the breakpoints of UNIT_INTERVALS by exact
 QuadraticReal comparison: m is B exactly in I1 and C exactly in I1 or
 I3.  With witness_search, the +-1 search around an inverted floor, it
@@ -39,7 +42,7 @@ from typing import Iterator, NamedTuple
 
 from beattylab import partition, three_set, wythoff
 from beattylab.qfield import DEFAULT_RADICAND, INV_PHI_SQ, ONE, ONE_HALF, ZERO, QuadraticReal, floor_surd, phi_pow
-from beattylab.wythoff import BREAK_HIGH, CDLabel, cd_label, frac_phi, klm, lower, phi_pow_ext, strict_compare
+from beattylab.wythoff import BREAK_HIGH, ABLabel, frac_phi, klm, lower, phi_pow_ext, strict_compare
 
 
 def linear_form(n: int, t: int, j: int, signs: tuple[int, ...]) -> int:
@@ -107,21 +110,56 @@ def witness_search(m: int, candidate: int, term) -> int:
     raise ArithmeticError(f"no witness index found for {m}; arithmetic bug")
 
 
+def ab_label(m: int) -> ABLabel:
+    """A/B label of m alone."""
+    return wythoff.classify_ab(m).label
+
+
+class CDLabel(Enum):
+    """Membership among the floor(n*phi^2/2) (C) / floor(n*phi^3) (D) values."""
+
+    C = "C"
+    D = "D"
+
+
 class CDMembership(NamedTuple):
     label: CDLabel
     witness: int
 
 
 def classify_cd(m: int) -> CDMembership:
-    """C/D membership of m (C: floor(i*phi^2/2) values, D: floor(i*phi^3)).
+    """C/D membership of m (C: floor(i*phi^2/2) values, D: floor(i*phi^3)) with a witness index.
 
-    The label is cd_label's.  i = floor((m+1)*2/phi^2) of the C values are
-    <= m, so the witness is i for C and m - i for D.
+    i = floor((m+1)*2/phi^2) of the C values are <= m, so m is c_half(i)
+    or d_cubed(m - i).  The enumerators are read from wythoff at each
+    call, so a test can patch them.
     """
+    wythoff._require_positive(m, "m")
     i = floor_surd(3 * (m + 1), -(m + 1), 1)  # (m+1)*2/phi^2 = (m+1)*(3 - sqrt5)
-    if cd_label(m) is CDLabel.C:
-        return CDMembership(CDLabel.C, i)
-    return CDMembership(CDLabel.D, m - i)
+    in_c, witness = wythoff._split(m, i, wythoff.c_half, wythoff.d_cubed)
+    return CDMembership(CDLabel.C if in_c else CDLabel.D, witness)
+
+
+def cd_label(m: int) -> CDLabel:
+    """C/D label of m alone."""
+    return classify_cd(m).label
+
+
+class RowClass(NamedTuple):
+    s: ABLabel
+    c: ABLabel
+    d: ABLabel
+
+    @property
+    def code(self) -> str:
+        return self.s.value + self.c.value + self.d.value
+
+
+def row_class(k: int) -> RowClass:
+    """A/B memberships of (s(k), c(k), d(k))."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return RowClass(ab_label(three_set.col_s(k)), ab_label(three_set.col_c(k)), ab_label(three_set.col_d(k)))
 
 
 def appended_columns(spec: partition.PartitionSpec, limit: int) -> list[list[int]]:

@@ -14,6 +14,7 @@ import pytest
 from beattylab import identities, partition, three_set
 from beattylab.cli import _parse_alpha, build_parser, main
 from beattylab.qfield import QuadraticReal
+import oracles
 
 EXPECTED_TABLE_GEN = """\
 column,k,value
@@ -176,6 +177,30 @@ class TestVerify:
         code, out, _ = run_cli(*argv)
         assert code == 1
         assert json.loads(out)["first_defect"] == "1"
+
+    @pytest.mark.parametrize("n, copies", [(4, 20), (6, 3)])
+    def test_crowded_explicit_list_exits_2_before_any_labels(self, run_cli, tmp_path, monkeypatch, n, copies):
+        # copies of l(1) = 2**(n-1) at limit 2**n - 1 put every value of the
+        # range in every term's interval: copies * limit values against a bound
+        # of 2 * limit, reached by no list whose gaps are at least 2**(n-1)
+        limit = 2**n - 1
+        crowded = tmp_path / "crowded.txt"
+        crowded.write_text(f"{2 ** (n - 1)}\n" * copies)
+        with monkeypatch.context() as patch:
+            patch.setattr(partition, "column_offsets", _no_work)
+            for command in ("gen", "verify"):
+                code, out, err = run_cli(command, "--n", str(n), "--explicit", str(crowded), "--limit", str(limit))
+                assert code == 2 and out == ""
+                assert err == (
+                    f"error: the explicit terms' intervals hold {copies * limit} values of [1, {limit}] in all, "
+                    f"more than 2*limit = {2 * limit}; terms at least {2 ** (n - 1)} apart never do\n"
+                )
+        # two copies reach the bound exactly and are measured as given
+        crowded.write_text(f"{2 ** (n - 1)}\n" * 2)
+        code, _, err = run_cli("gen", "--n", str(n), "--explicit", str(crowded), "--limit", str(limit))
+        assert code == 2 and "violation" in err
+        code, out, _ = run_cli("verify", "--n", str(n), "--explicit", str(crowded), "--limit", str(limit))
+        assert code == 0 and "True,True" in out
 
     def test_eight_columns_at_scale(self, run_cli):
         code, out, _ = run_cli("verify", "--n", "8", "--h", "identity", "--limit", "10000")
@@ -379,9 +404,9 @@ class TestClassify:
     @pytest.mark.parametrize("N", [1, 2, 4096, 4097, 8192, 10**4])
     def test_rows_match_the_encoders(self, run_cli, N):
         # the rows as csv.writer and json.dump(indent=2) write them, from the per-index
-        # col_s, col_c, col_d and row_class
+        # col_s, col_c, col_d and oracles.row_class
         expected = [
-            (k, three_set.col_s(k), three_set.col_c(k), three_set.col_d(k), three_set.row_class(k).code)
+            (k, three_set.col_s(k), three_set.col_c(k), three_set.col_d(k), oracles.row_class(k).code)
             for k in range(1, N + 1)
         ]
         fh = io.StringIO()
@@ -476,7 +501,6 @@ class TestDensity:
         monkeypatch.setattr(three_set, "standard_fill", _no_work)
         monkeypatch.setattr(partition, "column_labels", _no_work)
         monkeypatch.setattr(three_set, "col_s", _no_work)
-        monkeypatch.setattr(three_set, "row_class", _no_work)
         cap = three_set.MAX_INDEX
         for n in (cap + 1, 10**19):
             cases = [

@@ -39,10 +39,7 @@ from beattylab.qfield import (
 from beattylab.wythoff import (
     ABLabel,
     ABMembership,
-    CDLabel,
-    ab_label,
     c_half,
-    cd_label,
     classify_ab,
     d_cubed,
     frac_phi,
@@ -53,7 +50,16 @@ from beattylab.wythoff import (
     upper,
 )
 import oracles
-from oracles import CDMembership, IntervalLabel, classify_cd, unit_interval_label, witness_search
+from oracles import (
+    CDLabel,
+    CDMembership,
+    IntervalLabel,
+    ab_label,
+    cd_label,
+    classify_cd,
+    unit_interval_label,
+    witness_search,
+)
 
 BIG = 10**30
 indices = st.integers(min_value=1, max_value=BIG)

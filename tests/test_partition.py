@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 from math import isqrt
 
@@ -289,6 +290,20 @@ class TestDecompose:
                     canonical = decompose(value, spec)
                     assert canonical == reps[0]
                     assert canonical.column == j + 1
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_large_m_rebuilds_through_the_linear_form(self, n):
+        # m past 2**63 and up to 301 digits: the term search and the signs stay
+        # in Python integers, every realization rebuilds m, and all share one column
+        rng = random.Random(n)
+        ms = [2**63 - 1, 2**63, 2**64 + 1, 10**30 + 7, 10**300 + 7]
+        ms += [int(10 ** (30 * rng.random())) for _ in range(200)]  # log-uniform up to 10**30
+        spec = phi_spec(n)
+        for m in ms:
+            found = decompositions(m, spec)
+            assert found and len({dec.column for dec in found}) == 1, m
+            for dec in found:
+                assert linear_form(n, spec.term(dec.index), dec.column - 1, dec.signs) == m, (m, dec)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -611,11 +626,14 @@ class TestTiles:
                 assert partition._alpha_labels(n, PHI, cut)[1:] == reference[:cut], (n, cut)
 
     def test_inverse_map_columns_follow_the_offset_rule(self):
-        # the column decompose's inverse map gives each offset of a whole interval
+        # the column and signs decompose's inverse map gives each offset of a
+        # whole interval: column n - v2(d), and signs whose signed sum is d
         for n in range(2, 15):
             w = 2 ** (n - 1) - 1
             for d in range(-w, w + 1):
-                assert partition._sign_expansion(n, d)[0] == offset_column(n, d), (n, d)
+                column, signs = partition._sign_expansion(n, d)
+                assert column == offset_column(n, d), (n, d)
+                assert linear_form(n, 0, column - 1, signs) == d, (n, d)
 
     def test_sweep_fills_every_alpha_range(self, monkeypatch):
         def not_reached(*args):

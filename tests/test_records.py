@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import beattylab
-from beattylab import identities, partition, three_set
+from beattylab import cli, identities, partition, three_set
 from beattylab.qfield import ONE, PHI, PHI_CUBED, SQRT2, QuadraticReal
 
 
@@ -116,9 +116,14 @@ def test_alpha_h_coordinates_stay_out_of_the_value():
 
 
 def test_frequencies_are_exact_rationals():
+    # the records hold integer counts only; the CLI writes count/total from
+    # them, as {num, den} in JSON and rounded down to 12 places in CSV
     census = RECORDS["Census"][0]()
-    assert (census.frequency("AAA"), census.frequency("BAA")) == (Fraction(3, 5), 0)
-    assert _density_entry().frequency == Fraction(3, 5)
+    entry = _density_entry()
+    for count, total in ((census.counts["AAA"], census.total), (entry.count, entry.total), (0, 5), (1, 3), (2, 3)):
+        written = Fraction(cli._frequency_string(count, total))
+        assert 0 <= Fraction(count, total) - written < Fraction(1, 10**12), (count, total)
+    assert cli._frequency_string(3, 5) == "0.600000000000" and cli._frequency_string(5, 5) == "1.000000000000"
 
 
 def test_named_tuple_records_equal_plain_tuples():

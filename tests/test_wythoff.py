@@ -24,12 +24,9 @@ from beattylab.wythoff import (
     ABLabel,
     C_FRAC_EVEN,
     C_FRAC_ODD,
-    CDLabel,
     D_FRAC_ABOVE_HALF,
     D_FRAC_BELOW_HALF,
-    ab_label,
     c_half,
-    cd_label,
     classify_ab,
     d_cubed,
     fib_shift_converse,
@@ -40,7 +37,16 @@ from beattylab.wythoff import (
     lower,
     upper,
 )
-from oracles import UNIT_INTERVALS, IntervalLabel, beatty_term, classify_cd, unit_interval_label
+from oracles import (
+    UNIT_INTERVALS,
+    CDLabel,
+    IntervalLabel,
+    ab_label,
+    beatty_term,
+    cd_label,
+    classify_cd,
+    unit_interval_label,
+)
 
 N_SCAN = 2000
 
