@@ -16,7 +16,7 @@ from typing import Callable, Iterator, NamedTuple
 from .qfield import (
     INV_PHI,
     INV_PHI_CUBED,
-    INV_SQRT5,
+    INV_PHI_SQ,
     LAMBDA_SPLIT,
     ONE,
     ONE_HALF,
@@ -42,7 +42,6 @@ from .wythoff import (
     frac_upper,
     klm,
     lower,
-    phi_pow_ext,
     strict_compare,
     upper,
 )
@@ -251,11 +250,12 @@ def _check_klm_grid(n, opts):
 
 
 def _check_fib_shift(n, opts):
-    fn = frac_phi(n)
+    shifted = frac_phi(n) * INV_PHI_SQ  # phi^(r-2)*{n*phi} = phi^r*shifted
     out = []
     for r in opts.rs:
         m = lower(n) + n + fib(r)
-        lhs = phi_pow(r) * frac_phi(m) - phi_pow_ext(r - 2) * fn
+        pr = phi_pow(r)
+        lhs = pr * frac_phi(m) - pr * shifted
         out.append(_record("fib-shift", n, f"r={r},m={m}", lhs, ONE))
     return out
 
@@ -290,10 +290,9 @@ def _check_col_s_frac(n, opts):
 
 
 def _check_col_sum(n, opts):
-    lhs = frac_col_c(n)[1] + PHI * frac_col_d(n)
-    if strict_compare(frac_phi(n), INV_SQRT5) > 0:
-        return [_record("col-sum", n, "above-inv-sqrt5", lhs, ONE)]
-    return [_record("col-sum", n, "below-inv-sqrt5", lhs, QuadraticReal(2))]
+    case, c_frac = frac_col_c(n)
+    rhs = ONE if case == "above-inv-sqrt5" else QuadraticReal(2)
+    return [_record("col-sum", n, case, c_frac + PHI * frac_col_d(n), rhs)]
 
 
 # the one dataclass left in the package: perfbench/tracer.py swaps each

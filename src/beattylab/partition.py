@@ -4,13 +4,15 @@ A generator sequence l with l(1) = 2**(n-1) and consecutive gaps drawn
 from {2**(n-1), 2**(n-1) + 2**(n-2), ..., 2**n - 1} spawns n columns:
 column 1 is l itself and column j collects l(k) shifted by every signed
 sum eps*2**(n-2) + ... + eps*2**(n-j); together the columns cover every
-positive integer and no integer lands in two different columns.  This
-module materializes the columns, inverts the construction (decompose),
-and verifies cover/disjointness by brute force.  Columns and verification
-share one labelling of [1, limit] with one column byte per value: an
-alpha generator's labels are the image of the characteristic word of
-slope alpha - 1 under two prefixes of the ruler word, and an explicit
-list is swept value by value.
+positive integer and no integer lands in two different columns.  A
+PartitionSpec is n plus the generator itself: an exact alpha in [1, 2),
+with l(k) = (2**(n-1) - 1)*floor(k*alpha) + k, or a tuple of literal
+terms.  This module materializes the columns, inverts the construction
+(decompose), and verifies cover/disjointness by brute force.  Columns and
+verification share one labelling of [1, limit] with one column byte per
+value: an alpha generator's labels are the image of the characteristic
+word of slope alpha - 1 under two prefixes of the ruler word, and a
+tuple of terms is swept value by value.
 
 An integer inside the overlap of two consecutive generator intervals has
 two valid (index, signs) representations; they always agree on the
@@ -34,7 +36,7 @@ MAX_COLUMNS = 64
 
 # The sweep allocates one byte per value of [1, limit], and gen reads its
 # columns from those labels a chunk at a time.  At this cap verify peaks at
-# about 26 MB for any AlphaH generator and gen --n 3 --h phi at 27 MB in
+# about 26 MB for any alpha generator and gen --n 3 --h phi at 27 MB in
 # either format (18 MB at 10**6; fresh interpreter, ru_maxrss, 2-vCPU Xeon).
 MAX_LIMIT = 10**7
 
@@ -55,19 +57,32 @@ def _require_columns(n: int) -> None:
         raise ValueError(f"number of columns must be in [2, {MAX_COLUMNS}], got {n}")
 
 
-class _SlotRecord:
-    """Immutable __slots__ record, the base of AlphaH and PartitionSpec.
+class PartitionSpec:
+    """Number of columns n plus the first-column generator, an exact alpha or a tuple of terms.
 
-    Equality, hash, repr and pickling read the fields named in _fields, in
-    order.  A slot is read faster than a NamedTuple field, which counts in
-    PartitionSpec.term and AlphaH.h, once per generator term.
+    An alpha with 1 <= alpha < 2 gives l(k) = (2**(n-1) - 1)*floor(k*alpha) + k,
+    whose gaps are 2**(n-1) or 2**n - 1 because consecutive Beatty values
+    differ by 1 or 2; alpha = 1 is the identity step, whose columns are
+    arithmetic progressions.  Any other iterable is stored as a tuple of
+    literal terms.  Equality, hash, repr and pickling read (n, generator);
+    _coords caches (2**(n-1) - 1, p, r*q^2, q < 0, d) of
+    alpha = (p + q*sqrt r)/d for term, which reads one slot per call.
     """
 
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
+    __slots__ = ("n", "generator", "_coords")
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    def __init__(self, n: int, generator: QuadraticReal | Iterable[int]):
+        _require_columns(n)
+        if isinstance(generator, QuadraticReal):
+            if generator.floor() != 1:
+                raise ValueError(f"alpha must satisfy 1 <= alpha < 2, got {generator}")
+            g = generator
+            coords = (2 ** (n - 1) - 1, g.p, g.radicand * g.q * g.q, g.q < 0, g.d)
+        else:
+            generator, coords = tuple(generator), None
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "_coords", coords)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -76,82 +91,18 @@ class _SlotRecord:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
+        if other.__class__ is not PartitionSpec:
             return NotImplemented
-        return self._values() == other._values()
+        return self.n == other.n and self.generator == other.generator
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash((self.n, self.generator))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
+        return f"PartitionSpec(n={self.n!r}, generator={self.generator!r})"
 
     def __reduce__(self):
-        return type(self), self._values()
-
-
-class AlphaH(_SlotRecord):
-    """Step sequence h(k) = floor(k*alpha) for an exact alpha in [1, 2).
-
-    The gap condition holds automatically because consecutive Beatty
-    differences for such alpha are 1 or 2.  alpha = 1 is the identity
-    step h(k) = k, whose columns are arithmetic progressions.
-    """
-
-    # _coords is (p, r*q^2, q < 0, d) of alpha = (p + q*sqrt r)/d, read once for h
-    __slots__ = ("alpha", "_coords")
-    _fields = ("alpha",)
-
-    def __init__(self, alpha: QuadraticReal):
-        if alpha.floor() != 1:
-            raise ValueError(f"alpha must satisfy 1 <= alpha < 2, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "_coords", (alpha.p, alpha.radicand * alpha.q * alpha.q, alpha.q < 0, alpha.d))
-
-    def h(self, k: int) -> int:
-        """floor((p*k + floor(q*k*sqrt r))/d) with one integer square root.
-
-        floor(q*k*sqrt r) is isqrt(r*q^2*k^2), or -isqrt(r*q^2*k^2) - 1 for
-        q < 0 (the root is irrational), and floor(x/d) = floor(floor(x)/d).
-        """
-        p, rq2, negative, d = self._coords
-        m = isqrt(rq2 * k * k)
-        if negative:
-            m = -m - 1
-        return (p * k + m) // d
-
-    def describe(self) -> str:
-        if self.alpha == PHI:
-            return "h=phi"
-        if self.alpha == ONE:
-            return "h=identity"
-        return f"alpha={self.alpha}"
-
-
-class ExplicitColumn(NamedTuple):
-    """First column given literally as a finite list of values."""
-
-    values: tuple[int, ...]
-
-    def describe(self) -> str:
-        head = ",".join(str(v) for v in self.values[:6])
-        tail = ",..." if len(self.values) > 6 else ""
-        return f"explicit[{head}{tail}]"
-
-
-Generator = AlphaH | ExplicitColumn
-
-
-class PartitionSpec(_SlotRecord):
-    """Number of columns plus the first-column generator."""
-
-    __slots__ = _fields = ("n", "generator")
-
-    def __init__(self, n: int, generator: Generator):
-        _require_columns(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generator", generator)
+        return PartitionSpec, (self.n, self.generator)
 
     @property
     def half_width(self) -> int:
@@ -159,32 +110,49 @@ class PartitionSpec(_SlotRecord):
         return 2 ** (self.n - 1) - 1
 
     def term(self, k: int) -> int | None:
-        """Generator value l(k); None when an explicit list is exhausted."""
+        """Generator value l(k); None when a tuple of terms is exhausted.
+
+        For alpha, floor(k*alpha) = floor((p*k + floor(q*k*sqrt r))/d) with
+        one integer square root: floor(q*k*sqrt r) is isqrt(r*q^2*k^2), or
+        -isqrt(r*q^2*k^2) - 1 for q < 0 (the root is irrational).
+        """
         if k < 1:
             raise ValueError(f"index must be positive, got {k}")
-        g = self.generator
-        if isinstance(g, ExplicitColumn):
-            return g.values[k - 1] if k <= len(g.values) else None
-        return (2 ** (self.n - 1) - 1) * g.h(k) + k
+        if self._coords is None:
+            terms = self.generator
+            return terms[k - 1] if k <= len(terms) else None
+        width, p, rq2, negative, d = self._coords
+        m = isqrt(rq2 * k * k)
+        if negative:
+            m = -m - 1
+        return width * ((p * k + m) // d) + k
 
     def describe(self) -> str:
-        return self.generator.describe()
+        g = self.generator
+        if isinstance(g, tuple):
+            tail = ",..." if len(g) > 6 else ""
+            return f"explicit[{','.join(map(str, g[:6]))}{tail}]"
+        if g == PHI:
+            return "h=phi"
+        if g == ONE:
+            return "h=identity"
+        return f"alpha={g}"
 
 
 def identity_spec(n: int) -> PartitionSpec:
-    return PartitionSpec(n, AlphaH(ONE))
+    return PartitionSpec(n, ONE)
 
 
 def phi_spec(n: int) -> PartitionSpec:
-    return PartitionSpec(n, AlphaH(PHI))
+    return PartitionSpec(n, PHI)
 
 
 def alpha_spec(n: int, alpha: QuadraticReal) -> PartitionSpec:
-    return PartitionSpec(n, AlphaH(alpha))
+    return PartitionSpec(n, alpha)
 
 
 def explicit_spec(n: int, values: Iterable[int]) -> PartitionSpec:
-    return PartitionSpec(n, ExplicitColumn(tuple(values)))
+    return PartitionSpec(n, tuple(values))
 
 
 class GeneratorError(ValueError):
@@ -247,21 +215,14 @@ def _sign_expansion(n: int, delta: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _first_index_at_least(spec: PartitionSpec, target: int) -> int:
-    """Smallest k with l(k) >= target, assuming l non-decreasing."""
+    """Smallest k with l(k) >= target for an alpha generator, whose terms increase."""
     hi = 1
-    while True:
-        t = spec.term(hi)
-        if t is None:
-            hi = len(spec.generator.values)  # type: ignore[union-attr]
-            break
-        if t >= target:
-            break
+    while spec.term(hi) < target:
         hi *= 2
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        t = spec.term(mid)
-        if t is None or t >= target:
+        if spec.term(mid) >= target:
             hi = mid
         else:
             lo = mid + 1
@@ -271,23 +232,26 @@ def _first_index_at_least(spec: PartitionSpec, target: int) -> int:
 def decompositions(m: int, spec: PartitionSpec) -> list[Decomposition]:
     """Every (column, index, signs) realizing m, ascending by index.
 
-    At most two generator intervals contain m and when both do the two
-    realizations share one column; a mismatch would contradict
-    disjointness and raises.
+    A tuple of terms is read in full, in list order, so an unsorted or
+    otherwise invalid list is measured as given.  At most two intervals
+    of a valid generator contain m and when both do the two realizations
+    share one column; a mismatch would contradict disjointness and raises.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     width = spec.half_width
-    out: list[Decomposition] = []
-    k = _first_index_at_least(spec, m - width)
-    while True:
-        t = spec.term(k)
-        if t is None or t > m + width:
-            break
-        if t >= m - width:
-            column, signs = _sign_expansion(spec.n, m - t)
-            out.append(Decomposition(column, k, signs))
-        k += 1
+    if isinstance(spec.generator, tuple):
+        near = [(k, t) for k, t in enumerate(spec.generator, start=1) if abs(m - t) <= width]
+    else:
+        near = []
+        k = _first_index_at_least(spec, m - width)
+        while (t := spec.term(k)) <= m + width:
+            near.append((k, t))
+            k += 1
+    out = []
+    for k, t in near:
+        column, signs = _sign_expansion(spec.n, m - t)
+        out.append(Decomposition(column, k, signs))
     if len({dec.column for dec in out}) > 1:
         raise ArithmeticError(f"{m} realized in two different columns: {out}")
     return out
@@ -310,7 +274,7 @@ def _ruler_word(view: memoryview, n: int) -> None:
 
 
 def _alpha_labels(n: int, alpha: QuadraticReal, limit: int) -> bytearray:
-    """Labels of [0, limit] for PartitionSpec(n, AlphaH(alpha)): 0, then a characteristic word's image.
+    """Labels of [0, limit] for PartitionSpec(n, alpha): 0, then a characteristic word's image.
 
     Term t with gap g to the next term owns [t - w, t - w + g), the first
     g labels of its own interval (g <= 2w + 1; the values it shares with
@@ -337,21 +301,21 @@ def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, Gene
     Returns labels (labels[v] is the column of v, 0 where no term reaches
     it; labels[0] is unused), the smallest value reached in two different
     columns, and the first start/gap violation among the terms read.  An
-    AlphaH generator is filled (_alpha_labels) and has neither: 1 <= alpha
-    < 2 gives l(1) = 2**(n-1) and gaps in {2**(n-1), 2**n - 1}.  An explicit
-    list is measured as given by _value_sweep, also the fill's test oracle.
+    alpha generator is filled (_alpha_labels) and has neither: 1 <= alpha
+    < 2 gives l(1) = 2**(n-1) and gaps in {2**(n-1), 2**n - 1}.  A tuple of
+    terms is measured as given by _value_sweep, also the fill's test oracle.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit must be at most {MAX_LIMIT}, got {limit}")
-    if isinstance(spec.generator, AlphaH):
-        return _alpha_labels(spec.n, spec.generator.alpha, limit), None, None
+    if isinstance(spec.generator, QuadraticReal):
+        return _alpha_labels(spec.n, spec.generator, limit), None, None
     return _value_sweep(spec, limit)
 
 
 def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, GeneratorError | None]:
-    """_sweep an explicit generator one term at a time, one value at a time.
+    """_sweep a tuple of terms one term at a time, one value at a time.
 
     Term t fills [t - w, t + w] with w = 2**(n-1) - 1, and a value v there
     lands in column n - v2(v - t), i.e. column j collects t plus
@@ -363,7 +327,7 @@ def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None
     anything is labelled, which bounds the sweep's work by the limit.
     """
     width = spec.half_width
-    values = spec.generator.values  # type: ignore[union-attr]
+    values = spec.generator
     reached = sum(max(0, min(t + width, limit) - max(t - width, 1) + 1) for t in values)
     if reached > 2 * limit:
         raise ValueError(

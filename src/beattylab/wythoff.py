@@ -207,13 +207,6 @@ def standard_fill(
                 return
 
 
-def phi_pow_ext(e: int) -> QuadraticReal:
-    """phi**e for e >= 1, plus the one negative exponent -1 (exactly phi - 1)."""
-    if e == -1:
-        return INV_PHI
-    return phi_pow(e)
-
-
 def fib_shift_converse(r: int, n: int, search_bound: int) -> set[int]:
     """All m <= search_bound with phi^r*{m*phi} - phi^(r-2)*{n*phi} = 1.
 
@@ -230,7 +223,7 @@ def fib_shift_converse(r: int, n: int, search_bound: int) -> set[int]:
     _require_positive(search_bound, "search_bound")
     pr = phi_pow(r)
     u, v = 2 * pr.p // pr.d, 2 * pr.q // pr.d
-    target = ONE + phi_pow_ext(r - 2) * frac_phi(n)
+    target = ONE + pr * INV_PHI_SQ * frac_phi(n)  # phi^(r-2) = phi^r/phi^2
     tp, tq, td = target.p, target.q, target.d
     found = set()
     for m in range(1, search_bound + 1):

@@ -41,8 +41,8 @@ from math import isqrt
 from typing import Iterator, NamedTuple
 
 from beattylab import partition, three_set, wythoff
-from beattylab.qfield import DEFAULT_RADICAND, INV_PHI_SQ, ONE, ONE_HALF, ZERO, QuadraticReal, floor_surd, phi_pow
-from beattylab.wythoff import BREAK_HIGH, ABLabel, frac_phi, klm, lower, phi_pow_ext, strict_compare
+from beattylab.qfield import DEFAULT_RADICAND, INV_PHI_SQ, ONE, ONE_HALF, PHI, ZERO, QuadraticReal, floor_surd, phi_pow
+from beattylab.wythoff import BREAK_HIGH, ABLabel, frac_phi, klm, lower, strict_compare
 
 
 def linear_form(n: int, t: int, j: int, signs: tuple[int, ...]) -> int:
@@ -208,7 +208,7 @@ def gen_json(spec: partition.PartitionSpec, limit: int, columns: list[list[int]]
 def fib_shift_converse(r: int, n: int, search_bound: int) -> set[int]:
     """All m <= search_bound with phi^r*{m*phi} = 1 + phi^(r-2)*{n*phi}, one QuadraticReal product per m."""
     pr = phi_pow(r)
-    target = ONE + phi_pow_ext(r - 2) * frac_phi(n)
+    target = ONE + PHI ** (r - 2) * frac_phi(n)
     return {m for m in range(1, search_bound + 1) if pr * frac_phi(m) == target}
 
 

@@ -14,9 +14,7 @@ from beattylab import partition, wythoff
 from beattylab.partition import (
     MAX_COLUMNS,
     MAX_LIMIT,
-    AlphaH,
     Decomposition,
-    ExplicitColumn,
     GeneratorError,
     PartitionSpec,
     alpha_spec,
@@ -86,17 +84,18 @@ class TestSpecs:
         p = d - floor_q_root + data.draw(st.integers(0, d - 1))
         alpha = QuadraticReal(p, q, d, r)
         k = data.draw(st.integers(1, 10**40))
-        assert AlphaH(alpha).h(k) == (alpha * k).floor()
+        n = data.draw(st.sampled_from((2, 3, 8, 64)))
+        assert PartitionSpec(n, alpha).term(k) == (2 ** (n - 1) - 1) * beatty_term(alpha, k) + k
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
-            AlphaH(PHI_CUBED)
+            PartitionSpec(3, PHI_CUBED)
         with pytest.raises(ValueError):
-            AlphaH(QuadraticReal(1, 0, 2))
+            PartitionSpec(3, QuadraticReal(1, 0, 2))
 
     def test_too_few_columns(self):
         with pytest.raises(ValueError):
-            PartitionSpec(1, AlphaH(PHI))
+            PartitionSpec(1, PHI)
 
 
 def _violation(spec: PartitionSpec, limit: int):
@@ -235,8 +234,8 @@ class TestBuildColumns:
             explicit_spec(4, [8, 16, 28, 43, 51, 66]),
         ]
         for spec in specs:
-            if isinstance(spec.generator, ExplicitColumn):
-                limit = spec.generator.values[-1] + spec.half_width
+            if isinstance(spec.generator, tuple):
+                limit = spec.generator[-1] + spec.half_width
             else:
                 limit = 1200
             columns = [set(column) for column in build_columns(spec, limit)]
@@ -312,6 +311,32 @@ class TestDecompose:
     def test_uncovered_value_raises(self):
         with pytest.raises(ArithmeticError):
             decompose(1000, explicit_spec(3, [4, 11]))
+
+    def test_unsorted_list_is_read_in_full(self):
+        # 11 is term 3 of 4, 30, 11: a search that assumes increasing terms misses it
+        spec = explicit_spec(3, [4, 30, 11])
+        assert decompose(11, spec) == Decomposition(1, 3, ())
+        assert decompose(10, spec) == Decomposition(3, 3, (-1, 1))
+        assert decompose(12, spec) == Decomposition(3, 3, (1, -1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((2, 3, 4)), st.lists(st.integers(1, 80), max_size=8))
+    def test_explicit_lists_match_a_brute_force(self, n, terms):
+        # valid or not: every term in list order, every column, every sign prefix
+        spec = explicit_spec(n, terms)
+        for m in range(1, 101):
+            expected = [
+                Decomposition(j + 1, k, signs)
+                for k, t in enumerate(terms, start=1)
+                for j in range(n)
+                for signs in product((1, -1), repeat=j)
+                if linear_form(n, t, j, signs) == m
+            ]
+            if len({dec.column for dec in expected}) > 1:
+                with pytest.raises(ArithmeticError):
+                    decompositions(m, spec)
+            else:
+                assert decompositions(m, spec) == expected, (terms, m)
 
 
 class TestVerify:
@@ -424,15 +449,14 @@ class TestRandomGenerators:
     @settings(max_examples=120)
     @given(random_valid_generators())
     def test_any_valid_generator_partitions(self, spec):
-        last = spec.generator.values[-1]
-        limit = last + spec.half_width
+        limit = spec.generator[-1] + spec.half_width
         report = verify_partition(spec, limit)
         assert report.covered and report.disjoint, report
 
     @settings(max_examples=120)
     @given(random_valid_generators(), st.data())
     def test_decompositions_reconstruct_and_agree(self, spec, data):
-        limit = spec.generator.values[-1] + spec.half_width
+        limit = spec.generator[-1] + spec.half_width
         m = data.draw(st.integers(min_value=1, max_value=limit))
         reps = decompositions(m, spec)
         assert 1 <= len(reps) <= 2
@@ -444,7 +468,7 @@ class TestRandomGenerators:
     @settings(max_examples=60)
     @given(random_valid_generators())
     def test_columns_agree_with_decompose(self, spec):
-        limit = spec.generator.values[-1] + spec.half_width
+        limit = spec.generator[-1] + spec.half_width
         for j, column in enumerate(build_columns(spec, limit), start=1):
             for m in column:
                 assert decompose(m, spec).column == j
@@ -452,7 +476,7 @@ class TestRandomGenerators:
     @settings(max_examples=60)
     @given(random_valid_generators())
     def test_validate_accepts_what_it_generated(self, spec):
-        values = list(spec.generator.values)
+        values = list(spec.generator)
         assert build_columns(spec, values[-1])[0] == values
 
 
@@ -519,7 +543,7 @@ class TestIntervalSeparation:
                 previous = current
 
 
-# -- the fill: the labels of every AlphaH range as the image of a characteristic word -------
+# -- the fill: the labels of every alpha range as the image of a characteristic word -------
 
 # phi, identity and irrationals in Q(sqrt5), Q(sqrt2), Q(sqrt3) and Q(sqrt13),
 # then rationals: alpha - 1 is the slope of the fill
@@ -561,7 +585,7 @@ def _boundary_limits(spec: PartitionSpec, top: int) -> set[int]:
         t = spec.term(k)
         limits |= {t - 1, t, t + 1}
     previous, size = 2 * half - 1, half  # the images of s(-1) and s(0)
-    quotients = wythoff._quotients(spec.generator.alpha - 1)
+    quotients = wythoff._quotients(spec.generator - 1)
     while size <= top:
         d = next(quotients, 1)  # past a rational's expansion: its period, again and again
         previous, size = size, d * size + previous
@@ -572,7 +596,7 @@ def _boundary_limits(spec: PartitionSpec, top: int) -> set[int]:
 def _assert_fill_matches_value_sweep(spec: PartitionSpec, limit: int) -> None:
     labels, conflict, violation = partition._value_sweep(_explicit_twin(spec, limit), limit)
     assert conflict is None and violation is None
-    assert partition._alpha_labels(spec.n, spec.generator.alpha, limit) == labels, (spec, limit)
+    assert partition._alpha_labels(spec.n, spec.generator, limit) == labels, (spec, limit)
 
 
 class TestTiles:
@@ -648,7 +672,7 @@ class TestTiles:
                 for n in (3, 8):
                     assert verify_partition(alpha_spec(n, alpha), 2 * n << n).ok, (alpha, n)
         # an explicit list is swept value by value, however short or long the range,
-        # also when it lists an AlphaH generator's own terms
+        # also when it lists an alpha generator's own terms
         monkeypatch.setattr(partition, "_alpha_labels", not_reached)
         for spec in (identity_spec(5), alpha_spec(4, SQRT2)):
             for limit in (1, 2 * spec.n << spec.n):

@@ -1,10 +1,11 @@
 """Data-model contracts of the record classes, and what importing the CLI loads.
 
-The records are NamedTuples, or __slots__ classes for AlphaH and
-PartitionSpec, instead of frozen dataclasses, which generate their
-methods with exec when the module is imported.  Each one must still
-behave like a frozen value: equal fields give equal values and hashes,
-attributes cannot be assigned, and copy, pickle and repr keep working.
+The records are NamedTuples, or a __slots__ class for PartitionSpec,
+whose generator is an exact alpha or a tuple of terms, instead of frozen
+dataclasses, which generate their methods with exec when the module is
+imported.  Each one must still behave like a frozen value: equal fields
+give equal values and hashes, attributes cannot be assigned, and copy,
+pickle and repr keep working.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from beattylab import cli, identities, partition, three_set
 from beattylab.qfield import ONE, PHI, PHI_CUBED, SQRT2, QuadraticReal
 
 
-def _alpha_h() -> partition.AlphaH:
-    return partition.AlphaH(QuadraticReal(1, 1, 2))  # an equal, separately built PHI
+def _phi_spec() -> partition.PartitionSpec:
+    return partition.PartitionSpec(3, QuadraticReal(1, 1, 2))  # an equal, separately built PHI
 
 
 def _density_entry() -> three_set.DensityEntry:
@@ -34,11 +35,11 @@ def _density_entry() -> three_set.DensityEntry:
 
 
 # (factory, field names in repr order, hashable); each factory builds a new
-# instance with equal fields every time it is called
+# instance with equal fields every time it is called.  A key is the class
+# name, with "-case" added where one class has two entries.
 RECORDS = {
-    "AlphaH": (_alpha_h, ("alpha",), True),
-    "ExplicitColumn": (lambda: partition.ExplicitColumn((4, 11, 15)), ("values",), True),
-    "PartitionSpec": (lambda: partition.PartitionSpec(3, _alpha_h()), ("n", "generator"), True),
+    "PartitionSpec": (_phi_spec, ("n", "generator"), True),
+    "PartitionSpec-explicit": (lambda: partition.PartitionSpec(3, [4, 11, 15]), ("n", "generator"), True),
     "Decomposition": (lambda: partition.Decomposition(2, 5, (1, -1)), ("column", "index", "signs"), True),
     "VerifyReport": (
         lambda: partition.VerifyReport(3, "h=phi", 20, True, True, None),
@@ -103,16 +104,23 @@ class TestRecordContracts:
         factory, fields, _ = RECORDS[name]
         record = factory()
         inner = ", ".join(f"{field}={getattr(record, field)!r}" for field in fields)
-        assert repr(record) == f"{name}({inner})"
+        assert repr(record) == f"{name.split('-')[0]}({inner})"
+
+
+def test_partition_spec_generator_is_the_alpha_or_a_tuple():
+    assert _phi_spec().generator == PHI
+    assert partition.explicit_spec(3, iter([4, 11])).generator == (4, 11)
+    assert partition.PartitionSpec(3, [4, 11]) == partition.PartitionSpec(3, (4, 11))
 
 
 def test_alpha_h_coordinates_stay_out_of_the_value():
-    a = _alpha_h()
+    # the cached coordinates of the step h(k) = floor(k*alpha)
+    a = _phi_spec()
     b = copy.copy(a)
     object.__setattr__(b, "_coords", None)
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == f"AlphaH(alpha={PHI!r})"
-    assert a != partition.AlphaH(SQRT2)
-    assert a != partition.ExplicitColumn((PHI,)) and a != (PHI,)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == f"PartitionSpec(n=3, generator={PHI!r})"
+    assert a != partition.PartitionSpec(3, SQRT2) and a != partition.PartitionSpec(4, PHI)
+    assert a != partition.PartitionSpec(3, (PHI,)) and a != (3, PHI)
 
 
 def test_frequencies_are_exact_rationals():
@@ -128,15 +136,14 @@ def test_frequencies_are_exact_rationals():
 
 def test_named_tuple_records_equal_plain_tuples():
     # unlike the frozen dataclasses they replace
-    assert partition.ExplicitColumn((4, 11)) == ((4, 11),)
     assert partition.Decomposition(2, 5, (1, -1)) == (2, 5, (1, -1))
-    assert partition.PartitionSpec(3, partition.AlphaH(PHI)) != (3, partition.AlphaH(PHI))
+    assert partition.PartitionSpec(3, PHI) != (3, PHI)
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1, partition.MAX_COLUMNS + 1])
 def test_partition_spec_rejects_column_counts(n):
     with pytest.raises(ValueError, match="number of columns"):
-        partition.PartitionSpec(n, partition.AlphaH(PHI))
+        partition.PartitionSpec(n, PHI)
 
 
 @pytest.mark.parametrize(
@@ -146,12 +153,12 @@ def test_partition_spec_rejects_column_counts(n):
 )
 def test_alpha_h_rejects_alpha_outside_one_two(alpha):
     with pytest.raises(ValueError, match="1 <= alpha < 2"):
-        partition.AlphaH(alpha)
+        partition.PartitionSpec(3, alpha)
 
 
 @pytest.mark.parametrize("alpha", [ONE, PHI, SQRT2, QuadraticReal(199, 0, 100), QuadraticReal(-1, 1, 1)], ids=str)
 def test_alpha_h_accepts_alpha_in_one_two(alpha):
-    assert partition.AlphaH(alpha).alpha == alpha
+    assert partition.PartitionSpec(3, alpha).generator == alpha
 
 
 @pytest.mark.parametrize(
