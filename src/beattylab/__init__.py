@@ -12,10 +12,8 @@ from .qfield import (
 )
 from .partition import (
     PartitionSpec,
-    alpha_spec,
     build_columns,
     decompose,
-    explicit_spec,
     gap_set,
     identity_spec,
     phi_spec,
@@ -33,11 +31,9 @@ __all__ = [
     "QuadraticReal",
     "SQRT2",
     "SQRT5",
-    "alpha_spec",
     "build_columns",
     "classify_ab",
     "decompose",
-    "explicit_spec",
     "fib",
     "gap_set",
     "identity_spec",

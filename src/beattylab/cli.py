@@ -81,8 +81,8 @@ def _resolve_spec(args) -> partition.PartitionSpec:
     if args.h == "phi":
         return partition.phi_spec(args.n)
     if args.alpha:
-        return partition.alpha_spec(args.n, _parse_alpha(args.alpha))
-    return partition.explicit_spec(args.n, _read_explicit(args.explicit))
+        return partition.PartitionSpec(args.n, _parse_alpha(args.alpha))
+    return partition.PartitionSpec(args.n, _read_explicit(args.explicit))
 
 
 def _read_explicit(path: str) -> list[int]:
@@ -299,7 +299,7 @@ def _cmd_classify(args) -> int:
         return EXIT_OK
     if args.what == "census":
         census = three_set.row_class_census(args.N)
-        keys = sorted(ADMISSIBLE_ROW_CLASSES) + sorted(census.counts.keys() - ADMISSIBLE_ROW_CLASSES)
+        keys = three_set.row_class_keys(census.counts)
         admissible = set(census.counts) <= ADMISSIBLE_ROW_CLASSES
     else:  # ab-over-scd
         census = three_set.ab_over_scd_census(args.N)

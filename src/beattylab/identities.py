@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
+from .partition import d2_closed_form
 from .qfield import (
     INV_PHI,
     INV_PHI_CUBED,
@@ -28,7 +29,7 @@ from .qfield import (
     fib,
     phi_pow,
 )
-from .three_set import col_c, col_d, frac_col_c, frac_col_d, frac_col_s
+from .three_set import THREE_SET_SPEC, frac_col_c, frac_col_d, frac_col_s
 from .wythoff import (
     C_FRAC_EVEN,
     C_FRAC_ODD,
@@ -272,12 +273,12 @@ def _check_fib_shift_converse(n, opts):
 
 
 def _check_col_d_frac(n, opts):
-    return [_record("col-d-frac", n, "", frac_col_d(n), frac_phi(col_d(n)))]
+    return [_record("col-d-frac", n, "", frac_col_d(n), frac_phi(THREE_SET_SPEC.term(n)))]
 
 
 def _check_col_c_frac(n, opts):
     case, closed = frac_col_c(n)
-    return [_record("col-c-frac", n, case, closed, frac_phi(col_c(n)))]
+    return [_record("col-c-frac", n, case, closed, frac_phi(d2_closed_form(3, n)))]
 
 
 def _check_col_s_frac(n, opts):

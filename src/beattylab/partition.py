@@ -147,28 +147,12 @@ def phi_spec(n: int) -> PartitionSpec:
     return PartitionSpec(n, PHI)
 
 
-def alpha_spec(n: int, alpha: QuadraticReal) -> PartitionSpec:
-    return PartitionSpec(n, alpha)
-
-
-def explicit_spec(n: int, values: Iterable[int]) -> PartitionSpec:
-    return PartitionSpec(n, tuple(values))
-
-
 class GeneratorError(ValueError):
     """A generator violated its start or gap constraints, first at term violation_index."""
 
     def __init__(self, violation_index: int, message: str):
         super().__init__(message)
         self.violation_index = violation_index
-
-
-def _term_violation(spec: PartitionSpec, k: int, t: int, prev: int | None, allowed: set[int]) -> str | None:
-    if k == 1 and t != 2 ** (spec.n - 1):
-        return f"l(1) = {t}, expected {2 ** (spec.n - 1)}"
-    if prev is not None and t - prev not in allowed:
-        return f"gap l({k}) - l({k - 1}) = {t - prev} not in {sorted(allowed)}"
-    return None
 
 
 def column_offsets(n: int, column: int) -> range:
@@ -295,36 +279,36 @@ def _alpha_labels(n: int, alpha: QuadraticReal, limit: int) -> bytearray:
     return labels
 
 
-def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, GeneratorError | None]:
+def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None]:
     """Label every value in [1, limit] with its column.
 
     Returns labels (labels[v] is the column of v, 0 where no term reaches
-    it; labels[0] is unused), the smallest value reached in two different
-    columns, and the first start/gap violation among the terms read.  An
-    alpha generator is filled (_alpha_labels) and has neither: 1 <= alpha
-    < 2 gives l(1) = 2**(n-1) and gaps in {2**(n-1), 2**n - 1}.  A tuple of
-    terms is measured as given by _value_sweep, also the fill's test oracle.
+    it; labels[0] is unused) and the smallest value reached in two
+    different columns.  An alpha generator is filled (_alpha_labels) and
+    has none: 1 <= alpha < 2 gives l(1) = 2**(n-1) and gaps in
+    {2**(n-1), 2**n - 1}.  A tuple of terms is measured as given by
+    _value_sweep, also the fill's test oracle.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit must be at most {MAX_LIMIT}, got {limit}")
     if isinstance(spec.generator, QuadraticReal):
-        return _alpha_labels(spec.n, spec.generator, limit), None, None
+        return _alpha_labels(spec.n, spec.generator, limit), None
     return _value_sweep(spec, limit)
 
 
-def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None, GeneratorError | None]:
+def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None]:
     """_sweep a tuple of terms one term at a time, one value at a time.
 
     Term t fills [t - w, t + w] with w = 2**(n-1) - 1, and a value v there
     lands in column n - v2(v - t), i.e. column j collects t plus
     column_offsets(n, j).  The list is read in full, so non-monotone
-    (invalid) data is measured faithfully and checked everywhere (an
-    empty one lacks l(1)).  Terms at least 2**(n-1) apart put no value in
-    three intervals, so their intervals, cut to [1, limit], hold at most
-    2*limit values in all; a list past that raises ValueError before
-    anything is labelled, which bounds the sweep's work by the limit.
+    (invalid) data is measured faithfully.  Terms at least 2**(n-1) apart
+    put no value in three intervals, so their intervals, cut to
+    [1, limit], hold at most 2*limit values in all; a list past that
+    raises ValueError before anything is labelled, which bounds the
+    sweep's work by the limit.
     """
     width = spec.half_width
     values = spec.generator
@@ -334,18 +318,11 @@ def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None
             f"the explicit terms' intervals hold {reached} values of [1, {limit}] in all, "
             f"more than 2*limit = {2 * limit}; terms at least {2 ** (spec.n - 1)} apart never do"
         )
-    allowed = gap_set(spec.n)
     offsets = (column_offsets(spec.n, j) for j in range(1, spec.n + 1))
     grid = [(j, offs.start, offs.stop, offs.step) for j, offs in enumerate(offsets, start=1)]
     labels = bytearray(limit + 1)
     conflict: int | None = None
-    violation = None if values else GeneratorError(1, f"no l(1) in an empty list, expected {2 ** (spec.n - 1)}")
-    prev = None
-    for k, t in enumerate(values, start=1):
-        if violation is None:
-            message = _term_violation(spec, k, t, prev, allowed)
-            if message is not None:
-                violation = GeneratorError(k, message)
+    for t in values:
         inside = 1 <= t - width and t + width <= limit
         for j, lo, hi, step in grid:
             first, stop = t + lo, t + hi
@@ -359,20 +336,31 @@ def _value_sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None
                     labels[v] = j
                 elif seen != j and (conflict is None or v < conflict):
                     conflict = v
-        prev = t
-    return labels, conflict, violation
+    return labels, conflict
+
+
+def _check_terms(n: int, terms: tuple[int, ...]) -> None:
+    """Raise GeneratorError at the first term breaking l(1) = 2**(n-1) or the gap rule; all are read."""
+    start = 2 ** (n - 1)
+    if not terms:
+        raise GeneratorError(1, f"no l(1) in an empty list, expected {start}")
+    if terms[0] != start:
+        raise GeneratorError(1, f"l(1) = {terms[0]}, expected {start}")
+    allowed = gap_set(n)
+    for k, (prev, t) in enumerate(zip(terms, islice(terms, 1, None)), start=2):
+        if t - prev not in allowed:
+            raise GeneratorError(k, f"gap l({k}) - l({k - 1}) = {t - prev} not in {sorted(allowed)}")
 
 
 def column_labels(spec: PartitionSpec, limit: int) -> bytearray:
     """Column of every value in [1, limit]: labels[v] is in 1..n, labels[0] is 0.
 
-    Raises GeneratorError when any term read violates the start or gap
-    constraints; an explicit generator is checked in full, also past the
-    limit.
+    Raises GeneratorError when a tuple of terms violates the start or gap
+    constraints (_check_terms), after the sweep's own input checks.
     """
-    labels, _, violation = _sweep(spec, limit)
-    if violation is not None:
-        raise violation
+    labels, _ = _sweep(spec, limit)
+    if isinstance(spec.generator, tuple):
+        _check_terms(spec.n, spec.generator)
     return labels
 
 
@@ -425,7 +413,7 @@ def verify_partition(spec: PartitionSpec, limit: int) -> VerifyReport:
     defects here, and duplicate realizations inside a single column are
     legitimate.
     """
-    labels, conflict, _ = _sweep(spec, limit)
+    labels, conflict = _sweep(spec, limit)
     found = labels.find(0, 1)
     uncovered = None if found < 0 else found
     defects = [v for v in (uncovered, conflict) if v is not None]

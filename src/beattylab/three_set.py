@@ -16,8 +16,9 @@ and the B word (standard_fill, slope 1/phi^2): bytes.translate keeps one
 column's (or one label's) values, the kept planes are combined bytewise
 through big-endian integers, and bytes.count and bytes.find read the
 result.  rows reads the rows themselves and their codes from one such
-buffer.  col_s, col_c and col_d are the per-point rows; the tests build
-each row's class from them as the scans' oracle.
+buffer.  d(k) is THREE_SET_SPEC.term(k), c(k) is
+partition.d2_closed_form(3, k), and the tests keep the paper's per-point
+formulas as the scans' oracle.
 """
 
 from __future__ import annotations
@@ -71,21 +72,11 @@ THREE_SET_SPEC = partition.phi_spec(3)
 MAX_INDEX = 10**6
 
 
-def col_d(k: int) -> int:
-    """k-th element of column D: 3*a(k) + k."""
-    return 3 * lower(k) + k
-
-
-def col_c(k: int) -> int:
-    """k-th element of column C: a(k) + 2k - 1."""
-    return lower(k) + 2 * k - 1
-
-
 def col_s(k: int) -> int:
     """k-th element of column S: c(k/2)+1 for even k, c((k+1)/2)-1 for odd."""
     if k % 2 == 0:
-        return col_c(k // 2) + 1
-    return col_c((k + 1) // 2) - 1
+        return partition.d2_closed_form(3, k // 2) + 1
+    return partition.d2_closed_form(3, (k + 1) // 2) - 1
 
 
 def frac_col_d(k: int) -> QuadraticReal:
@@ -139,12 +130,12 @@ def _require_index_limit(limit: int) -> None:
 _BLOCK = 1 << 14
 
 
-def _shift_in(out: bytearray, shift: int, plane: bytes | bytearray) -> None:
+def _shift_in(out: bytearray | memoryview, shift: int, plane: bytes | bytearray) -> None:
     """Set out[i] to out[i] << shift | plane[i] for every i < len(out), in place.
 
     Each block of out and of plane is read as one big-endian integer, so
-    bytes stay in place as long as no byte reaches 256; the callers keep
-    every byte below 16.  The plane may be longer than out.
+    bytes stay in place as long as out[i] < 2**(8 - shift) for every i.
+    The plane may be longer than out.
     """
     size = len(out)
     if len(plane) < size:
@@ -178,17 +169,22 @@ _PAIR_CLASSES = {4 * i + j: x + y for i, x in enumerate("DCS") for j, y in enume
 _TAG_COLUMNS = bytes(tag >> 1 for tag in range(256))  # bytes.translate table: tag -> partition column
 
 
+def _shift_word(out: bytearray | memoryview, slope: QuadraticReal) -> None:
+    """Shift the standard_fill word of slope into out: out[i] = 2*out[i] + c(i + 1), in place."""
+    word = bytearray(len(out))
+    standard_fill(word, slope, b"\x01", b"\x00")
+    _shift_in(out, 1, word)
+
+
 def _tagged_values(top: int) -> bytearray:
     """tags[v] = 2*column(v) + [v is B] for v in [1, top], in phi_spec(3); tags[0] is 0.
 
     The B word (slope 1/phi^2) is shifted into the column labels in
-    place.  Callers check their index limit first: both buffers take
-    top bytes.
+    place.  Callers check their index limit first: the labels and the
+    word take top bytes each.
     """
     tags = partition.column_labels(THREE_SET_SPEC, top)
-    is_b = bytearray(top + 1)
-    standard_fill(memoryview(is_b)[1:], INV_PHI_SQ, b"\x01", b"\x00")
-    _shift_in(tags, 1, is_b)
+    _shift_word(memoryview(tags)[1:], INV_PHI_SQ)
     return tags
 
 
@@ -228,7 +224,7 @@ def rows(limit: int) -> Iterator[tuple[int, int, int, int, str]]:
     built.
     """
     _require_index_limit(limit)
-    tags = _tagged_values(col_d(limit))
+    tags = _tagged_values(THREE_SET_SPEC.term(limit))
     codes = map(_ROW_CLASSES.__getitem__, _select(tags, limit, 1, _ROW_PLANES))
     labels = tags.translate(_TAG_COLUMNS)
     return zip(range(1, limit + 1), *(partition.column_values(labels, j) for j in (3, 2, 1)), codes)
@@ -241,7 +237,12 @@ def row_class_census(limit: int) -> Census:
     classification; callers should treat such keys as defects.
     """
     _require_index_limit(limit)
-    return _tally(_select(_tagged_values(col_d(limit)), limit, 1, _ROW_PLANES), _ROW_CLASSES)
+    return _tally(_select(_tagged_values(THREE_SET_SPEC.term(limit)), limit, 1, _ROW_PLANES), _ROW_CLASSES)
+
+
+def row_class_keys(counts: dict[str, int]) -> list[str]:
+    """Row classes in report order: the admissible ones sorted, then any others in counts, sorted."""
+    return sorted(ADMISSIBLE_ROW_CLASSES) + sorted(counts.keys() - ADMISSIBLE_ROW_CLASSES)
 
 
 def ab_over_scd_census(limit: int) -> Census:
@@ -283,12 +284,9 @@ def _c_half_counts(limit: int) -> tuple[int, int]:
     a(limit) marked both C and A is one a(n) in C, and one up to
     c_half(limit) is one c_half(i) in A.
     """
-    top = lower(limit)
-    marks = bytearray(top)
+    marks = bytearray(lower(limit))
     standard_fill(marks, 2 * INV_PHI_SQ, b"\x01", b"\x00")
-    in_a = bytearray(top)
-    standard_fill(in_a, INV_PHI, b"\x01", b"\x00")
-    _shift_in(marks, 1, in_a)  # marks[m - 1] = 2*[m in C] + [m in A]
+    _shift_word(marks, INV_PHI)  # marks[m - 1] = 2*[m in C] + [m in A]
     return marks.count(3, 0, c_half(limit)), marks.count(3)
 
 
@@ -303,7 +301,7 @@ def density_report(limit: int) -> DensityReport:
     """
     _require_index_limit(limit)
     c_in_a, a_in_c = _c_half_counts(limit)
-    tags = _tagged_values(col_d(limit))
+    tags = _tagged_values(THREE_SET_SPEC.term(limit))
     rows = _tally(_select(tags, limit, 1, _ROW_PLANES), _ROW_CLASSES)
     pairs = _tally(_select(tags, limit, 2, _PAIR_PLANES), _PAIR_CLASSES)
     # a row-class code starts with the A/B letter of s(k)
@@ -314,12 +312,8 @@ def density_report(limit: int) -> DensityReport:
         DensityEntry("a-in-D", limit - a_in_c, limit, INV_PHI_SQ, "proved-density"),
         DensityEntry("s-col-in-A", s_in_a, limit, None, "empirical-open"),
     ]
-    for code in sorted(ADMISSIBLE_ROW_CLASSES):
-        entries.append(
-            DensityEntry(f"row-class-{code}", rows.counts.get(code, 0), limit, None, "empirical-open")
-        )
-    for code in sorted(rows.counts.keys() - ADMISSIBLE_ROW_CLASSES):
-        entries.append(DensityEntry(f"row-class-{code}", rows.counts[code], limit, None, "empirical-open"))
+    for code in row_class_keys(rows.counts):
+        entries.append(DensityEntry(f"row-class-{code}", rows.counts.get(code, 0), limit, None, "empirical-open"))
     for code in ALL_PAIR_CLASSES:
         entries.append(
             DensityEntry(

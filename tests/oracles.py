@@ -2,7 +2,9 @@
 
 linear_form evaluates one signed sum of the partition construction,
 density_entry looks up one density by name, and quadratic_from_json reads back
-QuadraticReal.to_json_dict.
+QuadraticReal.to_json_dict.  col_d and col_c are the paper's per-point
+formulas 3*a(k) + k and a(k) + 2k - 1 for columns D and C, kept apart
+from the generator term and the column-2 closed form that src/ uses.
 beatty_term is a QuadraticReal oracle for Beatty values.  ab_label is
 the A/B label of wythoff.classify_ab alone; classify_cd and cd_label
 decide C/D membership by the same counting floor, the C/D counterpart of
@@ -155,11 +157,21 @@ class RowClass(NamedTuple):
         return self.s.value + self.c.value + self.d.value
 
 
+def col_d(k: int) -> int:
+    """k-th element of column D, 3*a(k) + k, as the paper writes it."""
+    return 3 * lower(k) + k
+
+
+def col_c(k: int) -> int:
+    """k-th element of column C, a(k) + 2k - 1, as the paper writes it."""
+    return lower(k) + 2 * k - 1
+
+
 def row_class(k: int) -> RowClass:
     """A/B memberships of (s(k), c(k), d(k))."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return RowClass(ab_label(three_set.col_s(k)), ab_label(three_set.col_c(k)), ab_label(three_set.col_d(k)))
+    return RowClass(ab_label(three_set.col_s(k)), ab_label(col_c(k)), ab_label(col_d(k)))
 
 
 def appended_columns(spec: partition.PartitionSpec, limit: int) -> list[list[int]]:
@@ -242,7 +254,7 @@ def row_codes(limit: int) -> Iterator[str]:
     Per k, a(k) and a(ceil(k/2)) cost one isqrt each; word[m - 1] is the
     A/B label of m, and d(limit) is the largest value read.
     """
-    word = ab_word(three_set.col_d(limit))
+    word = ab_word(col_d(limit))
     for k in range(1, limit + 1):
         a = (k + isqrt(5 * k * k)) // 2
         h = (k + 1) // 2

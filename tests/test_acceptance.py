@@ -15,7 +15,7 @@ import pytest
 from beattylab import identities
 from beattylab.partition import (
     Decomposition,
-    alpha_spec,
+    PartitionSpec,
     decompose,
     decompositions,
     identity_spec,
@@ -83,7 +83,7 @@ def test_criterion_02_partition_property():
     started = time.time()
     specs = [identity_spec(n) for n in range(2, 9)]
     specs += [phi_spec(n) for n in (2, 3, 4)]
-    specs += [alpha_spec(2, SQRT2)]
+    specs += [PartitionSpec(2, SQRT2)]
     for spec in specs:
         report = verify_partition(spec, N_DESK)
         assert report.covered and report.disjoint, (spec.describe(), report)

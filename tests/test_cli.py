@@ -404,9 +404,9 @@ class TestClassify:
     @pytest.mark.parametrize("N", [1, 2, 4096, 4097, 8192, 10**4])
     def test_rows_match_the_encoders(self, run_cli, N):
         # the rows as csv.writer and json.dump(indent=2) write them, from the per-index
-        # col_s, col_c, col_d and oracles.row_class
+        # three_set.col_s, oracles.col_c, oracles.col_d and oracles.row_class
         expected = [
-            (k, three_set.col_s(k), three_set.col_c(k), three_set.col_d(k), oracles.row_class(k).code)
+            (k, three_set.col_s(k), oracles.col_c(k), oracles.col_d(k), oracles.row_class(k).code)
             for k in range(1, N + 1)
         ]
         fh = io.StringIO()

@@ -17,7 +17,6 @@ from beattylab.partition import (
     Decomposition,
     GeneratorError,
     PartitionSpec,
-    alpha_spec,
     build_columns,
     column_labels,
     column_offsets,
@@ -25,7 +24,6 @@ from beattylab.partition import (
     d2_closed_form,
     decompose,
     decompositions,
-    explicit_spec,
     gap_set,
     identity_spec,
     limiting_prefix_check,
@@ -64,11 +62,11 @@ class TestSpecs:
     def test_term_values(self):
         assert [phi_spec(3).term(k) for k in range(1, 7)] == [4, 11, 15, 22, 29, 33]
         assert [identity_spec(3).term(k) for k in range(1, 4)] == [4, 8, 12]
-        sqrt2 = alpha_spec(2, SQRT2)
+        sqrt2 = PartitionSpec(2, SQRT2)
         assert [sqrt2.term(k) for k in range(1, 6)] == [2, 4, 7, 9, 12]
 
     def test_explicit_exhaustion(self):
-        spec = explicit_spec(3, [4, 11])
+        spec = PartitionSpec(3, [4, 11])
         assert spec.term(2) == 11
         assert spec.term(3) is None
 
@@ -112,20 +110,20 @@ class TestValidateGenerator:
         assert columns[0] == [spec.term(k) for k in range(1, 201)]
 
     def test_sqrt2_ok(self):
-        spec = alpha_spec(2, SQRT2)
+        spec = PartitionSpec(2, SQRT2)
         columns = build_columns(spec, spec.term(200))
         assert columns[0] == [spec.term(k) for k in range(1, 201)]
 
     def test_bad_gap_reported(self):
-        err = _violation(explicit_spec(3, [4, 9, 13]), 13)
+        err = _violation(PartitionSpec(3, [4, 9, 13]), 13)
         assert err.violation_index == 2
         assert "5" in str(err)
 
     def test_bad_start_reported(self):
-        assert _violation(explicit_spec(3, [5, 9]), 9).violation_index == 1
+        assert _violation(PartitionSpec(3, [5, 9]), 9).violation_index == 1
 
     def test_repeated_value_reported(self):
-        assert _violation(explicit_spec(3, [4, 4]), 4).violation_index == 2
+        assert _violation(PartitionSpec(3, [4, 4]), 4).violation_index == 2
 
 
 class TestLinearForms:
@@ -200,12 +198,12 @@ class TestBuildColumns:
         assert cols == [[2, 5, 7, 10], [1, 3, 4, 6, 8, 9]]
 
     def test_sqrt2_extension(self):
-        cols = build_columns(alpha_spec(2, SQRT2), 12)
+        cols = build_columns(PartitionSpec(2, SQRT2), 12)
         assert cols == [[2, 4, 7, 9, 12], [1, 3, 5, 6, 8, 10, 11]]
 
     def test_sqrt2_extension_is_not_the_beatty_pair(self):
         window = 12
-        ours = build_columns(alpha_spec(2, SQRT2), window)
+        ours = build_columns(PartitionSpec(2, SQRT2), window)
         beatty_small = [beatty_term(SQRT2, k) for k in range(1, 10) if beatty_term(SQRT2, k) <= window]
         beatty_big = [beatty_term(SQRT2 + 2, k) for k in range(1, 6) if beatty_term(SQRT2 + 2, k) <= window]
         assert beatty_big == [3, 6, 10]
@@ -215,13 +213,13 @@ class TestBuildColumns:
 
     def test_generator_violation_raises(self):
         with pytest.raises(GeneratorError) as err:
-            build_columns(explicit_spec(3, [4, 9, 13]), 12)
+            build_columns(PartitionSpec(3, [4, 9, 13]), 12)
         assert err.value.violation_index == 2
 
     def test_explicit_generator_checked_past_the_limit(self):
         # l(3) = 8 breaks the gap rule although its interval starts past limit 1
         with pytest.raises(GeneratorError) as err:
-            build_columns(explicit_spec(3, [4, 11, 8]), 1)
+            build_columns(PartitionSpec(3, [4, 11, 8]), 1)
         assert err.value.violation_index == 3
 
     def test_columns_agree_with_decompose(self):
@@ -229,9 +227,9 @@ class TestBuildColumns:
         # independently of the sweep that builds the columns
         specs = [identity_spec(n) for n in range(2, 11)] + [phi_spec(n) for n in range(2, 11)]
         specs += [
-            explicit_spec(2, [2, 4, 7, 9, 12]),
-            explicit_spec(3, [4, 11, 15, 22, 29, 33]),
-            explicit_spec(4, [8, 16, 28, 43, 51, 66]),
+            PartitionSpec(2, [2, 4, 7, 9, 12]),
+            PartitionSpec(3, [4, 11, 15, 22, 29, 33]),
+            PartitionSpec(4, [8, 16, 28, 43, 51, 66]),
         ]
         for spec in specs:
             if isinstance(spec.generator, tuple):
@@ -310,11 +308,11 @@ class TestDecompose:
 
     def test_uncovered_value_raises(self):
         with pytest.raises(ArithmeticError):
-            decompose(1000, explicit_spec(3, [4, 11]))
+            decompose(1000, PartitionSpec(3, [4, 11]))
 
     def test_unsorted_list_is_read_in_full(self):
         # 11 is term 3 of 4, 30, 11: a search that assumes increasing terms misses it
-        spec = explicit_spec(3, [4, 30, 11])
+        spec = PartitionSpec(3, [4, 30, 11])
         assert decompose(11, spec) == Decomposition(1, 3, ())
         assert decompose(10, spec) == Decomposition(3, 3, (-1, 1))
         assert decompose(12, spec) == Decomposition(3, 3, (1, -1))
@@ -323,7 +321,7 @@ class TestDecompose:
     @given(st.sampled_from((2, 3, 4)), st.lists(st.integers(1, 80), max_size=8))
     def test_explicit_lists_match_a_brute_force(self, n, terms):
         # valid or not: every term in list order, every column, every sign prefix
-        spec = explicit_spec(n, terms)
+        spec = PartitionSpec(n, terms)
         for m in range(1, 101):
             expected = [
                 Decomposition(j + 1, k, signs)
@@ -349,28 +347,28 @@ class TestVerify:
             assert report.ok, report
 
     def test_sqrt2_ok(self):
-        assert verify_partition(alpha_spec(2, SQRT2), 3000).ok
+        assert verify_partition(PartitionSpec(2, SQRT2), 3000).ok
 
     def test_corrupted_generator_detected(self):
-        report = verify_partition(explicit_spec(3, [4, 9, 12, 19]), 10)
+        report = verify_partition(PartitionSpec(3, [4, 9, 12, 19]), 10)
         assert not report.disjoint
         assert report.first_defect == 6
 
     def test_short_generator_leaves_holes(self):
-        report = verify_partition(explicit_spec(3, [4, 11]), 30)
+        report = verify_partition(PartitionSpec(3, [4, 11]), 30)
         assert not report.covered
         assert report.first_defect == 15
 
     def test_non_monotone_explicit_data_measured(self):
         # out-of-order values are invalid input but still scanned faithfully
-        report = verify_partition(explicit_spec(3, [4, 11, 8]), 14)
+        report = verify_partition(PartitionSpec(3, [4, 11, 8]), 14)
         assert report.covered and not report.disjoint
         assert report.first_defect == 8
 
     def test_interval_crossing_one_is_clipped_on_the_offset_grid(self):
         # l(1) = 2 breaks the start rule for n = 3, and its interval [-1, 5] crosses 1;
         # columns 3, 1, 3, 2, 3 hold 1..5, as decompose finds too
-        spec = explicit_spec(3, [2])
+        spec = PartitionSpec(3, [2])
         assert [decompose(m, spec).column for m in range(1, 6)] == [3, 1, 3, 2, 3]
         assert verify_partition(spec, 5).ok
         assert verify_partition(spec, 6).first_defect == 6
@@ -442,7 +440,94 @@ def random_valid_generators(draw):
     values = [2 ** (n - 1)]
     for gap in gaps:
         values.append(values[-1] + gap)
-    return explicit_spec(n, values)
+    return PartitionSpec(n, values)
+
+
+def _first_bad_prefix(n: int, terms: list[int]) -> int | None:
+    """Length of the shortest prefix that is no valid generator, 1 for an empty list, None if all are valid.
+
+    A prefix is valid when it starts at 2**(n-1) and each step is
+    2**n - 2**(n-b) for some b in 1..n.
+    """
+
+    def valid(prefix: list[int]) -> bool:
+        steps = zip(prefix, prefix[1:])
+        return prefix[:1] == [2 ** (n - 1)] and all(
+            any(t - s == 2**n - 2 ** (n - b) for b in range(1, n + 1)) for s, t in steps
+        )
+
+    return next((k for k in range(1, max(len(terms), 1) + 1) if not valid(terms[:k])), None)
+
+
+@st.composite
+def term_lists(draw):
+    """(n, terms, limit): lists valid or not, empty ones, crowded ones, and ones invalid only past the limit."""
+    n = draw(st.integers(2, 5))
+    half = 2 ** (n - 1)
+    kind = draw(st.sampled_from(("near-valid", "near-valid", "arbitrary", "empty")))
+    if kind == "empty":
+        return n, [], draw(st.integers(1, 40))
+    if kind == "arbitrary":
+        terms = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    else:
+        terms = [draw(st.sampled_from((half,) * 4 + (half + 1, half - 1)))]
+        gaps = draw(st.lists(st.sampled_from(sorted(gap_set(n))), max_size=16))
+        if gaps and draw(st.booleans()):  # one more gap anywhere, allowed or not
+            gaps[draw(st.integers(0, len(gaps) - 1))] = draw(st.integers(half - 1, 2**n + 1))
+        for gap in gaps:
+            terms.append(terms[-1] + gap)
+    bad = _first_bad_prefix(n, terms)
+    if bad is not None and bad > 1 and draw(st.booleans()):
+        # the first bad term's interval starts past the limit
+        first_value = terms[bad - 1] - (half - 1)
+        if first_value > 1:
+            return n, terms, draw(st.integers(1, first_value - 1))
+    return n, terms, draw(st.integers(1, max(terms) + half))
+
+
+def _measured_as_given(call) -> None:
+    """call may find a defect or refuse a crowded list, but never checks the generator."""
+    try:
+        call()
+    except GeneratorError as exc:
+        raise AssertionError(f"a measurement raised {exc!r}") from exc
+    except (ValueError, ArithmeticError):
+        pass
+
+
+class TestTupleCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(term_lists())
+    def test_check_matches_a_brute_force(self, case):
+        n, terms, limit = case
+        spec = PartitionSpec(n, terms)
+        w = 2 ** (n - 1) - 1
+        reached = sum(1 for t in terms for v in range(t - w, t + w + 1) if 1 <= v <= limit)
+        bad = _first_bad_prefix(n, terms)
+        if reached > 2 * limit:
+            # the sweep's work bound comes first, whatever the terms
+            with pytest.raises(ValueError, match=r"more than 2\*limit") as info:
+                column_labels(spec, limit)
+            assert not isinstance(info.value, GeneratorError)
+        elif bad is None:
+            assert len(column_labels(spec, limit)) == limit + 1
+        else:
+            with pytest.raises(GeneratorError) as info:
+                column_labels(spec, limit)
+            assert info.value.violation_index == bad, (terms, limit)
+        _measured_as_given(lambda: verify_partition(spec, limit))
+        for m in (1, limit, max(terms, default=1)):
+            _measured_as_given(lambda: decompositions(m, spec))
+
+    def test_messages(self):
+        for terms, index, message in (
+            ([], 1, "no l(1) in an empty list, expected 4"),
+            ([5, 9], 1, "l(1) = 5, expected 4"),
+            ([4, 11, 16], 3, "gap l(3) - l(2) = 5 not in [4, 6, 7]"),
+        ):
+            with pytest.raises(GeneratorError) as info:
+                partition._check_terms(3, tuple(terms))
+            assert (info.value.violation_index, str(info.value)) == (index, message)
 
 
 class TestRandomGenerators:
@@ -494,8 +579,8 @@ class TestColumnValues:
         "spec, limit",
         [
             (identity_spec(40), 5000),
-            (alpha_spec(2, SQRT2), 5000),
-            (alpha_spec(3, QuadraticReal(7, -1, 4)), 5000),
+            (PartitionSpec(2, SQRT2), 5000),
+            (PartitionSpec(3, QuadraticReal(7, -1, 4)), 5000),
         ],
         ids=["identity-40", "sqrt2", "7,-1,4"],
     )
@@ -503,7 +588,7 @@ class TestColumnValues:
         assert build_columns(spec, limit) == appended_columns(spec, limit)
 
     def test_unreached_values(self):
-        spec = explicit_spec(3, [4, 11, 15, 22])
+        spec = PartitionSpec(3, [4, 11, 15, 22])
         labels = column_labels(spec, 60)
         assert labels.count(0) > 1  # 0 and every value past 22 + 3
         assert build_columns(spec, 60) == appended_columns(spec, 60)
@@ -519,13 +604,13 @@ class TestColumnValues:
 
 class TestIntervalSeparation:
     def test_two_apart_never_touch(self):
-        for spec in (phi_spec(3), phi_spec(5), alpha_spec(2, SQRT2)):
+        for spec in (phi_spec(3), phi_spec(5), PartitionSpec(2, SQRT2)):
             width = spec.half_width
             for k in range(1, 500):
                 assert spec.term(k + 2) - spec.term(k) > 2 * width
 
     def test_max_gap_gives_disjoint_neighbours(self):
-        spec = alpha_spec(2, SQRT2)
+        spec = PartitionSpec(2, SQRT2)
         found = 0
         for k in range(1, 500):
             if spec.term(k + 1) - spec.term(k) == 3:  # 2^n - 1 for n = 2
@@ -565,7 +650,7 @@ def _explicit_twin(spec: PartitionSpec, limit: int) -> PartitionSpec:
     terms = [spec.term(1)]
     while terms[-1] - spec.half_width <= limit:
         terms.append(spec.term(len(terms) + 1))
-    return explicit_spec(spec.n, terms)
+    return PartitionSpec(spec.n, terms)
 
 
 def _ruler_edges(size: int) -> set[int]:
@@ -594,8 +679,10 @@ def _boundary_limits(spec: PartitionSpec, top: int) -> set[int]:
 
 
 def _assert_fill_matches_value_sweep(spec: PartitionSpec, limit: int) -> None:
-    labels, conflict, violation = partition._value_sweep(_explicit_twin(spec, limit), limit)
-    assert conflict is None and violation is None
+    twin = _explicit_twin(spec, limit)
+    labels, conflict = partition._value_sweep(twin, limit)
+    assert conflict is None
+    partition._check_terms(twin.n, twin.generator)  # the twin is a valid generator
     assert partition._alpha_labels(spec.n, spec.generator, limit) == labels, (spec, limit)
 
 
@@ -608,9 +695,11 @@ class TestTiles:
         top = 30000
         for alpha in ALPHAS:
             for n in range(2, 11):
-                spec = alpha_spec(n, alpha)
-                reference, conflict, violation = partition._value_sweep(_explicit_twin(spec, top), top)
-                assert conflict is None and violation is None
+                spec = PartitionSpec(n, alpha)
+                twin = _explicit_twin(spec, top)
+                reference, conflict = partition._value_sweep(twin, top)
+                assert conflict is None
+                partition._check_terms(twin.n, twin.generator)
                 for limit in sorted(_boundary_limits(spec, top)):
                     labels = partition._alpha_labels(n, alpha, limit)
                     assert labels == reference[: limit + 1], (alpha, n, limit)
@@ -624,7 +713,7 @@ class TestTiles:
         st.integers(min_value=1, max_value=5000),
     )
     def test_random_ranges_match_the_value_sweep(self, alpha, n, limit):
-        _assert_fill_matches_value_sweep(alpha_spec(n, alpha), limit)
+        _assert_fill_matches_value_sweep(PartitionSpec(n, alpha), limit)
 
     def test_tile_lengths_and_head(self):
         # label 0 is unused, and l(1) = 2**(n-1) owns [1, 2**(n-1)] whatever
@@ -668,17 +757,17 @@ class TestTiles:
             for alpha in ALPHAS:
                 for n in range(2, MAX_COLUMNS + 1):
                     for limit in (1, min(2**n - 2, 5000)):
-                        assert verify_partition(alpha_spec(n, alpha), limit).ok, (alpha, n, limit)
+                        assert verify_partition(PartitionSpec(n, alpha), limit).ok, (alpha, n, limit)
                 for n in (3, 8):
-                    assert verify_partition(alpha_spec(n, alpha), 2 * n << n).ok, (alpha, n)
+                    assert verify_partition(PartitionSpec(n, alpha), 2 * n << n).ok, (alpha, n)
         # an explicit list is swept value by value, however short or long the range,
         # also when it lists an alpha generator's own terms
         monkeypatch.setattr(partition, "_alpha_labels", not_reached)
-        for spec in (identity_spec(5), alpha_spec(4, SQRT2)):
+        for spec in (identity_spec(5), PartitionSpec(4, SQRT2)):
             for limit in (1, 2 * spec.n << spec.n):
                 assert verify_partition(_explicit_twin(spec, limit), limit).ok, (spec, limit)
-        assert verify_partition(explicit_spec(2, [2]), 1).ok
-        report = verify_partition(explicit_spec(3, [4, 11, 18, 22]), 48)
+        assert verify_partition(PartitionSpec(2, [2]), 1).ok
+        report = verify_partition(PartitionSpec(3, [4, 11, 18, 22]), 48)
         assert not report.covered and report.first_defect == 26
 
     def test_flipped_tile_byte_raises(self, monkeypatch):
@@ -701,7 +790,7 @@ class TestTiles:
                     with pytest.raises(ArithmeticError):
                         partition._alpha_labels(n, alpha, 2 * w + 1)
                     with pytest.raises(ArithmeticError):
-                        verify_partition(alpha_spec(n, alpha), 2 * n << n)
+                        verify_partition(PartitionSpec(n, alpha), 2 * n << n)
                     monkeypatch.setattr(partition, "_ruler_word", real)
         assert verify_partition(phi_spec(6), 2 * 6 << 6).ok
-        assert verify_partition(alpha_spec(6, SQRT2), 2 * 6 << 6).ok
+        assert verify_partition(PartitionSpec(6, SQRT2), 2 * 6 << 6).ok

@@ -109,7 +109,7 @@ class TestRecordContracts:
 
 def test_partition_spec_generator_is_the_alpha_or_a_tuple():
     assert _phi_spec().generator == PHI
-    assert partition.explicit_spec(3, iter([4, 11])).generator == (4, 11)
+    assert partition.PartitionSpec(3, iter([4, 11])).generator == (4, 11)
     assert partition.PartitionSpec(3, [4, 11]) == partition.PartitionSpec(3, (4, 11))
 
 

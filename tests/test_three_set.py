@@ -20,18 +20,17 @@ from beattylab.three_set import (
     S_OFFSETS_EVEN,
     S_OFFSETS_ODD,
     ab_over_scd_census,
-    col_c,
-    col_d,
     col_s,
     density_report,
     frac_col_c,
     frac_col_d,
     frac_col_s,
     row_class_census,
+    row_class_keys,
     rows,
 )
 from beattylab.wythoff import ABLabel, c_half, classify_ab, frac_phi, lower, upper
-from oracles import CDLabel, ab_label, cd_label, density_entry, row_class
+from oracles import CDLabel, ab_label, cd_label, col_c, col_d, density_entry, row_class
 
 TABLE_ROWS = [(1, 2, 4), (3, 6, 11), (5, 9, 15), (7, 13, 22), (8, 17, 29), (10, 20, 33)]
 TABLE_CLASSES = ["ABA", "AAA", "BAB", "BBA", "AAA", "BBA"]
@@ -248,6 +247,27 @@ class TestRowClasses:
             assert cls.c == classify_ab(col_c(k)).label
             assert cls.d == classify_ab(col_d(k)).label
 
+    def test_row_class_keys_put_admissible_classes_first(self):
+        assert row_class_keys({"ABA": 1}) == sorted(ADMISSIBLE_ROW_CLASSES)
+        others = {"BBB": 1, "AAA": 2, "ABB": 1}
+        assert row_class_keys(others) == [*sorted(ADMISSIBLE_ROW_CLASSES), "ABB", "BBB"]
+
+
+class TestShiftIn:
+    @pytest.mark.parametrize("shift", [1, 2])
+    def test_largest_byte_the_contract_allows(self, shift):
+        # out[i] = 2**(8 - shift) - 1 stays in its byte across block edges;
+        # one more and the carry lands in the byte before
+        size = 2 * three_set._BLOCK + 3
+        top = 2 ** (8 - shift) - 1
+        plane = bytes(i % 2**shift for i in range(size))
+        out = bytearray([top]) * size
+        three_set._shift_in(out, shift, plane)
+        assert out == bytes(top << shift | bit for bit in plane)
+        over = bytearray(size)
+        over[-1] = top + 1
+        three_set._shift_in(over, shift, bytes(size))
+        assert over[-2:] == b"\x01\x00"
 
 
 class TestColumnLookup:
