@@ -75,37 +75,43 @@ def strict_compare(x: QuadraticReal, y: QuadraticReal) -> int:
 
 
 def _require_positive(n: int, name: str = "n") -> None:
+    # the per-point kernels test n < 1 inline and call this only to raise
     if n < 1:
         raise ValueError(f"{name} must be a positive integer, got {n}")
 
 
 def lower(n: int) -> int:
     """Lower Wythoff value floor(n*phi), exactly."""
-    _require_positive(n)
+    if n < 1:
+        _require_positive(n)
     return (n + isqrt(5 * n * n)) // 2
 
 
 def upper(n: int) -> int:
     """Upper Wythoff value floor(n*phi^2) = floor(n*phi) + n."""
-    _require_positive(n)
+    if n < 1:
+        _require_positive(n)
     return (n + isqrt(5 * n * n)) // 2 + n
 
 
 def c_half(n: int) -> int:
     """floor(n*phi^2/2) = floor(n*(3+sqrt5)/4), exactly."""
-    _require_positive(n)
+    if n < 1:
+        _require_positive(n)
     return (3 * n + isqrt(5 * n * n)) // 4
 
 
 def d_cubed(n: int) -> int:
     """floor(n*phi^3) = 2n + floor(n*sqrt5), exactly."""
-    _require_positive(n)
+    if n < 1:
+        _require_positive(n)
     return 2 * n + isqrt(5 * n * n)
 
 
 def frac_phi(n: int) -> QuadraticReal:
     """Fractional part of n*phi as an exact field element."""
-    _require_positive(n)
+    if n < 1:
+        _require_positive(n)
     return QuadraticReal(n - 2 * lower(n), n, 2)
 
 
@@ -115,18 +121,22 @@ def klm(K: int, L: int, M: int, n: int) -> int:
     Returns K*b(n) + L*a(n) + floor(M*phi + (L*phi - K)*{n*phi}/phi); the
     argument K*a(n) + L*n + M must itself be a positive integer.
     """
-    _require_positive(n)
+    if n < 1:
+        _require_positive(n)
     an = (n + isqrt(5 * n * n)) // 2  # a(n), as in lower
-    bn = an + n
     arg = K * an + L * n + M
     if arg < 1:
         raise ValueError(f"argument K*a(n)+L*n+M = {arg} must be positive")
-    fp, fq = n - 2 * an, n  # {n*phi}, over 2
-    gp, gq = 5 * fq - fp, fp - fq  # {n*phi}/phi = {n*phi}*(-1 + sqrt5)/2, over 4
-    hp, hq = L - 2 * K, L  # L*phi - K, over 2
-    tp, tq = hp * gp + 5 * hq * gq, hp * gq + hq * gp  # (L*phi - K)*{n*phi}/phi, over 8
-    correction = floor_surd(tp + 4 * M, tq + 4 * M, 8)  # + M*phi = (4M + 4M*sqrt5)/8
-    return K * bn + L * an + correction
+    fp = n - 2 * an  # {n*phi} = (fp + n*sqrt5)/2
+    gp, gq = 5 * n - fp, fp - n  # {n*phi}/phi = {n*phi}*(-1 + sqrt5)/2, over 4
+    hp = L - 2 * K  # L*phi - K = (hp + L*sqrt5)/2
+    # 8*(M*phi + (L*phi - K)*{n*phi}/phi) = tp + tq*sqrt5, with tp = hp*gp + 5*L*gq + 4M;
+    # its floor over 8 is floor_surd(tp, tq, 8), inlined
+    tq = hp * gq + L * gp + 4 * M
+    root = isqrt(5 * tq * tq)  # floor(tq*sqrt5) for tq >= 0
+    if tq < 0:
+        root = -root - 1
+    return K * (an + n) + L * an + (hp * gp + 5 * L * gq + 4 * M + root) // 8
 
 
 def frac_lower(n: int) -> QuadraticReal:

@@ -326,6 +326,24 @@ class TestAgainstReference:
                 if K * an + L * n + M >= 1:
                     assert klm(K, L, M, n) == ref_klm(K, L, M, n), (K, L, M, n)
 
+    def test_klm_does_not_call_lower(self, monkeypatch):
+        # the klm-grid identity compares klm(K, L, M, n) with lower(K*a(n) + L*n + M),
+        # two independent computations only while klm never calls lower
+        rng = random.Random(7)
+        grid = rng.sample(list(product(range(-5, 6), repeat=3)), 80)
+        ns = [1, 2, 3, 150, 10**6] + [rng.randint(1, BIG) for _ in range(10)] + [BIG]
+        cases = [(K, L, M, n) for n in ns for K, L, M in grid if K * lower(n) + L * n + M >= 1]
+        expected = [ref_klm(*case) for case in cases]
+
+        def no_lower(n):
+            raise AssertionError("klm called wythoff.lower")
+
+        monkeypatch.setattr(wythoff, "lower", no_lower)
+        with pytest.raises(AssertionError):
+            wythoff.frac_phi(5)  # the patch is live inside the module
+        assert len(cases) > 500
+        assert [klm(*case) for case in cases] == expected
+
     @settings(max_examples=400, deadline=None)
     @given(coefficients, coefficients, coefficients, indices)
     def test_klm(self, K, L, M, n):

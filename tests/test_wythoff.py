@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from beattylab.identities import CheckOptions, iter_identity_checks
@@ -70,15 +72,14 @@ class TestSequences:
         assert lower(lower(2)) == lower(3) == 4 == upper(2) - 1
         assert lower(upper(2)) == lower(5) == 8 == lower(2) + upper(2)
 
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            lower(0)
-        with pytest.raises(ValueError):
-            upper(0)
-        with pytest.raises(ValueError):
-            c_half(0)
-        with pytest.raises(ValueError):
-            d_cubed(0)
+    def test_nonpositive_rejected(self):
+        # every per-point kernel raises before any arithmetic: unchecked,
+        # lower(-3) would return (-3 + isqrt(45))//2 = 1
+        kernels = [(fn, "n") for fn in (lower, upper, c_half, d_cubed, frac_phi, lambda n: klm(0, 0, 1, n))]
+        for fn, name in kernels + [(classify_ab, "m")]:
+            for n in (0, -1, -(10**30)):
+                with pytest.raises(ValueError, match=re.escape(f"{name} must be a positive integer, got {n}")):
+                    fn(n)
 
     def test_floor_matches_field_arithmetic(self):
         for n in range(1, 500):
