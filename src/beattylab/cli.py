@@ -10,10 +10,11 @@ path that cannot be opened for writing is a usage error.  The small
 results (verify, decompose, identities --format, classify census and
 ab-over-scd, density) go through one writer, _write, which calls csv or
 json.  The streamed tables, gen's columns and classify rows, are read
-straight from their label buffers and formatted 4096 values or rows per
+straight from their label buffers and formatted 4000 values or rows per
 % template, byte for byte what csv.writer and json.dump(indent=2) would
-write: no column is held as a list, so gen --n 3 --h phi --limit 10**7
-peaks at 27 MB in either format (fresh interpreter, 2-vCPU Xeon).
+write; a row number k is spelled by the template, not formatted by %.
+No column is held as a list, so gen --n 3 --h phi --limit 10**7 peaks
+at 26 MB in either format (fresh interpreter, 2-vCPU Xeon).
 
 main parses with one argparse parser per process: build_parser is
 cached, and parse_args reads the parser without changing it, so a later
@@ -154,10 +155,13 @@ def _cmd_gen(args) -> int:
 # gen and classify rows format one % per chunk of values instead of csv or
 # json: every value is a decimal int or an A/B row class, which csv
 # (QUOTE_MINIMAL) never quotes and JSON never escapes, so the bytes are those
-# of csv.writer and json.dump(indent=2).
-_CHUNK = 4096
-_CSV_ROW = "%d,%d,%d,%d,%s,%s,%s\n"
-_JSON_ROW = '\n  {\n    "k": %d,\n    "s": "%d",\n    "c": "%d",\n    "d": "%d",\n    "class": "%s"\n  },'
+# of csv.writer and json.dump(indent=2).  A numbered row template holds _K
+# where its row number k goes; k itself is never formatted by %.
+_CHUNK = 4000  # rows or values per % call; _numbered needs a multiple of ten
+_K = "\0"
+_CSV_ROW = _K + ",%d,%d,%d,%s\n"
+_CSV_CLASSES = {s + c + d: f"{s},{c},{d}" for s in "AB" for c in "AB" for d in "AB"}
+_JSON_ROW = ',\n  {\n    "k": ' + _K + ',\n    "s": "%d",\n    "c": "%d",\n    "d": "%d",\n    "class": "%s"\n  }'
 
 
 def _chunks(values: Iterator) -> Iterator[tuple]:
@@ -166,16 +170,30 @@ def _chunks(values: Iterator) -> Iterator[tuple]:
         yield chunk
 
 
+def _numbered(row: str, width: int, values: Iterator) -> Iterator[str]:
+    """row formatted for k = 1, 2, ... with the next width values each, until values run out.
+
+    Rows 10q to 10q + 9 come from one ten-row template, row with _K + d in
+    place of _K, by one replace of _K with the digits of q; q = 0 has no
+    digits and no row 0.  So the text of k takes one str per ten rows.
+    """
+    tens = [row.replace(_K, _K + str(d)) for d in range(10)]
+    ten = "".join(tens)
+    head = tuple(islice(values, 9 * width))
+    yield "".join(tens[1 : 1 + len(head) // width]).replace(_K, "") % head
+    q = 1
+    while chunk := tuple(islice(values, _CHUNK * width)):
+        full, part = divmod(len(chunk) // width, 10)
+        template = "".join([ten.replace(_K, str(p)) for p in range(q, q + full)])
+        yield (template + "".join(tens[:part]).replace(_K, str(q + full))) % chunk
+        q += full
+
+
 def _write_csv_columns(fh: TextIO, columns: Iterable[Iterator[int]]) -> None:
     """The csv table column,k,value with one row per column value."""
     fh.write("column,k,value\n")
     for j, values in enumerate(columns, start=1):
-        row = f"{j},%d,%d\n"
-        k = 1
-        for chunk in _chunks(values):
-            m = len(chunk)
-            fh.write((row * m) % tuple(chain.from_iterable(zip(range(k, k + m), chunk))))
-            k += m
+        fh.writelines(_numbered(f"{j},{_K},%d\n", 1, values))
 
 
 def _write_json_columns(
@@ -284,18 +302,17 @@ def _cmd_classify(args) -> int:
     if args.what == "rows":
         if args.N > three_set.MAX_INDEX:
             raise UsageError(f"--N must be at most {three_set.MAX_INDEX}, got {args.N}")
-        rows = three_set.rows(args.N)
+        s, c, d, codes = three_set.row_columns(args.N)
         with _output(args.out) as fh:
             if args.format == "json":
-                lead = "["  # N >= 1, so there is a first chunk
-                for chunk in _chunks(rows):
-                    fh.write(lead + (_JSON_ROW * len(chunk))[:-1] % tuple(chain.from_iterable(chunk)))
-                    lead = ","
+                objects = _numbered(_JSON_ROW, 4, chain.from_iterable(zip(s, c, d, codes)))
+                fh.write("[" + next(objects)[1:])  # N >= 1: drop the first row's separator
+                fh.writelines(objects)
                 fh.write("\n]\n")
             else:
+                classes = map(_CSV_CLASSES.__getitem__, codes)
                 fh.write("k,s,c,d,s_class,c_class,d_class\n")
-                for chunk in _chunks((k, s, c, d, *code) for k, s, c, d, code in rows):
-                    fh.write((_CSV_ROW * len(chunk)) % tuple(chain.from_iterable(chunk)))
+                fh.writelines(_numbered(_CSV_ROW, 4, chain.from_iterable(zip(s, c, d, classes))))
         return EXIT_OK
     if args.what == "census":
         census = three_set.row_class_census(args.N)

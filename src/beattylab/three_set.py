@@ -215,8 +215,8 @@ def _select(tags: bytearray, limit: int, shift: int, planes: tuple[tuple[bytes, 
     return codes
 
 
-def rows(limit: int) -> Iterator[tuple[int, int, int, int, str]]:
-    """(k, s(k), c(k), d(k), class code of row k) for k in [1, limit], read from one tag buffer.
+def row_columns(limit: int) -> tuple[Iterator[int], Iterator[int], Iterator[int], Iterator[str]]:
+    """s(k), c(k), d(k) and the class code of row k, one iterator each over k in [1, limit], from one tag buffer.
 
     The k-th smallest values of columns S, C and D (partition columns 3,
     2 and 1) are s(k), c(k) and d(k), read from the tags' column bits.  A
@@ -227,7 +227,8 @@ def rows(limit: int) -> Iterator[tuple[int, int, int, int, str]]:
     tags = _tagged_values(THREE_SET_SPEC.term(limit))
     codes = map(_ROW_CLASSES.__getitem__, _select(tags, limit, 1, _ROW_PLANES))
     labels = tags.translate(_TAG_COLUMNS)
-    return zip(range(1, limit + 1), *(partition.column_values(labels, j) for j in (3, 2, 1)), codes)
+    s, c, d = (partition.column_values(labels, j) for j in (3, 2, 1))
+    return s, c, d, codes
 
 
 def row_class_census(limit: int) -> Census:

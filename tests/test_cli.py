@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from beattylab import identities, partition, three_set
-from beattylab.cli import _parse_alpha, build_parser, main
+from beattylab.cli import _CHUNK, _parse_alpha, build_parser, main
 from beattylab.qfield import QuadraticReal
 import oracles
 
@@ -401,7 +401,10 @@ class TestClassify:
         payload = json.loads(out)
         assert payload[0] == {"k": 1, "s": "1", "c": "2", "d": "4", "class": "ABA"}
 
-    @pytest.mark.parametrize("N", [1, 2, 4096, 4097, 8192, 10**4])
+    # rows 1-9 are written first and then cli._CHUNK rows per % call from k = 10
+    @pytest.mark.parametrize(
+        "N", [1, 2, 9, 10, 11, 21, 4096, 4097, 8192, *(9 + i * _CHUNK + d for i in (1, 2) for d in (-1, 0, 1)), 10**4]
+    )
     def test_rows_match_the_encoders(self, run_cli, N):
         # the rows as csv.writer and json.dump(indent=2) write them, from the per-index
         # three_set.col_s, oracles.col_c, oracles.col_d and oracles.row_class
@@ -424,8 +427,8 @@ class TestClassify:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_memory_stays_below_the_rows(self, tmp_path, fmt):
         # one tag buffer of d(N) bytes and the codes; the rows are written as
-        # they are read (about 2.1 MiB at N = 3*10**4), while list(rows(N))
-        # alone holds 5.9 MiB
+        # they are read (about 2.1 MiB at N = 3*10**4), while a list of the
+        # N row tuples alone holds 5.9 MiB
         target = tmp_path / f"rows.{fmt}"
         tracemalloc.start()
         try:

@@ -1,9 +1,11 @@
 """gen's column emitters against the csv and json encoders, byte for byte.
 
-gen writes its columns through str.format and join; oracles.gen_csv and
+gen writes its columns through % templates; oracles.gen_csv and
 oracles.gen_json render the same columns through csv.writer and
 json.dump(indent=2), as gen did before.  The cases cover empty columns,
-both sides of the tiling threshold 2n*2**n, and every kind of generator.
+both sides of the tiling threshold 2n*2**n, and every kind of generator,
+and the writers themselves on columns of every length around their
+ten-row templates and their chunks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beattylab import partition
-from beattylab.cli import _resolve_spec, build_parser, main
+from beattylab.cli import _CHUNK, _resolve_spec, _write_csv_columns, _write_json_columns, build_parser, main
 from oracles import gen_csv, gen_json
 
 
@@ -76,3 +78,22 @@ def test_explicit_generator(tmp_path):
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=20000))
 def test_random_phi_ranges(n, limit):
     _assert_gen_matches_encoders("--n", str(n), "--h", "phi", "--limit", str(limit))
+
+
+# gen's CSV numbers rows 1-9 first and then _CHUNK rows per % call from k = 10;
+# its JSON formats _CHUNK values per % call
+_CHUNK_EDGES = sorted({edge + d for i in (1, 2) for edge in (i * _CHUNK, 9 + i * _CHUNK) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("length", [0, 1, 9, 10, 11, 19, 20, 21, 99, 100, 101, *_CHUNK_EDGES])
+def test_writers_on_every_column_length(length):
+    # a column of the length, an empty one, and the same length again from a
+    # value with more digits, so k restarts at 1 in each column
+    columns = [list(range(1, 3 * length, 3)), [], list(range(10**12, 10**12 + 7 * length, 7))]
+    spec = partition.phi_spec(3)
+    fh = io.StringIO()
+    _write_csv_columns(fh, map(iter, columns))
+    assert fh.getvalue() == gen_csv(columns)
+    fh = io.StringIO()
+    _write_json_columns(fh, spec, 5, map(iter, columns))
+    assert fh.getvalue() == gen_json(spec, 5, columns)

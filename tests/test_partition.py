@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+import tracemalloc
+from itertools import chain, product
 from math import isqrt
 
 import pytest
@@ -600,6 +601,51 @@ class TestColumnValues:
         assert columns == appended_columns(spec, 2**20)
         # the first term 2**63 reaches column 64 - v2(v) for v <= 2**20
         assert sum(1 for column in columns if column) == 21
+
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    def test_both_sides_of_the_density_rule(self, n):
+        # identity columns are residues: column n - 1 holds the v = 2 mod 4, so
+        # at limit 4m + 3 it is exactly a quarter of the limit + 1 labels, the
+        # least a dense column holds, and at 4m + 1 just less
+        spec = identity_spec(n)
+        for limit, dense in ((4001, False), (4003, True), (4 * 2**16 + 1, False), (4 * 2**16 + 3, True)):
+            labels = column_labels(spec, limit)
+            assert 4 * labels.count(n - 1) - len(labels) == (0 if dense else -2)
+            assert isinstance(column_values(labels, n - 1), chain) is dense, (n, limit)
+            assert build_columns(spec, limit) == appended_columns(spec, limit), (n, limit)
+
+    def test_dense_values_on_the_window_edges(self):
+        # three windows and a partial one; the last value of the first window,
+        # the first of the second and the first of the third lie in columns
+        # 3, 2 and 3, both read through the mask
+        window = partition._WINDOW
+        limit = 3 * window + 4321
+        labels = column_labels(phi_spec(3), limit)
+        assert (labels[window - 1], labels[window], labels[2 * window]) == (3, 2, 3)
+        for j in (2, 3):
+            assert isinstance(column_values(labels, j), chain)
+        assert build_columns(phi_spec(3), limit) == appended_columns(phi_spec(3), limit)
+
+    def test_dense_run_of_unreached_values(self):
+        # one term reaches [1, 7]; label 0 fills labels[0] and [8, limit]
+        limit = 2 * partition._WINDOW + 99
+        spec = PartitionSpec(3, [4])
+        labels = column_labels(spec, limit)
+        assert isinstance(column_values(labels, 0), chain)
+        assert list(column_values(labels, 0)) == [0, *range(8, limit + 1)]
+        assert build_columns(spec, limit) == appended_columns(spec, limit)
+
+    def test_dense_column_reads_a_window_at_a_time(self):
+        # a mask of the whole buffer would take 10**6 bytes
+        labels = column_labels(phi_spec(3), 10**6 - 1)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in column_values(labels, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == labels.count(3)
+        assert peak < 2**19, peak
 
 
 class TestIntervalSeparation:

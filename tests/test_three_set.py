@@ -27,7 +27,7 @@ from beattylab.three_set import (
     frac_col_s,
     row_class_census,
     row_class_keys,
-    rows,
+    row_columns,
 )
 from beattylab.wythoff import ABLabel, c_half, classify_ab, frac_phi, lower, upper
 from oracles import CDLabel, ab_label, cd_label, col_c, col_d, density_entry, row_class
@@ -125,13 +125,13 @@ class TestRows:
 
     def test_rows_read_from_the_columns_match_scd(self):
         limit = 20000
-        expected = [(k, col_s(k), col_c(k), col_d(k), row_class(k).code) for k in range(1, limit + 1)]
-        assert list(rows(limit)) == expected
+        expected = [(col_s(k), col_c(k), col_d(k), row_class(k).code) for k in range(1, limit + 1)]
+        assert list(zip(*row_columns(limit))) == expected
 
     def test_domain(self):
         for limit in (0, MAX_INDEX + 1):
             with pytest.raises(ValueError, match="limit must be"):
-                rows(limit)
+                row_columns(limit)
         with pytest.raises(ValueError):
             row_class(0)
         for census in (row_class_census, ab_over_scd_census, density_report):
@@ -151,9 +151,9 @@ class TestRows:
         monkeypatch.setattr(partition, "column_labels", no_word)
         for limit in (MAX_INDEX + 1, 10**19):
             with pytest.raises(ValueError, match=f"limit must be at most {MAX_INDEX}, got {limit}"):
-                rows(limit)
+                row_columns(limit)
         with pytest.raises(ValueError, match="limit must be positive, got 0"):
-            rows(0)
+            row_columns(0)
 
     def test_c_gaps_are_three_or_four(self):
         for k in range(1, 10**4):
@@ -389,7 +389,7 @@ class TestAgainstPerIndexScans:
         expected_rows = rows(limit)
         census = row_class_census(limit)
         assert (census.counts, census.first_index) == expected_rows
-        assert [code for *_, code in three_set.rows(limit)] == rows.codes[:limit]
+        assert list(three_set.row_columns(limit)[3]) == rows.codes[:limit]
         census = ab_over_scd_census(limit)
         assert (census.counts, census.first_index) == pairs(limit)
         report = density_report(limit)
