@@ -83,15 +83,14 @@ FIB_INDEX_CAP = 200
 # run stays within seconds.
 CONVERSE_BOUND_CAP = 10**4
 
-# Largest index range the command line scans.  Every index runs the whole
-# registry, so time grows linearly in N: identities --N 10**4 takes about
-# 13 s (2-vCPU Xeon, 15.5 MB peak RSS), most of it in the klm grid.
+# Largest index range iter_identity_checks scans.  Every index runs the
+# whole registry, so time grows linearly in N: identities --N 10**4 takes
+# about 13 s (2-vCPU Xeon, 15.5 MB peak RSS), most of it in the klm grid.
 MAX_N = 10**4
 
 
 class _CheckOptionsFields(NamedTuple):
     rs: tuple[int, ...] = (1, 3, 5, 7)
-    converse_rs: tuple[int, ...] = (1, 3)
     bound: int | None = None
     fault_offset: int = 0
 
@@ -101,7 +100,7 @@ class CheckOptions(_CheckOptionsFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for r in self.rs + self.converse_rs:
+        for r in self.rs:
             if not (1 <= r <= FIB_INDEX_CAP and r % 2 == 1):
                 raise ValueError(f"shift indices must be odd integers in [1, {FIB_INDEX_CAP}], got {r}")
         if self.bound is not None and not 1 <= self.bound <= CONVERSE_BOUND_CAP:
@@ -263,8 +262,9 @@ def _check_fib_shift(n, opts):
 
 
 def _check_fib_shift_converse(n, opts):
+    # the default search bound grows with F(r): scan the shift indices 1 and 3 of rs, or both
     out = []
-    for r in opts.converse_rs:
+    for r in [s for s in opts.rs if s in (1, 3)] or (1, 3):
         expected = lower(n) + n + fib(r)
         bound = opts.bound if opts.bound is not None else max(400, 2 * expected)
         found = sorted(fib_shift_converse(r, n, bound))
@@ -348,7 +348,17 @@ def identity_names() -> list[str]:
 def iter_identity_checks(
     name: str, limit: int, opts: CheckOptions = CheckOptions()
 ) -> Iterator[IdentityCheck]:
-    """All check records for one identity over indices 1..limit (capped)."""
+    """All check records for one identity over indices 1..limit (capped).
+
+    An unknown name or a limit outside [1, MAX_N] raises ValueError before
+    any checker runs.
+    """
+    if name not in IDENTITIES:
+        raise ValueError(f"unknown identity {name!r}; choose from {identity_names()}")
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
+    if limit > MAX_N:
+        raise ValueError(f"limit must be at most {MAX_N}, got {limit}")
     definition = IDENTITIES[name]
     top = limit if definition.index_cap is None else min(limit, definition.index_cap)
     for n in range(1, top + 1):

@@ -42,8 +42,9 @@ MAX_LIMIT = 10**7
 
 # decompose's term search grows with the digits of m: --m 10**1000 + 7
 # takes about 0.4 s at --n 3 and 10**3000 about 6.5 s (fresh interpreter,
-# 2-vCPU Xeon), so the CLI takes m below 10**MAX_M_DIGITS.
+# 2-vCPU Xeon), so decompositions takes m below 10**MAX_M_DIGITS only.
 MAX_M_DIGITS = 1000
+_M_BOUND = 10**MAX_M_DIGITS
 
 
 def gap_set(n: int) -> set[int]:
@@ -151,7 +152,7 @@ class GeneratorError(ValueError):
     """A generator violated its start or gap constraints, first at term violation_index."""
 
     def __init__(self, violation_index: int, message: str):
-        super().__init__(message)
+        super().__init__(f"generator violation: {message}")
         self.violation_index = violation_index
 
 
@@ -220,9 +221,12 @@ def decompositions(m: int, spec: PartitionSpec) -> list[Decomposition]:
     otherwise invalid list is measured as given.  At most two intervals
     of a valid generator contain m and when both do the two realizations
     share one column; a mismatch would contradict disjointness and raises.
+    m outside [1, 10**MAX_M_DIGITS) raises ValueError before the term search.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
+    if m >= _M_BOUND:
+        raise ValueError(f"m must have at most {MAX_M_DIGITS} digits, got a {m.bit_length()}-bit integer")
     width = spec.half_width
     if isinstance(spec.generator, tuple):
         near = [(k, t) for k, t in enumerate(spec.generator, start=1) if abs(m - t) <= width]
@@ -376,10 +380,13 @@ def column_values(labels: bytes | bytearray, j: int) -> Iterator[int]:
     a time, compress over the window translated to a 0/1 mask: 25-32 ms
     per 10**6 labels however many are j.  A sparser one is one regex scan
     for the byte j, 100-150 ns per value; on phi labels the two cross
-    near density 0.25 (2-vCPU Xeon).  labels must not be resized while
-    the values are read.
+    near density 0.25 (2-vCPU Xeon); a label that occurs nowhere is not
+    scanned at all.  labels must not be resized while the values are read.
     """
-    if 4 * labels.count(j) < len(labels):
+    count = labels.count(j)
+    if not count:
+        return iter(())
+    if 4 * count < len(labels):
         return map(re.Match.start, re.finditer(re.escape(bytes([j])), labels))
     mask = bytearray(256)
     mask[j] = 1
@@ -443,17 +450,11 @@ def verify_partition(spec: PartitionSpec, limit: int) -> VerifyReport:
     )
 
 
-def d2_closed_form(n: int, k: int, spec: PartitionSpec | None = None) -> int:
-    """k-th smallest element of column 2: a(k) + (2**(n-1)-2)*k - (2**(n-2)-1).
-
-    Proved only for the lower-Wythoff step sequence; any other generator
-    is rejected.
-    """
+def d2_closed_form(n: int, k: int) -> int:
+    """k-th smallest element of column 2 of phi_spec(n): a(k) + (2**(n-1)-2)*k - (2**(n-2)-1)."""
     _require_columns(n)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if spec is not None and spec != phi_spec(n):
-        raise ValueError(f"closed form unsupported for generator {spec.describe()}")
     return lower(k) + (2 ** (n - 1) - 2) * k - (2 ** (n - 2) - 1)
 
 

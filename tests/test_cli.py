@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -39,6 +40,12 @@ k,s,c,d,s_class,c_class,d_class
 
 def _no_work(*args):
     raise AssertionError("a rejected argument must stop the command before any work")
+
+
+def _no_checkers(monkeypatch) -> None:
+    """Make every identity checker fail the test if it runs."""
+    for name, definition in identities.IDENTITIES.items():
+        monkeypatch.setitem(identities.IDENTITIES, name, dataclasses.replace(definition, checker=_no_work))
 
 
 class TestGen:
@@ -80,9 +87,9 @@ class TestGen:
     def test_generator_violation_exits_2(self, run_cli, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("4\n9\n12\n")
-        code, _, err = run_cli("gen", "--n", "3", "--explicit", str(bad), "--limit", "10")
-        assert code == 2
-        assert "violation" in err
+        code, out, err = run_cli("gen", "--n", "3", "--explicit", str(bad), "--limit", "10")
+        assert code == 2 and out == ""
+        assert err == "error: generator violation: gap l(2) - l(1) = 5 not in [4, 6, 7]\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_explicit_list_exits_2(self, run_cli, tmp_path, fmt):
@@ -274,13 +281,13 @@ class TestDecompose:
 
     def test_oversize_m_exits_2_before_any_work(self, run_cli, monkeypatch):
         # the term search costs seconds at a few thousand digits
-        monkeypatch.setattr(partition, "decompositions", _no_work)
+        monkeypatch.setattr(partition.PartitionSpec, "term", _no_work)
         cap = partition.MAX_M_DIGITS
         for m in (10**cap, 10**cap + 7, 10 ** (cap + 200)):
             for fmt in ((), ("--format", "json")):
                 code, out, err = run_cli("decompose", "--n", "3", "--h", "phi", "--m", str(m), *fmt)
                 assert code == 2 and out == ""
-                assert err == f"error: --m must have at most {cap} digits, got {len(str(m))}\n"
+                assert err == f"error: m must have at most {cap} digits, got a {m.bit_length()}-bit integer\n"
         # the largest m below the cap reaches the term search
         with pytest.raises(AssertionError, match="before any work"):
             run_cli("decompose", "--n", "3", "--h", "phi", "--m", str(10**cap - 1))
@@ -290,7 +297,7 @@ class TestDecompose:
         short.write_text("4\n11\n")
         code, _, err = run_cli("decompose", "--n", "3", "--explicit", str(short), "--m", "100")
         assert code == 1
-        assert "defect" in err
+        assert err == "mathematical defect: 100 not covered; generator does not satisfy the hypotheses\n"
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         code, _, err = run_cli("decompose", "--n", "3", "--explicit", str(empty), "--m", "1")
@@ -328,8 +335,7 @@ class TestIdentities:
     def test_shift_index_cap(self, run_cli, monkeypatch):
         code, out, _ = run_cli("identities", "--identity", "fib-shift", "--r", "199", "--N", "3")
         assert code == 0 and "PASS" in out
-        monkeypatch.setattr(identities, "iter_identity_checks", _no_work)
-        monkeypatch.setattr(identities, "summarize_identity", _no_work)
+        _no_checkers(monkeypatch)
         for fmt in ((), ("--format", "csv")):
             code, out, err = run_cli("identities", "--identity", "fib-shift", "--r", "1,201", "--N", "5", *fmt)
             assert code == 2 and out == ""
@@ -338,18 +344,15 @@ class TestIdentities:
     def test_index_cap(self, run_cli, monkeypatch):
         code, out, _ = run_cli("identities", "--identity", "cassini", "--N", str(identities.MAX_N))
         assert code == 0 and "PASS" in out
-        monkeypatch.setattr(identities, "identity_names", _no_work)
-        monkeypatch.setattr(identities, "iter_identity_checks", _no_work)
-        monkeypatch.setattr(identities, "summarize_identity", _no_work)
+        _no_checkers(monkeypatch)
         for N in (identities.MAX_N + 1, 10**19):
             for fmt in ((), ("--format", "csv"), ("--format", "json")):
                 code, out, err = run_cli("identities", "--N", str(N), *fmt)
                 assert code == 2 and out == ""
-                assert err == f"error: --N must be at most {identities.MAX_N}, got {N}\n"
+                assert err == f"error: limit must be at most {identities.MAX_N}, got {N}\n"
 
     def test_converse_bound_cap(self, run_cli, monkeypatch):
-        monkeypatch.setattr(identities, "iter_identity_checks", _no_work)
-        monkeypatch.setattr(identities, "summarize_identity", _no_work)
+        _no_checkers(monkeypatch)
         for bound in ("0", str(identities.CONVERSE_BOUND_CAP + 1)):
             for fmt in ((), ("--format", "json")):
                 code, out, err = run_cli("identities", "--N", "200", "--bound", bound, *fmt)
@@ -362,7 +365,7 @@ class TestIdentities:
                 code, out, err = run_cli("identities", "--N", n, *extra)
                 assert code == 2
                 assert out == ""
-                assert "--N must be positive" in err
+                assert err == f"error: limit must be positive, got {n}\n"
 
     def test_fault_injection_exits_1(self, run_cli):
         code, out, _ = run_cli("identities", "--identity", "klm-grid", "--N", "3", "--inject-off-by-one")
@@ -483,40 +486,50 @@ class TestDensity:
         assert entries["a-in-C"]["expected"] == {"p": "-1", "q": "1", "d": "2"}
         assert entries["s-col-in-A"]["expected"] is None
 
-    def test_empty_scans_exit_2_before_any_work(self, run_cli, monkeypatch):
-        # the census scans allocate a Fibonacci word and a column-label array
-        # sized from --N; a rejected --N must stop before either
-        monkeypatch.setattr(three_set, "standard_fill", _no_work)
-        monkeypatch.setattr(partition, "column_labels", _no_work)
-        cases = [
-            (("classify", "census", "--N", "0"), "--N must be positive, got 0"),
-            (("classify", "census", "--N", "-5"), "--N must be positive, got -5"),
-            (("classify", "ab-over-scd", "--N", "0"), "--N must be positive, got 0"),
-            (("density", "--N", "0"), "limit must be positive, got 0"),
-        ]
-        for argv, message in cases:
-            for fmt in ((), ("--format", "json")):
-                code, out, err = run_cli(*argv, *fmt)
-                assert code == 2 and out == ""
-                assert err == f"error: {message}\n"
 
-    def test_oversize_scans_exit_2_before_any_work(self, run_cli, monkeypatch):
-        monkeypatch.setattr(three_set, "standard_fill", _no_work)
-        monkeypatch.setattr(partition, "column_labels", _no_work)
-        monkeypatch.setattr(three_set, "col_s", _no_work)
-        cap = three_set.MAX_INDEX
-        for n in (cap + 1, 10**19):
-            cases = [
-                (("classify", "rows", "--N", str(n)), f"--N must be at most {cap}, got {n}"),
-                (("classify", "census", "--N", str(n)), f"limit must be at most {cap}, got {n}"),
-                (("classify", "ab-over-scd", "--N", str(n)), f"limit must be at most {cap}, got {n}"),
-                (("density", "--N", str(n)), f"limit must be at most {cap}, got {n}"),
-            ]
-            for argv, message in cases:
-                for fmt in ((), ("--format", "json")):
-                    code, out, err = run_cli(*argv, *fmt)
-                    assert code == 2 and out == ""
-                    assert err == f"error: {message}\n"
+def _size_cases():
+    """(id, argv, message) for each size argument at 0, -5, just past its cap and far past it."""
+    for prefix, cap in (
+        ("gen --n 3 --h phi --limit", partition.MAX_LIMIT),
+        ("verify --n 3 --h phi --limit", partition.MAX_LIMIT),
+        ("identities --N", identities.MAX_N),
+        ("classify rows --N", three_set.MAX_INDEX),
+        ("classify census --N", three_set.MAX_INDEX),
+        ("classify ab-over-scd --N", three_set.MAX_INDEX),
+        ("density --N", three_set.MAX_INDEX),
+    ):
+        for value in (0, -5, cap + 1, 10**19):
+            message = f"limit must be positive, got {value}" if value < 1 else f"limit must be at most {cap}, got {value}"
+            yield f"{prefix} {value}", f"{prefix} {value}", message
+    for value in (0, -5, partition.MAX_COLUMNS + 1, 10**19):
+        message = f"number of columns must be in [2, {partition.MAX_COLUMNS}], got {value}"
+        for command, size in (("gen", "--limit 20"), ("verify", "--limit 20"), ("decompose", "--m 20")):
+            yield f"{command} --n {value}", f"{command} --n {value} --h phi {size}", message
+    for value in (0, -5, identities.CONVERSE_BOUND_CAP + 1, 10**19):
+        message = f"converse search bound must be in [1, {identities.CONVERSE_BOUND_CAP}], got {value}"
+        yield f"identities --bound {value}", f"identities --N 5 --bound {value}", message
+    yield "decompose --m 0", "decompose --n 3 --h phi --m 0", "m must be positive, got 0"
+    yield "decompose --m -5", "decompose --n 3 --h phi --m -5", "m must be positive, got -5"
+    cap = partition.MAX_M_DIGITS
+    for digits in (cap, 4 * cap):  # 10**cap has cap + 1 digits
+        message = f"m must have at most {cap} digits, got a {(10**digits).bit_length()}-bit integer"
+        yield f"decompose --m 10**{digits}", f"decompose --n 3 --h phi --m {10**digits}", message
+
+
+@pytest.mark.parametrize("fmt", [(), ("--format", "json")], ids=["default", "json"])
+@pytest.mark.parametrize("argv, message", [pytest.param(a, m, id=i) for i, a, m in _size_cases()])
+def test_size_argument_out_of_range_exits_2_before_any_work(run_cli, monkeypatch, argv, message, fmt):
+    # the library function that sizes the work rejects the value before the
+    # fills, the term search or any identity checker runs, with one message
+    # whatever the subcommand
+    monkeypatch.setattr(partition, "_alpha_labels", _no_work)
+    monkeypatch.setattr(partition, "_value_sweep", _no_work)
+    monkeypatch.setattr(partition.PartitionSpec, "term", _no_work)
+    monkeypatch.setattr(three_set, "standard_fill", _no_work)
+    _no_checkers(monkeypatch)
+    code, out, err = run_cli(*argv.split(), *fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 # one call per subcommand and result format that writes a result

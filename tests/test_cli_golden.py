@@ -65,12 +65,12 @@ GOLDEN = {
     "gen --n 3 --explicit {dir}/bad.txt --limit 10": (
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "dbce0af9a7c1b8b7c48bd5b4af9a1d2ace56877480763d3a010fc212cfbd1b36",
+        "b5abbcc27bbb0c22aaec19ab082d884347bc02584814066df4ec9699bee66efc",
     ),
     "gen --n 3 --explicit {dir}/late.txt --limit 12": (
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "c3889fd643451ac88ba715ae4084e60190124175c89102be42cf23b83e6e7e2a",
+        "9d9a657113855a8c94cc1532785d4bd269da274c1821c79ec6894b5c51c31e70",
     ),
     "gen --n 65 --h phi --limit 100": (
         2,
@@ -155,12 +155,12 @@ GOLDEN = {
     "decompose --n 3 --h phi --m 0": (
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "de9d8c97996ef567ec9c91e98008b4f969fdc2c8bb588bb6742f14962bc30a81",
+        "af493f61290cb0a828c6a1289a52dfc5109d40f56eae9cd0aa4961d68447c815",
     ),
     "decompose --n 3 --explicit {dir}/short.txt --m 100": (
         1,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "7ae9b402a7999bdbba8b92971c4f9735ca616aca0cc6635deb9094e4e4524394",
+        "dd7869fffd47231b8483946af7c70d7d6aaabe2b26534538b5aac892b14023d8",
     ),
     "identities --N 30": (
         0,
@@ -195,7 +195,7 @@ GOLDEN = {
     "identities --N 0": (
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "a30b2d52eaeca5797d0a209ef8022d3bf1e446bbe7152d7b258e13890c34e09b",
+        "dc61b2c155ab1bb0bbf8eca697f7758dbee43e014dfb17d462c58fd3062da6ff",
     ),
     "identities --identity fib-shift --r a --N 5": (
         2,
@@ -240,7 +240,7 @@ GOLDEN = {
     "classify census --N 0": (
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "a30b2d52eaeca5797d0a209ef8022d3bf1e446bbe7152d7b258e13890c34e09b",
+        "dc61b2c155ab1bb0bbf8eca697f7758dbee43e014dfb17d462c58fd3062da6ff",
     ),
     "density --N 3000": (
         0,

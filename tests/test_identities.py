@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from beattylab import identities
 from beattylab.qfield import ONE, PHI
 
@@ -67,15 +71,48 @@ def test_record_serialization_shape():
 
 
 def test_index_caps_apply():
-    assert identities.summarize_identity("cassini", 10**6).checks == 200
-    assert identities.summarize_identity("phi-power", 10**6).checks == 400
+    assert identities.summarize_identity("cassini", identities.MAX_N).checks == 200
+    assert identities.summarize_identity("phi-power", identities.MAX_N).checks == 400
+
+
+def test_scan_bounds_come_before_any_checker(monkeypatch):
+    # an unknown name and a limit outside [1, MAX_N] raise before any checker
+    # runs, with the limit messages of the partition and census scans
+    def no_check(*args):
+        raise AssertionError("a checker ran")
+
+    for name, definition in identities.IDENTITIES.items():
+        monkeypatch.setitem(identities.IDENTITIES, name, dataclasses.replace(definition, checker=no_check))
+    cases = [
+        ("cassini", 0, "limit must be positive, got 0"),
+        ("klm-grid", -5, "limit must be positive, got -5"),
+        ("klm-grid", identities.MAX_N + 1, f"limit must be at most {identities.MAX_N}, got {identities.MAX_N + 1}"),
+        ("cassini", 10**19, f"limit must be at most {identities.MAX_N}, got {10**19}"),
+        ("no-such", 5, f"unknown identity 'no-such'; choose from {identities.identity_names()}"),
+    ]
+    for name, limit, message in cases:
+        for scan in (identities.iter_identity_checks, identities.summarize_identity):
+            with pytest.raises(ValueError) as info:
+                list(scan(name, limit))
+            assert str(info.value) == message
+    with pytest.raises(AssertionError, match="a checker ran"):
+        identities.summarize_identity("klm-grid", identities.MAX_N)
 
 
 def test_converse_respects_bound():
-    opts = identities.CheckOptions(converse_rs=(5,), bound=6)
+    opts = identities.CheckOptions(rs=(3,), bound=3)
     summary = identities.summarize_identity("fib-shift-converse", 1, opts)
-    # the only solution is 7, which exceeds the bound, so both sides are empty
+    # the only solution at r = 3 is 4, which exceeds the bound, so both sides are empty
     assert summary.ok
+    assert summary.checks == 1
+
+
+def test_converse_scans_the_small_shift_indices_of_rs():
+    # the brute-force scan runs at r = 1 and 3 of rs, or at both when rs has neither
+    for rs, cases in (((3,), ["r=3"]), ((1, 3, 5, 7), ["r=1", "r=3"]), ((5, 9), ["r=1", "r=3"])):
+        records = list(identities.iter_identity_checks("fib-shift-converse", 1, identities.CheckOptions(rs=rs)))
+        assert [record.case.split(",")[0] for record in records] == cases
+        assert all(record.passed for record in records)
 
 
 def test_custom_shift_indices():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 from itertools import chain, product
 from math import isqrt
@@ -307,6 +308,23 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(0, phi_spec(3))
 
+    def test_digit_bound_comes_before_the_term_search(self, monkeypatch):
+        # the term search grows with the digits of m: 10**MAX_M_DIGITS and past
+        # it raise before any term is computed, for a tuple of terms too
+        cap = partition.MAX_M_DIGITS
+
+        def no_search(*args):
+            raise AssertionError("term search reached")
+
+        monkeypatch.setattr(PartitionSpec, "term", no_search)
+        for spec in (phi_spec(3), phi_spec(64), PartitionSpec(3, [4, 11])):
+            for m in (10**cap, 10**cap + 7, 10**5000):
+                message = f"m must have at most {cap} digits, got a {m.bit_length()}-bit integer"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    decompose(m, spec)
+        with pytest.raises(AssertionError, match="term search reached"):
+            decompositions(10**cap - 1, phi_spec(3))
+
     def test_uncovered_value_raises(self):
         with pytest.raises(ArithmeticError):
             decompose(1000, PartitionSpec(3, [4, 11]))
@@ -393,10 +411,6 @@ class TestClosedForms:
             for k in range(1, 121):
                 assert d2_closed_form(n, k) == column[k - 1]
 
-    def test_d2_rejects_other_generators(self):
-        with pytest.raises(ValueError):
-            d2_closed_form(3, 1, identity_spec(3))
-        assert d2_closed_form(3, 1, phi_spec(3)) == 2
 
 
 class TestLimitingPrefix:
@@ -522,9 +536,9 @@ class TestTupleCheck:
 
     def test_messages(self):
         for terms, index, message in (
-            ([], 1, "no l(1) in an empty list, expected 4"),
-            ([5, 9], 1, "l(1) = 5, expected 4"),
-            ([4, 11, 16], 3, "gap l(3) - l(2) = 5 not in [4, 6, 7]"),
+            ([], 1, "generator violation: no l(1) in an empty list, expected 4"),
+            ([5, 9], 1, "generator violation: l(1) = 5, expected 4"),
+            ([4, 11, 16], 3, "generator violation: gap l(3) - l(2) = 5 not in [4, 6, 7]"),
         ):
             with pytest.raises(GeneratorError) as info:
                 partition._check_terms(3, tuple(terms))
@@ -594,6 +608,19 @@ class TestColumnValues:
         assert labels.count(0) > 1  # 0 and every value past 22 + 3
         assert build_columns(spec, 60) == appended_columns(spec, 60)
         assert list(column_values(labels, 0)) == [0, *range(26, 61)]
+
+    def test_absent_label_skips_the_scan(self, monkeypatch):
+        # [1, 1000] lies in the first interval of identity_spec(64), which
+        # reaches columns 55-64 only; no other label is scanned for
+        labels = column_labels(identity_spec(64), 1000)
+
+        def no_scan(*args):
+            raise AssertionError("an absent label was scanned")
+
+        monkeypatch.setattr(re, "finditer", no_scan)
+        for j in (1, 54, 255):
+            assert list(column_values(labels, j)) == []
+        assert list(column_values(labels, 64)) == list(range(1, 1001, 2))  # dense: read through the mask
 
     def test_wide_columns_mostly_empty(self):
         spec = identity_spec(64)

@@ -60,7 +60,7 @@ RECORDS = {
     ),
     "CheckOptions": (
         lambda: identities.CheckOptions(rs=(1, 3), bound=40),
-        ("rs", "converse_rs", "bound", "fault_offset"),
+        ("rs", "bound", "fault_offset"),
         True,
     ),
     "IdentitySummary": (
@@ -166,7 +166,7 @@ def test_alpha_h_accepts_alpha_in_one_two(alpha):
     [
         {"rs": (2,)},
         {"rs": (1, 4)},
-        {"converse_rs": (0,)},
+        {"rs": (-1,)},
         {"rs": (identities.FIB_INDEX_CAP + 2,)},
         {"bound": 0},
         {"bound": identities.CONVERSE_BOUND_CAP + 1},
@@ -179,9 +179,9 @@ def test_check_options_reject_out_of_range_fields(kwargs):
 
 
 def test_check_options_defaults_and_positional_fields():
-    assert identities.CheckOptions() == identities.CheckOptions((1, 3, 5, 7), (1, 3), None, 0)
+    assert identities.CheckOptions() == identities.CheckOptions((1, 3, 5, 7), None, 0)
     with pytest.raises(ValueError):
-        identities.CheckOptions((1,), (1,), 0)
+        identities.CheckOptions((1,), 0)
 
 
 def test_tracer_contract():
