@@ -22,7 +22,10 @@ at 26 MB in either format (fresh interpreter, 2-vCPU Xeon).
 main parses with one argparse parser per process: build_parser is
 cached, and parse_args reads the parser without changing it, so a later
 call in the same process, after a usage error too, behaves like a fresh
-one without rebuilding it (about 1.8 ms per call, 2-vCPU Xeon).
+one without rebuilding it (about 1.8 ms per call, 2-vCPU Xeon).  An
+argparse error (a bad type or choice, a missing flag, an unknown
+subcommand) is a UsageError too, reported in one line without the usage
+block; --help still prints the help and exits 0.
 """
 
 from __future__ import annotations
@@ -55,6 +58,13 @@ EXIT_USAGE = 2
 
 class UsageError(ValueError):
     """Invalid command-line input; main reports it like every ValueError."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose usage errors raise UsageError."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _parse_alpha(text: str) -> QuadraticReal:
@@ -354,7 +364,7 @@ def _add_output_flags(sub, default_format: str | None = "csv") -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The beatty-lab parser, built once per process: parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beatty-lab",
         description="Exact Beatty/Wythoff sequence partitions, identities and censuses.",
     )
@@ -417,8 +427,8 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,11 @@ Each check produces records with exact left/right sides; a scan passes
 only if every record does.  The KLM grid check is summarized per index
 (one record counting mismatches over all coefficient triples) and
 supports an off-by-one fault injection for exercising the failure path.
+
+The statements checked that no kernel or scan reads live here too: the
+fractional-part closed forms of a(n), b(n), d(k), c(k) and s(k), the
+intervals that hold {d(n)*phi} and {c(m)*phi}, and the brute-force
+converse of the Fibonacci-shift identity.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .qfield import (
     INV_PHI,
     INV_PHI_CUBED,
     INV_PHI_SQ,
+    INV_SQRT5,
     LAMBDA_SPLIT,
     ONE,
     ONE_HALF,
@@ -29,23 +35,8 @@ from .qfield import (
     fib,
     phi_pow,
 )
-from .three_set import THREE_SET_SPEC, frac_col_c, frac_col_d, frac_col_s
-from .wythoff import (
-    C_FRAC_EVEN,
-    C_FRAC_ODD,
-    D_FRAC_ABOVE_HALF,
-    D_FRAC_BELOW_HALF,
-    c_half,
-    d_cubed,
-    fib_shift_converse,
-    frac_lower,
-    frac_phi,
-    frac_upper,
-    klm,
-    lower,
-    strict_compare,
-    upper,
-)
+from .three_set import THREE_SET_SPEC, col_s
+from .wythoff import _require_positive, c_half, d_cubed, frac_phi, klm, lower, upper
 
 
 class IdentityCheck(NamedTuple):
@@ -89,23 +80,113 @@ CONVERSE_BOUND_CAP = 10**4
 MAX_N = 10**4
 
 
-class _CheckOptionsFields(NamedTuple):
+class CheckOptions(NamedTuple):
     rs: tuple[int, ...] = (1, 3, 5, 7)
     bound: int | None = None
     fault_offset: int = 0
 
 
-class CheckOptions(_CheckOptionsFields):
-    __slots__ = ()
+# -- the statements the checks test, which no kernel or scan reads ------------
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for r in self.rs:
-            if not (1 <= r <= FIB_INDEX_CAP and r % 2 == 1):
-                raise ValueError(f"shift indices must be odd integers in [1, {FIB_INDEX_CAP}], got {r}")
-        if self.bound is not None and not 1 <= self.bound <= CONVERSE_BOUND_CAP:
-            raise ValueError(f"converse search bound must be in [1, {CONVERSE_BOUND_CAP}], got {self.bound}")
-        return self
+# 1/phi^2 = (3 - sqrt5)/2, 1/2 and (4 - sqrt5)/2 cut the unit interval
+# into quarters; the d and c fractional parts each keep to two of them
+BREAK_HIGH = QuadraticReal(4, -1, 2)
+D_FRAC_ABOVE_HALF = (INV_PHI_SQ, ONE_HALF)
+D_FRAC_BELOW_HALF = (BREAK_HIGH, ONE)
+C_FRAC_EVEN = (ZERO, INV_PHI_SQ)
+C_FRAC_ODD = (ONE_HALF, BREAK_HIGH)
+
+# slopes and offsets of the three-column closed forms
+SQRT5_OVER_PHI_SQ = QuadraticReal(-5, 3, 2)  # sqrt5/phi^2 = (3*sqrt5-5)/2
+SQRT5_OVER_PHI = 2 * LAMBDA_SPLIT  # sqrt5/phi = (5-sqrt5)/2
+SQRT5_OVER_TWO_PHI = LAMBDA_SPLIT  # sqrt5/(2*phi) = (5-sqrt5)/4
+S_OFFSETS_EVEN = (ZERO, QuadraticReal(1, -1, 4), LAMBDA_SPLIT)  # 0, (1-sqrt5)/4, (5-sqrt5)/4
+S_OFFSETS_ODD = (
+    -ONE_HALF,
+    ONE_HALF,
+    QuadraticReal(3, -1, 4),  # (3-sqrt5)/4
+    QuadraticReal(2, -1, 2),  # 1 - sqrt5/2
+    BREAK_HIGH,  # 2 - sqrt5/2
+)
+
+
+def strict_compare(x: QuadraticReal, y: QuadraticReal) -> int:
+    """Exact comparison that treats equality as a defect, never a tie-break."""
+    c = x.compare(y)
+    if c == 0:
+        raise ArithmeticError(
+            f"fractional part equals breakpoint {y} exactly; this is impossible "
+            "and signals an arithmetic bug"
+        )
+    return c
+
+
+def frac_lower(n: int) -> QuadraticReal:
+    """{a(n)*phi} in closed form: 1 - {n*phi}/phi."""
+    return ONE - frac_phi(n) * INV_PHI
+
+
+def frac_upper(n: int) -> QuadraticReal:
+    """{b(n)*phi} in closed form: {n*phi}/phi^2."""
+    return frac_phi(n) * INV_PHI_SQ
+
+
+def frac_col_d(k: int) -> QuadraticReal:
+    """{d(k)*phi} in closed form: 1 - (sqrt5/phi^2)*{k*phi}."""
+    return ONE - SQRT5_OVER_PHI_SQ * frac_phi(k)
+
+
+def frac_col_c(k: int) -> tuple[str, QuadraticReal]:
+    """{c(k)*phi} in closed form, split exactly at {k*phi} = 1/sqrt5.
+
+    Above the split the offset is (1-sqrt5)/2, below it (3-sqrt5)/2.
+    """
+    fk = frac_phi(k)
+    if strict_compare(fk, INV_SQRT5) > 0:
+        return "above-inv-sqrt5", SQRT5_OVER_PHI * fk - INV_PHI
+    return "below-inv-sqrt5", SQRT5_OVER_PHI * fk + INV_PHI_SQ
+
+
+def frac_col_s(k: int) -> tuple[QuadraticReal, QuadraticReal]:
+    """({s(k)*phi} as (offset, value)) with value = sqrt5/(2*phi)*{k*phi} + offset.
+
+    The offset is not predicted from {k*phi}; it is realized from the
+    exact value and then required to lie in the parity-appropriate
+    candidate set ({0, (1-sqrt5)/4, (5-sqrt5)/4} for even k, five values
+    for odd k).
+    """
+    value = frac_phi(col_s(k))
+    offset = value - SQRT5_OVER_TWO_PHI * frac_phi(k)
+    candidates = S_OFFSETS_EVEN if k % 2 == 0 else S_OFFSETS_ODD
+    if offset not in candidates:
+        raise ArithmeticError(f"offset {offset} for s({k}) outside the candidate set")
+    return offset, value
+
+
+def fib_shift_converse(r: int, n: int, search_bound: int) -> set[int]:
+    """All m <= search_bound with phi^r*{m*phi} - phi^(r-2)*{n*phi} = 1.
+
+    Brute force over the full range; the result should be exactly
+    {a(n) + n + F(r)} whenever that value lies within the bound.  Each m
+    is tested in integers: with phi^r = (u + v*sqrt5)/2 and
+    {m*phi} = (x + m*sqrt5)/2, x = m - 2a(m), the left side
+    phi^r*{m*phi} is (u*x + 5*v*m + (u*m + v*x)*sqrt5)/4, compared
+    coordinate by coordinate with the target (tp + tq*sqrt5)/td.
+    """
+    if r < 1 or r % 2 == 0:
+        raise ValueError(f"shift index must be an odd positive integer, got {r}")
+    _require_positive(n)
+    _require_positive(search_bound, "search_bound")
+    pr = phi_pow(r)
+    u, v = 2 * pr.p // pr.d, 2 * pr.q // pr.d
+    target = ONE + pr * INV_PHI_SQ * frac_phi(n)  # phi^(r-2) = phi^r/phi^2
+    tp, tq, td = target.p, target.q, target.d
+    found = set()
+    for m in range(1, search_bound + 1):
+        x = m - 2 * lower(m)
+        if td * (u * x + 5 * v * m) == 4 * tp and td * (u * m + v * x) == 4 * tq:
+            found.add(m)
+    return found
 
 
 def _record(identity: str, n: int, case: str, lhs, rhs) -> IdentityCheck:
@@ -350,9 +431,15 @@ def iter_identity_checks(
 ) -> Iterator[IdentityCheck]:
     """All check records for one identity over indices 1..limit (capped).
 
-    An unknown name or a limit outside [1, MAX_N] raises ValueError before
+    A shift index or converse bound of opts out of range, an unknown name
+    or a limit outside [1, MAX_N] raises ValueError, in that order, before
     any checker runs.
     """
+    for r in opts.rs:
+        if not (1 <= r <= FIB_INDEX_CAP and r % 2 == 1):
+            raise ValueError(f"shift indices must be odd integers in [1, {FIB_INDEX_CAP}], got {r}")
+    if opts.bound is not None and not 1 <= opts.bound <= CONVERSE_BOUND_CAP:
+        raise ValueError(f"converse search bound must be in [1, {CONVERSE_BOUND_CAP}], got {opts.bound}")
     if name not in IDENTITIES:
         raise ValueError(f"unknown identity {name!r}; choose from {identity_names()}")
     if limit < 1:

@@ -4,8 +4,8 @@ The three-column partition generated by l(k) = 3*a(k) + k has columns
 D = {3a(k)+k}, C = {a(k)+2k-1} and S = {c(k)-1} union {c(k)+1}; each row
 (s(k), c(k), d(k)) carries a triple of A/B memberships and only six of
 the eight conceivable triples ever occur.  This module computes the
-rows, their exact fractional-part closed forms, the row-class census,
-and the census of which columns the Wythoff values a(n), b(n) land in.
+rows, the row-class census, and the census of which columns the Wythoff
+values a(n), b(n) land in.
 
 The range scans rest on two orderings: the k-th smallest value of
 column D, C or S is d(k), c(k) or s(k), and the n-th smallest value
@@ -26,40 +26,8 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from . import partition
-from .qfield import (
-    INV_PHI,
-    INV_PHI_SQ,
-    INV_SQRT5,
-    ONE,
-    QuadraticReal,
-)
-from .wythoff import (
-    ABLabel,
-    c_half,
-    frac_phi,
-    lower,
-    standard_fill,
-    strict_compare,
-    upper,
-)
-
-# slopes and offsets of the fractional-part closed forms
-SQRT5_OVER_PHI_SQ = QuadraticReal(-5, 3, 2)  # sqrt5/phi^2 = (3*sqrt5-5)/2
-SQRT5_OVER_PHI = QuadraticReal(5, -1, 2)  # sqrt5/phi = (5-sqrt5)/2
-SQRT5_OVER_TWO_PHI = QuadraticReal(5, -1, 4)  # sqrt5/(2*phi) = (5-sqrt5)/4
-
-S_OFFSETS_EVEN = (
-    QuadraticReal(0),
-    QuadraticReal(1, -1, 4),  # (1-sqrt5)/4
-    QuadraticReal(5, -1, 4),  # (5-sqrt5)/4
-)
-S_OFFSETS_ODD = (
-    QuadraticReal(-1, 0, 2),
-    QuadraticReal(1, 0, 2),
-    QuadraticReal(3, -1, 4),  # (3-sqrt5)/4
-    QuadraticReal(2, -1, 2),  # 1 - sqrt5/2
-    QuadraticReal(4, -1, 2),  # 2 - sqrt5/2
-)
+from .qfield import INV_PHI, INV_PHI_SQ, QuadraticReal
+from .wythoff import ABLabel, c_half, lower, standard_fill, upper
 
 ADMISSIBLE_ROW_CLASSES = frozenset({"AAA", "AAB", "ABA", "BAA", "BBA", "BAB"})
 ALL_PAIR_CLASSES = ("SC", "CS", "DS", "CD", "SS", "SD", "DC", "CC", "DD")
@@ -77,38 +45,6 @@ def col_s(k: int) -> int:
     if k % 2 == 0:
         return partition.d2_closed_form(3, k // 2) + 1
     return partition.d2_closed_form(3, (k + 1) // 2) - 1
-
-
-def frac_col_d(k: int) -> QuadraticReal:
-    """{d(k)*phi} in closed form: 1 - (sqrt5/phi^2)*{k*phi}."""
-    return ONE - SQRT5_OVER_PHI_SQ * frac_phi(k)
-
-
-def frac_col_c(k: int) -> tuple[str, QuadraticReal]:
-    """{c(k)*phi} in closed form, split exactly at {k*phi} = 1/sqrt5.
-
-    Above the split the offset is (1-sqrt5)/2, below it (3-sqrt5)/2.
-    """
-    fk = frac_phi(k)
-    if strict_compare(fk, INV_SQRT5) > 0:
-        return "above-inv-sqrt5", SQRT5_OVER_PHI * fk + QuadraticReal(1, -1, 2)
-    return "below-inv-sqrt5", SQRT5_OVER_PHI * fk + INV_PHI_SQ
-
-
-def frac_col_s(k: int) -> tuple[QuadraticReal, QuadraticReal]:
-    """({s(k)*phi} as (offset, value)) with value = sqrt5/(2*phi)*{k*phi} + offset.
-
-    The offset is not predicted from {k*phi}; it is realized from the
-    exact value and then required to lie in the parity-appropriate
-    candidate set ({0, (1-sqrt5)/4, (5-sqrt5)/4} for even k, five values
-    for odd k).
-    """
-    value = frac_phi(col_s(k))
-    offset = value - SQRT5_OVER_TWO_PHI * frac_phi(k)
-    candidates = S_OFFSETS_EVEN if k % 2 == 0 else S_OFFSETS_ODD
-    if offset not in candidates:
-        raise ArithmeticError(f"offset {offset} for s({k}) outside the candidate set")
-    return offset, value
 
 
 class Census(NamedTuple):

@@ -1,25 +1,23 @@
-"""Golden-ratio Beatty sequences and their fractional-part identities.
+"""Golden-ratio Beatty sequences, membership and the KLM closed form.
 
 The lower and upper Wythoff sequences floor(n*phi) and floor(n*phi^2)
 partition the positive integers, as do the complementary Beatty pair
 floor(n*phi^2/2) and floor(n*phi^3).  This module computes all four
 exactly, classifies integers by membership, evaluates the KLM closed
-form for floor((K*a(n) + L*n + M)*phi), and exposes the exact
-fractional-part identities and interval decompositions that relate the
-two partitions, including the Fibonacci-shift family.
+form for floor((K*a(n) + L*n + M)*phi) and the fractional part
+{n*phi}, and fills the characteristic word of any exact slope.
 
 Membership has one rule, the one the range fills use: for irrational
 alpha > 1, exactly i = floor((m+1)/alpha) of the values floor(k*alpha)
 are <= m (Fraenkel 1969), so m is the i-th of them or the (m - i)-th
 value of the complement.  classify_ab computes i with one integer floor,
 and _split recomputes both candidates and raises ArithmeticError unless
-exactly one is m; strict_compare likewise raises when a fractional part
-equals a breakpoint, which the closed forms rule out.  classify_ab and
-klm work on plain integers and never build a QuadraticReal.  Range scans
-fill the labels of a whole range with standard_fill, the characteristic
-word of an exact slope (1/phi marks the A values, 1/phi^2 the B values).
-The per-point A/B and C/D labels the scans are tested against are test
-oracles, built on classify_ab and _split.
+exactly one is m.  classify_ab and klm work on plain integers and never
+build a QuadraticReal.  Range scans fill the labels of a whole range
+with standard_fill, the characteristic word of an exact slope (1/phi
+marks the A values, 1/phi^2 the B values).  The per-point A/B and C/D
+labels the scans are tested against are test oracles, built on
+classify_ab and _split.
 """
 
 from __future__ import annotations
@@ -29,26 +27,7 @@ from itertools import chain, repeat
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .qfield import (
-    INV_PHI,
-    INV_PHI_SQ,
-    ONE,
-    ONE_HALF,
-    QuadraticReal,
-    ZERO,
-    floor_surd,
-    phi_pow,
-)
-
-# 1/phi^2 = (3 - sqrt5)/2, 1/2 and (4 - sqrt5)/2 cut the unit interval
-# into the quarters below
-BREAK_HIGH = QuadraticReal(4, -1, 2)
-
-# interval endpoints for the fractional parts of the phi^2/2 and phi^3 pair
-D_FRAC_ABOVE_HALF = (INV_PHI_SQ, ONE_HALF)
-D_FRAC_BELOW_HALF = (BREAK_HIGH, ONE)
-C_FRAC_EVEN = (ZERO, INV_PHI_SQ)
-C_FRAC_ODD = (ONE_HALF, BREAK_HIGH)
+from .qfield import ONE, QuadraticReal, ZERO, floor_surd
 
 
 class ABLabel(Enum):
@@ -61,17 +40,6 @@ class ABLabel(Enum):
 class ABMembership(NamedTuple):
     label: ABLabel
     witness: int
-
-
-def strict_compare(x: QuadraticReal, y: QuadraticReal) -> int:
-    """Exact comparison that treats equality as a defect, never a tie-break."""
-    c = x.compare(y)
-    if c == 0:
-        raise ArithmeticError(
-            f"fractional part equals breakpoint {y} exactly; this is impossible "
-            "and signals an arithmetic bug"
-        )
-    return c
 
 
 def _require_positive(n: int, name: str = "n") -> None:
@@ -137,16 +105,6 @@ def klm(K: int, L: int, M: int, n: int) -> int:
     if tq < 0:
         root = -root - 1
     return K * (an + n) + L * an + (hp * gp + 5 * L * gq + 4 * M + root) // 8
-
-
-def frac_lower(n: int) -> QuadraticReal:
-    """{a(n)*phi} in closed form: 1 - {n*phi}/phi."""
-    return ONE - frac_phi(n) * INV_PHI
-
-
-def frac_upper(n: int) -> QuadraticReal:
-    """{b(n)*phi} in closed form: {n*phi}/phi^2."""
-    return frac_phi(n) * INV_PHI_SQ
 
 
 def _split(m: int, count: int, first, second) -> tuple[bool, int]:
@@ -216,28 +174,3 @@ def standard_fill(
             if end == size:
                 return
 
-
-def fib_shift_converse(r: int, n: int, search_bound: int) -> set[int]:
-    """All m <= search_bound with phi^r*{m*phi} - phi^(r-2)*{n*phi} = 1.
-
-    Brute force over the full range; the result should be exactly
-    {a(n) + n + F(r)} whenever that value lies within the bound.  Each m
-    is tested in integers: with phi^r = (u + v*sqrt5)/2 and
-    {m*phi} = (x + m*sqrt5)/2, x = m - 2a(m), the left side
-    phi^r*{m*phi} is (u*x + 5*v*m + (u*m + v*x)*sqrt5)/4, compared
-    coordinate by coordinate with the target (tp + tq*sqrt5)/td.
-    """
-    if r < 1 or r % 2 == 0:
-        raise ValueError(f"shift index must be an odd positive integer, got {r}")
-    _require_positive(n)
-    _require_positive(search_bound, "search_bound")
-    pr = phi_pow(r)
-    u, v = 2 * pr.p // pr.d, 2 * pr.q // pr.d
-    target = ONE + pr * INV_PHI_SQ * frac_phi(n)  # phi^(r-2) = phi^r/phi^2
-    tp, tq, td = target.p, target.q, target.d
-    found = set()
-    for m in range(1, search_bound + 1):
-        x = m - 2 * lower(m)
-        if td * (u * x + 5 * v * m) == 4 * tp and td * (u * m + v * x) == 4 * tq:
-            found.add(m)
-    return found

@@ -3,8 +3,9 @@
 linear_form evaluates one signed sum of the partition construction,
 density_entry looks up one density by name, and quadratic_from_json reads back
 QuadraticReal.to_json_dict.  col_d and col_c are the paper's per-point
-formulas 3*a(k) + k and a(k) + 2k - 1 for columns D and C, kept apart
-from the generator term and the column-2 closed form that src/ uses.
+formulas 3*a(k) + k and a(k) + 2k - 1 for columns D and C, and col_s
+builds column S from col_c, all kept apart from the generator term and
+the column-2 closed form that src/ uses.
 beatty_term is a QuadraticReal oracle for Beatty values.  ab_label is
 the A/B label of wythoff.classify_ab alone; classify_cd and cd_label
 decide C/D membership by the same counting floor, the C/D counterpart of
@@ -25,7 +26,7 @@ partition._ruler_word writes in place and for the inverse map
 partition._sign_expansion.
 fib_shift_converse and klm_grid are the field-arithmetic converse scan
 and the full coefficient grid, the references for the integer scans in
-wythoff.fib_shift_converse and identities._check_klm_grid; ab_word builds
+identities.fib_shift_converse and identities._check_klm_grid; ab_word builds
 the Fibonacci word by string concatenation.  row_codes, pair_codes and
 c_half_counts are the per-index scans behind the three_set censuses and
 densities, one isqrt per index, the references for the bytes
@@ -44,7 +45,8 @@ from typing import Iterator, NamedTuple
 
 from beattylab import partition, three_set, wythoff
 from beattylab.qfield import DEFAULT_RADICAND, INV_PHI_SQ, ONE, ONE_HALF, PHI, ZERO, QuadraticReal, floor_surd, phi_pow
-from beattylab.wythoff import BREAK_HIGH, ABLabel, frac_phi, klm, lower, strict_compare
+from beattylab.identities import BREAK_HIGH, strict_compare
+from beattylab.wythoff import ABLabel, frac_phi, klm, lower
 
 
 def linear_form(n: int, t: int, j: int, signs: tuple[int, ...]) -> int:
@@ -167,11 +169,16 @@ def col_c(k: int) -> int:
     return lower(k) + 2 * k - 1
 
 
+def col_s(k: int) -> int:
+    """k-th element of column S, c(k/2) + 1 for even k and c((k+1)/2) - 1 for odd k."""
+    return col_c(k // 2) + 1 if k % 2 == 0 else col_c((k + 1) // 2) - 1
+
+
 def row_class(k: int) -> RowClass:
     """A/B memberships of (s(k), c(k), d(k))."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return RowClass(ab_label(three_set.col_s(k)), ab_label(col_c(k)), ab_label(col_d(k)))
+    return RowClass(ab_label(col_s(k)), ab_label(col_c(k)), ab_label(col_d(k)))
 
 
 def appended_columns(spec: partition.PartitionSpec, limit: int) -> list[list[int]]:

@@ -29,7 +29,8 @@ from beattylab.three_set import (
     density_report,
     row_class_census,
 )
-from beattylab.wythoff import fib_shift_converse, klm, lower
+from beattylab.identities import fib_shift_converse
+from beattylab.wythoff import klm, lower
 from oracles import density_entry, linear_form
 
 N_DESK = 100_000

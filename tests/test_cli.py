@@ -410,9 +410,9 @@ class TestClassify:
     )
     def test_rows_match_the_encoders(self, run_cli, N):
         # the rows as csv.writer and json.dump(indent=2) write them, from the per-index
-        # three_set.col_s, oracles.col_c, oracles.col_d and oracles.row_class
+        # oracles.col_s, oracles.col_c, oracles.col_d and oracles.row_class
         expected = [
-            (k, three_set.col_s(k), oracles.col_c(k), oracles.col_d(k), oracles.row_class(k).code)
+            (k, oracles.col_s(k), oracles.col_c(k), oracles.col_d(k), oracles.row_class(k).code)
             for k in range(1, N + 1)
         ]
         fh = io.StringIO()
@@ -554,6 +554,29 @@ def test_unwritable_out_exits_2(run_cli, tmp_path, argv, where):
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1, err
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("classify census --N x", "argument --N: invalid int value: 'x'"),
+        ("verify --n 3 --h phi", "the following arguments are required: --limit"),
+        ("gen --n 3 --h phi --limit 5 --format xml", "argument --format: invalid choice: 'xml'"),
+        ("no-such --N 5", "argument command: invalid choice: 'no-such'"),
+    ],
+)
+def test_argparse_errors_take_one_line(run_cli, argv, message):
+    # argparse's usage block is not printed: main reports the error like every other
+    code, out, err = run_cli(*argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: beatty-lab classify")
 
 
 def test_module_entry_point_subprocess():

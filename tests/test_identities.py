@@ -99,6 +99,34 @@ def test_scan_bounds_come_before_any_checker(monkeypatch):
         identities.summarize_identity("klm-grid", identities.MAX_N)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rs": (2,)},
+        {"rs": (1, 4)},
+        {"rs": (-1,)},
+        {"rs": (identities.FIB_INDEX_CAP + 2,)},
+        {"bound": 0},
+        {"bound": identities.CONVERSE_BOUND_CAP + 1},
+    ],
+    ids=repr,
+)
+def test_scan_rejects_out_of_range_options(monkeypatch, kwargs):
+    # the shift indices and the converse bound are checked before the name
+    # and the limit, and before any checker runs
+    def no_check(*args):
+        raise AssertionError("a checker ran")
+
+    for name, definition in identities.IDENTITIES.items():
+        monkeypatch.setitem(identities.IDENTITIES, name, dataclasses.replace(definition, checker=no_check))
+    opts = identities.CheckOptions(**kwargs)
+    field = "shift indices" if "rs" in kwargs else "converse search bound"
+    for name, limit in (("fib-shift-converse", 5), ("no-such", 0)):
+        for scan in (identities.iter_identity_checks, identities.summarize_identity):
+            with pytest.raises(ValueError, match=field):
+                list(scan(name, limit, opts))
+
+
 def test_converse_respects_bound():
     opts = identities.CheckOptions(rs=(3,), bound=3)
     summary = identities.summarize_identity("fib-shift-converse", 1, opts)

@@ -1,6 +1,6 @@
 """The identity suite's brute-force scans against their field-arithmetic references.
 
-wythoff.fib_shift_converse tests every m up to its bound in integer
+identities.fib_shift_converse tests every m up to its bound in integer
 coordinates, and identities._check_klm_grid runs M only where the klm
 argument is positive.  oracles.fib_shift_converse and oracles.klm_grid
 are the old QuadraticReal scan and the full [-5, 5]^3 grid.
@@ -11,9 +11,9 @@ from __future__ import annotations
 from itertools import product
 
 from beattylab import identities, wythoff
-from beattylab.identities import CheckOptions, _check_klm_grid
+from beattylab.identities import CheckOptions, _check_klm_grid, fib_shift_converse
 from beattylab.qfield import fib
-from beattylab.wythoff import fib_shift_converse, lower
+from beattylab.wythoff import lower
 import oracles
 
 
@@ -36,7 +36,8 @@ class TestFibShiftConverse:
             seen.append(m)
             return lower(m)
 
-        monkeypatch.setattr(wythoff, "lower", counting_lower)
+        monkeypatch.setattr(wythoff, "lower", counting_lower)  # frac_phi's a(n)
+        monkeypatch.setattr(identities, "lower", counting_lower)  # the scan's a(m)
         assert fib_shift_converse(3, 7, 250) == {lower(7) + 7 + fib(3)}
         assert seen == [7, *range(1, 251)]  # a(n) for the target, then a(m) per m
 

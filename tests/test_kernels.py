@@ -46,9 +46,9 @@ from beattylab.wythoff import (
     klm,
     lower,
     standard_fill,
-    strict_compare,
     upper,
 )
+from beattylab.identities import strict_compare
 import oracles
 from oracles import (
     CDLabel,

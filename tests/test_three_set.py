@@ -17,18 +17,14 @@ from beattylab.three_set import (
     ADMISSIBLE_ROW_CLASSES,
     ALL_PAIR_CLASSES,
     MAX_INDEX,
-    S_OFFSETS_EVEN,
-    S_OFFSETS_ODD,
     ab_over_scd_census,
     col_s,
     density_report,
-    frac_col_c,
-    frac_col_d,
-    frac_col_s,
     row_class_census,
     row_class_keys,
     row_columns,
 )
+from beattylab.identities import S_OFFSETS_EVEN, S_OFFSETS_ODD, frac_col_c, frac_col_d, frac_col_s
 from beattylab.wythoff import ABLabel, c_half, classify_ab, frac_phi, lower, upper
 from oracles import CDLabel, ab_label, cd_label, col_c, col_d, density_entry, row_class
 
@@ -40,9 +36,9 @@ LETTER = {1: "D", 2: "C", 3: "S"}
 
 
 def closed_form_labels(limit: int) -> bytearray:
-    """Partition column of every value up to limit, filled from col_d, col_c, col_s."""
+    """Partition column of every value up to limit, filled from the oracles' col_d, col_c, col_s."""
     labels = bytearray(limit + 1)
-    for column, term in ((1, col_d), (2, col_c), (3, col_s)):
+    for column, term in ((1, col_d), (2, col_c), (3, oracles.col_s)):
         k = 1
         while term(k) <= limit:
             labels[term(k)] = column
@@ -125,7 +121,7 @@ class TestRows:
 
     def test_rows_read_from_the_columns_match_scd(self):
         limit = 20000
-        expected = [(col_s(k), col_c(k), col_d(k), row_class(k).code) for k in range(1, limit + 1)]
+        expected = [(oracles.col_s(k), col_c(k), col_d(k), row_class(k).code) for k in range(1, limit + 1)]
         assert list(zip(*row_columns(limit))) == expected
 
     def test_domain(self):

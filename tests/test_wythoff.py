@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
 
-from beattylab.identities import CheckOptions, iter_identity_checks
+from beattylab.identities import (
+    C_FRAC_EVEN,
+    C_FRAC_ODD,
+    D_FRAC_ABOVE_HALF,
+    D_FRAC_BELOW_HALF,
+    IDENTITIES,
+    CheckOptions,
+    fib_shift_converse,
+    frac_lower,
+    frac_upper,
+    iter_identity_checks,
+)
 from beattylab.qfield import (
     INV_PHI,
     INV_PHI_CUBED,
@@ -24,17 +36,10 @@ from beattylab.qfield import (
 )
 from beattylab.wythoff import (
     ABLabel,
-    C_FRAC_EVEN,
-    C_FRAC_ODD,
-    D_FRAC_ABOVE_HALF,
-    D_FRAC_BELOW_HALF,
     c_half,
     classify_ab,
     d_cubed,
-    fib_shift_converse,
-    frac_lower,
     frac_phi,
-    frac_upper,
     klm,
     lower,
     upper,
@@ -335,9 +340,13 @@ class TestFibShift:
             shift = shifts[(odd.n, f"r={r}")]
             assert shift.passed and shift.case == f"r={r},m={odd.lhs}"
 
-    def test_even_r_rejected(self):
+    def test_even_r_rejected(self, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("a checker ran")
+
+        monkeypatch.setitem(IDENTITIES, "fib-shift", dataclasses.replace(IDENTITIES["fib-shift"], checker=no_check))
         with pytest.raises(ValueError):
-            CheckOptions(rs=(2,))
+            list(iter_identity_checks("fib-shift", 1, CheckOptions(rs=(2,))))
         with pytest.raises(ValueError):
             fib_shift_converse(4, 1, 10)
 
