@@ -3,14 +3,14 @@
 Exit codes: 0 on success / all checks passing, 1 when a mathematical
 defect is found (failed verification, failed identity, inadmissible
 census class, any ArithmeticError), 2 on invalid input: every
-ValueError, UsageError included.  main alone maps an exception to its
-exit code and one stderr line.  Every input bound (limit, N, m, n, r,
-bound) is checked once, by the library function that sizes the work,
-so a command only parses, dispatches and writes.  Output is CSV by
-default or JSON with --format json; big integer values are serialized
-as decimal strings in JSON.  Each result is written once, after it is
+ValueError.  main alone maps an exception, by its type, to its exit
+code and one stderr line.  Every input bound (limit, N, m, n, r, bound)
+is checked once, by the library function that sizes the work, so a
+command only parses (every integer with _int), dispatches and writes.
+Output is CSV by default or JSON with --format json; big integer values
+are serialized as decimal strings in JSON.  Each result is written once, after it is
 computed, to stdout or to --out; an --out path that cannot be opened
-for writing is a usage error.  The small results (verify, decompose,
+for writing exits 2.  The small results (verify, decompose,
 identities --format, classify census and ab-over-scd, density) go
 through one writer, _write, which calls csv or json.  The streamed tables, gen's columns and classify rows, are read
 straight from their label buffers and formatted 4000 values or rows per
@@ -24,7 +24,7 @@ cached, and parse_args reads the parser without changing it, so a later
 call in the same process, after a usage error too, behaves like a fresh
 one without rebuilding it (about 1.8 ms per call, 2-vCPU Xeon).  An
 argparse error (a bad type or choice, a missing flag, an unknown
-subcommand) is a UsageError too, reported in one line without the usage
+subcommand) is a ValueError too, reported in one line without the usage
 block; --help still prints the help and exits 0.
 """
 
@@ -56,15 +56,26 @@ EXIT_DEFECT = 1
 EXIT_USAGE = 2
 
 
-class UsageError(ValueError):
-    """Invalid command-line input; main reports it like every ValueError."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and the class of its subparsers, whose usage errors raise UsageError."""
+    """An ArgumentParser, and the class of its subparsers, whose usage errors raise ValueError."""
 
     def error(self, message: str):
-        raise UsageError(message)
+        raise ValueError(message)
+
+
+def _int(text: str) -> int:
+    """The argparse type of every integer flag: type=int's message, with no echo past int()'s 4300 digits."""
+    if len(text) > 4300:  # every size cap lies far below it
+        raise argparse.ArgumentTypeError(f"invalid int value of {len(text)} characters")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """The argparse type of a comma list of integers, each read by _int."""
+    return tuple(map(_int, text.split(",")))
 
 
 def _parse_alpha(text: str) -> QuadraticReal:
@@ -72,24 +83,24 @@ def _parse_alpha(text: str) -> QuadraticReal:
         return ALPHA_NAMES[text]
     parts = text.split(",")
     if len(parts) not in (3, 4):
-        raise UsageError(
+        raise ValueError(
             f"alpha must be one of {sorted(ALPHA_NAMES)} or p,q,d[,radicand], got {text!r}"
         )
     try:
         numbers = [int(p) for p in parts]
     except ValueError as exc:
-        raise UsageError(f"non-integer component in alpha tuple {text!r}") from exc
+        raise ValueError(f"non-integer component in alpha tuple {text!r}") from exc
     radicand = numbers[3] if len(numbers) == 4 else 5
     try:
         return QuadraticReal(numbers[0], numbers[1], numbers[2], radicand)
     except ZeroDivisionError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
 
 
 def _resolve_spec(args) -> partition.PartitionSpec:
     chosen = [name for name in ("h", "alpha", "explicit") if getattr(args, name, None)]
     if len(chosen) != 1:
-        raise UsageError("exactly one of --h, --alpha, --explicit is required")
+        raise ValueError("exactly one of --h, --alpha, --explicit is required")
     if args.h == "identity":
         return partition.identity_spec(args.n)
     if args.h == "phi":
@@ -104,11 +115,11 @@ def _read_explicit(path: str) -> list[int]:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise UsageError(f"cannot read explicit generator file: {exc}") from exc
+        raise ValueError(f"cannot read explicit generator file: {exc}") from exc
     try:
         return [int(token) for token in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise UsageError(f"explicit generator file must contain integers: {exc}") from exc
+        raise ValueError(f"explicit generator file must contain integers: {exc}") from exc
 
 
 def _output(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
@@ -122,7 +133,7 @@ def _output(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
     try:
         return open(out, "w")
     except OSError as exc:
-        raise UsageError(f"cannot write --out file: {exc}") from exc
+        raise ValueError(f"cannot write --out file: {exc}") from exc
 
 
 def _write(args, payload: Callable[[], object], rows: Iterable[Iterable]) -> None:
@@ -245,16 +256,9 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _identity_options(args) -> identities.CheckOptions:
-    rs = (1, 3, 5, 7)
-    if args.r is not None:
-        rs = tuple(int(tok) for tok in str(args.r).split(","))
-    return identities.CheckOptions(rs=rs, bound=args.bound, fault_offset=1 if args.inject_off_by_one else 0)
-
-
 def _cmd_identities(args) -> int:
     names = [args.identity] if args.identity else identities.identity_names()
-    opts = _identity_options(args)
+    opts = identities.CheckOptions(args.r, args.bound, 1 if args.inject_off_by_one else 0)
     if args.format:
         checks = [check for name in names for check in identities.iter_identity_checks(name, args.N, opts)]
         _write(
@@ -348,9 +352,7 @@ def _cmd_density(args) -> int:
 
 
 def _add_generator_flags(sub) -> None:
-    sub.add_argument(
-        "--n", type=int, required=True, help=f"number of columns (2 to {partition.MAX_COLUMNS})"
-    )
+    sub.add_argument("--n", type=_int, required=True, help=f"number of columns (2 to {partition.MAX_COLUMNS})")
     sub.add_argument("--h", choices=("identity", "phi"), help="named step sequence")
     sub.add_argument("--alpha", help="exact alpha: named constant or p,q,d[,radicand]")
     sub.add_argument("--explicit", help="file with explicit first-column values")
@@ -372,29 +374,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subparsers.add_parser("gen", help="dump partition columns up to a limit")
     _add_generator_flags(gen)
-    gen.add_argument("--limit", type=int, required=True)
+    gen.add_argument("--limit", type=_int, required=True)
     _add_output_flags(gen)
 
     verify = subparsers.add_parser("verify", help="brute-force cover/disjointness check")
     _add_generator_flags(verify)
-    verify.add_argument("--limit", type=int, required=True)
+    verify.add_argument("--limit", type=_int, required=True)
     _add_output_flags(verify)
 
     dec = subparsers.add_parser("decompose", help="invert the partition map for one integer")
     _add_generator_flags(dec)
-    dec.add_argument("--m", type=int, required=True)
+    dec.add_argument("--m", type=_int, required=True)
     _add_output_flags(dec)
 
     idn = subparsers.add_parser("identities", help="run the exact identity suite")
-    idn.add_argument("--N", type=int, default=1000, help=f"scan indices 1..N, N at most {identities.MAX_N}")
+    idn.add_argument("--N", type=_int, default=1000, help=f"scan indices 1..N, N at most {identities.MAX_N}")
     idn.add_argument("--identity", help="run a single named identity")
+    default_rs = identities.CheckOptions().rs
     idn.add_argument(
         "--r",
-        help=f"comma list of odd shift indices up to {identities.FIB_INDEX_CAP} (default 1,3,5,7)",
+        type=_int_list,
+        default=default_rs,
+        help=f"comma list of odd shift indices up to {identities.FIB_INDEX_CAP}"
+        f" (default {','.join(map(str, default_rs))})",
     )
     idn.add_argument(
         "--bound",
-        type=int,
+        type=_int,
         help=f"search bound for the converse scan, 1 to {identities.CONVERSE_BOUND_CAP}",
     )
     idn.add_argument(
@@ -406,11 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cls = subparsers.add_parser("classify", help="row classes and membership censuses")
     cls.add_argument("what", choices=("rows", "census", "ab-over-scd"))
-    cls.add_argument("--N", type=int, required=True)
+    cls.add_argument("--N", type=_int, required=True)
     _add_output_flags(cls)
 
     den = subparsers.add_parser("density", help="desk-scale density measurements")
-    den.add_argument("--N", type=int, required=True)
+    den.add_argument("--N", type=_int, required=True)
     _add_output_flags(den)
 
     return parser

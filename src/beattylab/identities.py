@@ -1,9 +1,14 @@
 """Registry of named exact identity checks, scanned over index ranges.
 
-Each check produces records with exact left/right sides; a scan passes
-only if every record does.  The KLM grid check is summarized per index
-(one record counting mismatches over all coefficient triples) and
-supports an off-by-one fault injection for exercising the failure path.
+The registry IDENTITIES is the one place that names an identity.  Its
+checkers return, for one index, only what they check: (case, lhs, rhs)
+with exact left/right sides, passing when they are equal, or
+(case, lhs, rhs, passed) where the checker gives the verdict itself.
+iter_identity_checks stamps the name and the index on every record, and
+a scan passes only if every record does.  The KLM grid check is
+summarized per index (one record counting mismatches over all
+coefficient triples) and supports an off-by-one fault injection for
+exercising the failure path.
 
 The statements checked that no kernel or scan reads live here too: the
 fractional-part closed forms of a(n), b(n), d(k), c(k) and s(k), the
@@ -18,7 +23,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
-from .partition import d2_closed_form
+from .partition import _require_limit, d2_closed_form
 from .qfield import (
     INV_PHI,
     INV_PHI_CUBED,
@@ -189,68 +194,54 @@ def fib_shift_converse(r: int, n: int, search_bound: int) -> set[int]:
     return found
 
 
-def _record(identity: str, n: int, case: str, lhs, rhs) -> IdentityCheck:
-    return IdentityCheck(identity, n, case, lhs, rhs, lhs == rhs)
-
-
 def _check_frac_lower(n, opts):
-    return [_record("frac-lower", n, "", frac_lower(n), frac_phi(lower(n)))]
+    return [("", frac_lower(n), frac_phi(lower(n)))]
 
 
 def _check_frac_upper(n, opts):
-    return [_record("frac-upper", n, "", frac_upper(n), frac_phi(upper(n)))]
+    return [("", frac_upper(n), frac_phi(upper(n)))]
 
 
 def _check_nested_floors(n, opts):
     an, bn = lower(n), upper(n)
     return [
-        _record("nested-floors", n, "a(a(n))", lower(an), an + n - 1),
-        _record("nested-floors", n, "a(a(n))=b(n)-1", lower(an), bn - 1),
-        _record("nested-floors", n, "a(b(n))", lower(bn), an + bn),
+        ("a(a(n))", lower(an), an + n - 1),
+        ("a(a(n))=b(n)-1", lower(an), bn - 1),
+        ("a(b(n))", lower(bn), an + bn),
     ]
 
 
 def _check_upper_gap(n, opts):
-    return [_record("upper-gap", n, "", upper(n) - PHI * lower(n), frac_phi(n) * INV_PHI)]
+    return [("", upper(n) - PHI * lower(n), frac_phi(n) * INV_PHI)]
 
 
 def _check_frac_sum(n, opts):
-    return [_record("frac-sum", n, "", frac_lower(n) + PHI * frac_upper(n), ONE)]
+    return [("", frac_lower(n) + PHI * frac_upper(n), ONE)]
 
 
 def _check_summary_lower(n, opts):
-    lhs = PHI * frac_phi(lower(n)) + frac_phi(n)
-    return [_record("summary-lower", n, "", lhs, PHI)]
+    return [("", PHI * frac_phi(lower(n)) + frac_phi(n), PHI)]
 
 
 def _check_summary_upper(n, opts):
-    lhs = PHI_SQ * frac_phi(upper(n)) - frac_phi(n)
-    return [_record("summary-upper", n, "", lhs, ZERO)]
+    return [("", PHI_SQ * frac_phi(upper(n)) - frac_phi(n), ZERO)]
 
 
 def _check_summary_d(n, opts):
     fn = frac_phi(n)
     lhs = frac_phi(d_cubed(n)) + INV_PHI_CUBED * fn
     if strict_compare(fn, ONE_HALF) < 0:
-        return [_record("summary-d", n, "below-half", lhs, ONE)]
-    return [_record("summary-d", n, "above-half", lhs, INV_PHI)]
+        return [("below-half", lhs, ONE)]
+    return [("above-half", lhs, INV_PHI)]
 
 
 def _check_summary_c(n, opts):
-    out = [
-        _record(
-            "summary-c",
-            n,
-            "m=2n",
-            PHI_CUBED * frac_phi(c_half(2 * n)) - PHI * frac_phi(n),
-            ZERO,
-        )
-    ]
+    out = [("m=2n", PHI_CUBED * frac_phi(c_half(2 * n)) - PHI * frac_phi(n), ZERO)]
     lhs = PHI_CUBED * frac_phi(c_half(2 * n + 1)) - PHI * frac_phi(n)
     if strict_compare(frac_phi(n), LAMBDA_SPLIT) < 0:
-        out.append(_record("summary-c", n, "m=2n+1,low", lhs, PHI_SQ))
+        out.append(("m=2n+1,low", lhs, PHI_SQ))
     else:
-        out.append(_record("summary-c", n, "m=2n+1,high", lhs, ONE))
+        out.append(("m=2n+1,high", lhs, ONE))
     return out
 
 
@@ -262,37 +253,33 @@ def _check_d_interval(n, opts):
         case, value, (lo, hi) = "below-half", ONE - INV_PHI_CUBED * fn, D_FRAC_BELOW_HALF
     if not (lo < value < hi):
         message = f"{{d({n})*phi}} = {value} escaped ({lo}, {hi})"
-        return [IdentityCheck("d-interval", n, "membership", message, "", False)]
-    return [_record("d-interval", n, case, value, frac_phi(d_cubed(n)))]
+        return [("membership", message, "", False)]
+    return [(case, value, frac_phi(d_cubed(n)))]
 
 
 def _check_c_interval(n, opts):
     out = []
     for case, m, (lo, hi) in (("even", 2 * n, C_FRAC_EVEN), ("odd", 2 * n + 1, C_FRAC_ODD)):
         value = frac_phi(c_half(m))
-        out.append(IdentityCheck("c-interval", n, case, value, f"({lo}, {hi})", lo < value < hi))
+        out.append((case, value, f"({lo}, {hi})", lo < value < hi))
     return out
 
 
 def _check_d_case(n, opts):
     fn = frac_phi(n)
     if strict_compare(fn, ONE_HALF) < 0:
-        return [_record("d-case", n, "below-half", d_cubed(n), 2 * lower(n) + n)]
-    return [_record("d-case", n, "above-half", d_cubed(n), 2 * lower(n) + n + 1)]
+        return [("below-half", d_cubed(n), 2 * lower(n) + n)]
+    return [("above-half", d_cubed(n), 2 * lower(n) + n + 1)]
 
 
 def _check_c_odd_case(n, opts):
     e = 1 if strict_compare(frac_phi(n), LAMBDA_SPLIT) < 0 else 2
-    return [_record("c-odd-case", n, f"e={e}", c_half(2 * n + 1), upper(n) + e)]
+    return [(f"e={e}", c_half(2 * n + 1), upper(n) + e)]
 
 
 def _check_fib_floor(n, opts):
     shifted = frac_phi(n) * INV_PHI
-    out = []
-    for r in opts.rs:
-        lhs = (PHI * fib(r) + INV_PHI * shifted).floor()
-        out.append(_record("fib-floor", n, f"r={r}", lhs, fib(r + 1)))
-    return out
+    return [(f"r={r}", (PHI * fib(r) + INV_PHI * shifted).floor(), fib(r + 1)) for r in opts.rs]
 
 
 @lru_cache(maxsize=FIB_INDEX_CAP + 1)
@@ -303,14 +290,13 @@ def _phi_product(n: int) -> QuadraticReal:
 
 def _check_phi_power(n, opts):
     return [
-        _record("phi-power", n, "vs-iterated-product", phi_pow(n), _phi_product(n)),
-        _record("phi-power", n, "vs-fib-form", phi_pow(n), PHI * fib(n) + fib(n - 1)),
+        ("vs-iterated-product", phi_pow(n), _phi_product(n)),
+        ("vs-fib-form", phi_pow(n), PHI * fib(n) + fib(n - 1)),
     ]
 
 
 def _check_cassini(n, opts):
-    lhs = fib(n + 1) * fib(n - 1) - fib(n) ** 2
-    return [_record("cassini", n, "", lhs, (-1) ** n)]
+    return [("", fib(n + 1) * fib(n - 1) - fib(n) ** 2, (-1) ** n)]
 
 
 def _check_klm_grid(n, opts):
@@ -327,8 +313,7 @@ def _check_klm_grid(n, opts):
                 mismatches += 1
                 if not first:
                     first = f"first=({K},{L},{M})"
-    case = first or "grid [-5,5]^3"
-    return [_record("klm-grid", n, case, mismatches, 0)]
+    return [(first or "grid [-5,5]^3", mismatches, 0)]
 
 
 def _check_fib_shift(n, opts):
@@ -338,7 +323,7 @@ def _check_fib_shift(n, opts):
         m = lower(n) + n + fib(r)
         pr = phi_pow(r)
         lhs = pr * frac_phi(m) - pr * shifted
-        out.append(_record("fib-shift", n, f"r={r},m={m}", lhs, ONE))
+        out.append((f"r={r},m={m}", lhs, ONE))
     return out
 
 
@@ -350,32 +335,32 @@ def _check_fib_shift_converse(n, opts):
         bound = opts.bound if opts.bound is not None else max(400, 2 * expected)
         found = sorted(fib_shift_converse(r, n, bound))
         want = [expected] if expected <= bound else []
-        out.append(_record("fib-shift-converse", n, f"r={r},bound={bound}", found, want))
+        out.append((f"r={r},bound={bound}", found, want))
     return out
 
 
 def _check_col_d_frac(n, opts):
-    return [_record("col-d-frac", n, "", frac_col_d(n), frac_phi(THREE_SET_SPEC.term(n)))]
+    return [("", frac_col_d(n), frac_phi(THREE_SET_SPEC.term(n)))]
 
 
 def _check_col_c_frac(n, opts):
     case, closed = frac_col_c(n)
-    return [_record("col-c-frac", n, case, closed, frac_phi(d2_closed_form(3, n)))]
+    return [(case, closed, frac_phi(d2_closed_form(3, n)))]
 
 
 def _check_col_s_frac(n, opts):
     try:
         offset, value = frac_col_s(n)
     except ArithmeticError as exc:
-        return [IdentityCheck("col-s-frac", n, "offset", str(exc), "", False)]
+        return [("offset", str(exc), "", False)]
     case = "even" if n % 2 == 0 else "odd"
-    return [IdentityCheck("col-s-frac", n, case, offset, "parity candidate set", True)]
+    return [(case, offset, "parity candidate set", True)]
 
 
 def _check_col_sum(n, opts):
     case, c_frac = frac_col_c(n)
     rhs = ONE if case == "above-inv-sqrt5" else QuadraticReal(2)
-    return [_record("col-sum", n, case, c_frac + PHI * frac_col_d(n), rhs)]
+    return [(case, c_frac + PHI * frac_col_d(n), rhs)]
 
 
 # the one dataclass left in the package: perfbench/tracer.py swaps each
@@ -384,11 +369,11 @@ def _check_col_sum(n, opts):
 class IdentityDef:
     name: str
     description: str
-    checker: Callable[[int, CheckOptions], list[IdentityCheck]]
+    checker: Callable[[int, CheckOptions], list[tuple]]
     index_cap: int | None = None
 
 
-IDENTITY_DEFS: tuple[IdentityDef, ...] = (
+IDENTITIES: dict[str, IdentityDef] = {d.name: d for d in (
     IdentityDef("frac-lower", "{a(n)phi} = 1 - {n phi}/phi", _check_frac_lower),
     IdentityDef("frac-upper", "{b(n)phi} = {n phi}/phi^2", _check_frac_upper),
     IdentityDef("nested-floors", "a(a(n)) = a(n)+n-1 = b(n)-1; a(b(n)) = a(n)+b(n)", _check_nested_floors),
@@ -417,13 +402,11 @@ IDENTITY_DEFS: tuple[IdentityDef, ...] = (
     IdentityDef("col-c-frac", "{c(k)phi} closed form, 3-column c", _check_col_c_frac),
     IdentityDef("col-s-frac", "{s(k)phi} realized offset in the parity set", _check_col_s_frac),
     IdentityDef("col-sum", "{c(k)phi} + phi*{d(k)phi} = 1 or 2", _check_col_sum),
-)
-
-IDENTITIES: dict[str, IdentityDef] = {d.name: d for d in IDENTITY_DEFS}
+)}
 
 
 def identity_names() -> list[str]:
-    return [d.name for d in IDENTITY_DEFS]
+    return list(IDENTITIES)
 
 
 def iter_identity_checks(
@@ -442,14 +425,13 @@ def iter_identity_checks(
         raise ValueError(f"converse search bound must be in [1, {CONVERSE_BOUND_CAP}], got {opts.bound}")
     if name not in IDENTITIES:
         raise ValueError(f"unknown identity {name!r}; choose from {identity_names()}")
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    if limit > MAX_N:
-        raise ValueError(f"limit must be at most {MAX_N}, got {limit}")
+    _require_limit(limit, MAX_N)
     definition = IDENTITIES[name]
+    checker = definition.checker
     top = limit if definition.index_cap is None else min(limit, definition.index_cap)
     for n in range(1, top + 1):
-        yield from definition.checker(n, opts)
+        for case, lhs, rhs, *verdict in checker(n, opts):
+            yield IdentityCheck(name, n, case, lhs, rhs, verdict[0] if verdict else lhs == rhs)
 
 
 class IdentitySummary(NamedTuple):

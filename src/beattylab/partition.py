@@ -58,6 +58,14 @@ def _require_columns(n: int) -> None:
         raise ValueError(f"number of columns must be in [2, {MAX_COLUMNS}], got {n}")
 
 
+def _require_limit(limit: int, cap: int) -> None:
+    """The size rule of every range scan: a limit in [1, cap], or ValueError."""
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
+    if limit > cap:
+        raise ValueError(f"limit must be at most {cap}, got {limit}")
+
+
 class PartitionSpec:
     """Number of columns n plus the first-column generator, an exact alpha or a tuple of terms.
 
@@ -293,10 +301,7 @@ def _sweep(spec: PartitionSpec, limit: int) -> tuple[bytearray, int | None]:
     {2**(n-1), 2**n - 1}.  A tuple of terms is measured as given by
     _value_sweep, also the fill's test oracle.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    if limit > MAX_LIMIT:
-        raise ValueError(f"limit must be at most {MAX_LIMIT}, got {limit}")
+    _require_limit(limit, MAX_LIMIT)
     if isinstance(spec.generator, QuadraticReal):
         return _alpha_labels(spec.n, spec.generator, limit), None
     return _value_sweep(spec, limit)

@@ -18,7 +18,8 @@ through big-endian integers, and bytes.count and bytes.find read the
 result.  rows reads the rows themselves and their codes from one such
 buffer.  d(k) is THREE_SET_SPEC.term(k), c(k) is
 partition.d2_closed_form(3, k), and the tests keep the paper's per-point
-formulas as the scans' oracle.
+formulas as the scans' oracle.  Every scan takes an index limit in
+[1, MAX_INDEX] by partition's one limit rule, before any buffer is built.
 """
 
 from __future__ import annotations
@@ -53,13 +54,6 @@ class Census(NamedTuple):
     total: int
     counts: dict[str, int]
     first_index: dict[str, int]
-
-
-def _require_index_limit(limit: int) -> None:
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    if limit > MAX_INDEX:
-        raise ValueError(f"limit must be at most {MAX_INDEX}, got {limit}")
 
 
 # the scans convert and translate one block of bytes at a time
@@ -159,7 +153,7 @@ def row_columns(limit: int) -> tuple[Iterator[int], Iterator[int], Iterator[int]
     limit outside [1, MAX_INDEX] raises ValueError before any buffer is
     built.
     """
-    _require_index_limit(limit)
+    partition._require_limit(limit, MAX_INDEX)
     tags = _tagged_values(THREE_SET_SPEC.term(limit))
     codes = map(_ROW_CLASSES.__getitem__, _select(tags, limit, 1, _ROW_PLANES))
     labels = tags.translate(_TAG_COLUMNS)
@@ -173,7 +167,7 @@ def row_class_census(limit: int) -> Census:
     Any class outside the six admissible ones would disprove the
     classification; callers should treat such keys as defects.
     """
-    _require_index_limit(limit)
+    partition._require_limit(limit, MAX_INDEX)
     return _tally(_select(_tagged_values(THREE_SET_SPEC.term(limit)), limit, 1, _ROW_PLANES), _ROW_CLASSES)
 
 
@@ -184,7 +178,7 @@ def row_class_keys(counts: dict[str, int]) -> list[str]:
 
 def ab_over_scd_census(limit: int) -> Census:
     """Census of (column of a(n), column of b(n)) for n in [1, limit]."""
-    _require_index_limit(limit)
+    partition._require_limit(limit, MAX_INDEX)
     return _tally(_select(_tagged_values(upper(limit)), limit, 2, _PAIR_PLANES), _PAIR_CLASSES)
 
 
@@ -236,7 +230,7 @@ def density_report(limit: int) -> DensityReport:
     A and the six row-class frequencies have no proof and are flagged
     empirical-open.
     """
-    _require_index_limit(limit)
+    partition._require_limit(limit, MAX_INDEX)
     c_in_a, a_in_c = _c_half_counts(limit)
     tags = _tagged_values(THREE_SET_SPEC.term(limit))
     rows = _tally(_select(tags, limit, 1, _ROW_PLANES), _ROW_CLASSES)

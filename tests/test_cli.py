@@ -563,6 +563,20 @@ def test_unwritable_out_exits_2(run_cli, tmp_path, argv, where):
         ("verify --n 3 --h phi", "the following arguments are required: --limit"),
         ("gen --n 3 --h phi --limit 5 --format xml", "argument --format: invalid choice: 'xml'"),
         ("no-such --N 5", "argument command: invalid choice: 'no-such'"),
+        # past int()'s 4300 digits a value is refused by length, not echoed
+        pytest.param(
+            f"decompose --n 3 --h phi --m 1{'0' * 4999}",
+            "argument --m: invalid int value of 5000 characters",
+            id="decompose --m of 5000 digits",
+        ),
+        pytest.param(
+            f"classify census --N 1{'0' * 4999}",
+            "argument --N: invalid int value of 5000 characters",
+            id="classify census --N of 5000 digits",
+        ),
+        # each item of --r is read like every integer flag, and the error names the flag
+        ("identities --N 5 --r a", "argument --r: invalid int value: 'a'"),
+        ("identities --N 5 --r 1,x", "argument --r: invalid int value: 'x'"),
     ],
 )
 def test_argparse_errors_take_one_line(run_cli, argv, message):
@@ -570,6 +584,8 @@ def test_argparse_errors_take_one_line(run_cli, argv, message):
     code, out, err = run_cli(*argv.split())
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    if message.startswith("argument --"):  # a flag's value is never echoed at length
+        assert len(err.encode()) < 100, err
 
 
 def test_help_exits_0(capsys):

@@ -200,7 +200,7 @@ GOLDEN = {
     "identities --identity fib-shift --r a --N 5": (
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "d992fa38323f08d8b679f97cac822cd06dec9cc5d5f5b7623277b5427c7268e5",
+        "6115d98b28523c62b7f368126e7e80dbe8d474b64d9465f1652bbe802f099a8a",
     ),
     "identities --identity no-such --N 5": (
         2,

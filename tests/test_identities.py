@@ -49,6 +49,17 @@ def test_all_identities_pass_at_small_scale():
         assert summary.checks > 0
 
 
+@pytest.mark.parametrize("name", identities.identity_names())
+def test_scan_stamps_the_name_and_every_index_in_order(name):
+    # checkers return (case, lhs, rhs[, passed]); the scan adds the name and n
+    records = list(identities.iter_identity_checks(name, 40))
+    cap = identities.IDENTITIES[name].index_cap
+    assert {record.identity for record in records} == {name}
+    indices = [record.n for record in records]
+    assert indices == sorted(indices)
+    assert list(dict.fromkeys(indices)) == list(range(1, min(40, cap or 40) + 1))
+
+
 def test_fault_injection_fails_at_first_index():
     opts = identities.CheckOptions(fault_offset=1)
     summary = identities.summarize_identity("klm-grid", 5, opts)
@@ -158,5 +169,6 @@ def test_phi_power_oracle_is_the_iterated_product():
     # the deepest index first: every smaller product is filled on the way down
     assert identities._phi_product(identities.FIB_INDEX_CAP) == products[-1]
     assert [identities._phi_product(n) for n in range(identities.FIB_INDEX_CAP + 1)] == products
-    record = identities._check_phi_power(identities.FIB_INDEX_CAP, identities.CheckOptions())[0]
+    deepest = identities.FIB_INDEX_CAP
+    record = next(r for r in identities.iter_identity_checks("phi-power", deepest) if r.n == deepest)
     assert (record.case, record.rhs, record.passed) == ("vs-iterated-product", products[-1], True)

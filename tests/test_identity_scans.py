@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from beattylab import identities, wythoff
-from beattylab.identities import CheckOptions, _check_klm_grid, fib_shift_converse
+from beattylab.identities import CheckOptions, IdentityCheck, _check_klm_grid, fib_shift_converse
 from beattylab.qfield import fib
 from beattylab.wythoff import lower
 import oracles
@@ -42,9 +42,10 @@ class TestFibShiftConverse:
         assert seen == [7, *range(1, 251)]  # a(n) for the target, then a(m) per m
 
 
-def _grid_record(n: int, fault_offset: int):
-    (record,) = _check_klm_grid(n, CheckOptions(fault_offset=fault_offset))
-    return record
+def _grid_record(n: int, fault_offset: int) -> IdentityCheck:
+    """The klm-grid record of index n alone, stamped as iter_identity_checks stamps it."""
+    ((case, mismatches, zero),) = _check_klm_grid(n, CheckOptions(fault_offset=fault_offset))
+    return IdentityCheck("klm-grid", n, case, mismatches, zero, mismatches == zero)
 
 
 def _valid_triples(n: int) -> list[tuple[int, int, int]]:
