@@ -12,12 +12,15 @@ are serialized as decimal strings in JSON.  Each result is written once, after i
 computed, to stdout or to --out; an --out path that cannot be opened
 for writing exits 2.  The small results (verify, decompose,
 identities --format, classify census and ab-over-scd, density) go
-through one writer, _write, which calls csv or json.  The streamed tables, gen's columns and classify rows, are read
-straight from their label buffers and formatted 4000 values or rows per
-% template, byte for byte what csv.writer and json.dump(indent=2) would
-write; a row number k is spelled by the template, not formatted by %.
-No column is held as a list, so gen --n 3 --h phi --limit 10**7 peaks
-at 26 MB in either format (fresh interpreter, 2-vCPU Xeon).
+through one writer, _write, which calls csv or json.  The streamed tables,
+gen's columns and classify rows, are read straight from their label
+buffers and written byte for byte as csv.writer and json.dump(indent=2)
+would write them.  gen builds its text from the labels without an int
+per value: one template per 0/1 pattern of a 100-value block, filled by
+one replace, and CSV rows assembled one byte column at a time.  classify
+rows formats 4000 rows per % template, with each row number k spelled by
+the template.  No column is held as a list, so gen --n 3 --h phi --limit
+10**7 peaks at 26 MB in either format (fresh interpreter, 2-vCPU Xeon).
 
 main parses with one argparse parser per process: build_parser is
 cached, and parse_args reads the parser without changing it, so a later
@@ -36,7 +39,7 @@ import csv
 import functools
 import json
 import sys
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import Callable, Iterable, Iterator, TextIO
 
 from . import identities, partition, three_set
@@ -64,13 +67,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int(text: str) -> int:
-    """The argparse type of every integer flag: type=int's message, with no echo past int()'s 4300 digits."""
-    if len(text) > 4300:  # every size cap lies far below it
-        raise argparse.ArgumentTypeError(f"invalid int value of {len(text)} characters")
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """The argparse type of every integer flag: type=int's message for a short value, the length of a long one.
+
+    A value past int()'s 4300 digits is not parsed (every size cap lies far
+    below it), and a malformed value past 40 characters is not echoed.
+    """
+    if len(text) <= 4300:
+        try:
+            return int(text)
+        except ValueError:
+            if len(text) <= 40:
+                raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    raise argparse.ArgumentTypeError(f"invalid int value of {len(text)} characters")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -163,31 +171,24 @@ def _frequency_string(count: int, total: int) -> str:
 def _cmd_gen(args) -> int:
     spec = _resolve_spec(args)
     labels = partition.column_labels(spec, args.limit)
-    columns = (partition.column_values(labels, j) for j in range(1, spec.n + 1))
     with _output(args.out) as fh:
         if args.format == "json":
-            _write_json_columns(fh, spec, args.limit, columns)
+            _write_json_columns(fh, spec, args.limit, labels)
         else:
-            _write_csv_columns(fh, columns)
+            _write_csv_columns(fh, labels, spec.n)
     return EXIT_OK
 
 
-# gen and classify rows format one % per chunk of values instead of csv or
-# json: every value is a decimal int or an A/B row class, which csv
-# (QUOTE_MINIMAL) never quotes and JSON never escapes, so the bytes are those
-# of csv.writer and json.dump(indent=2).  A numbered row template holds _K
-# where its row number k goes; k itself is never formatted by %.
-_CHUNK = 4000  # rows or values per % call; _numbered needs a multiple of ten
+# gen and classify rows write their tables without csv or json: every value
+# is a decimal int or an A/B row class, which csv (QUOTE_MINIMAL) never quotes
+# and JSON never escapes, so the bytes are those of csv.writer and
+# json.dump(indent=2).  A template holds _K where a row number or a block's
+# leading digits go, filled by one replace, never formatted by %.
+_CHUNK = 4000  # rows per % call of classify rows; _numbered needs a multiple of ten
 _K = "\0"
 _CSV_ROW = _K + ",%d,%d,%d,%s\n"
 _CSV_CLASSES = {s + c + d: f"{s},{c},{d}" for s in "AB" for c in "AB" for d in "AB"}
 _JSON_ROW = ',\n  {\n    "k": ' + _K + ',\n    "s": "%d",\n    "c": "%d",\n    "d": "%d",\n    "class": "%s"\n  }'
-
-
-def _chunks(values: Iterator) -> Iterator[tuple]:
-    """values in tuples of _CHUNK, the last one shorter."""
-    while chunk := tuple(islice(values, _CHUNK)):
-        yield chunk
 
 
 def _numbered(row: str, width: int, values: Iterator) -> Iterator[str]:
@@ -209,27 +210,127 @@ def _numbered(row: str, width: int, values: Iterator) -> Iterator[str]:
         q += full
 
 
-def _write_csv_columns(fh: TextIO, columns: Iterable[Iterator[int]]) -> None:
-    """The csv table column,k,value with one row per column value."""
+# gen writes column j as runs of lines "v\n" of one width, read straight from
+# the labels: values 1-99 are formatted one by one, and block q >= 1 holds the
+# values 100q to 100q + 99, each len(str(q)) + 2 digits long.  Its text is a
+# template, one per 0/1 pattern of the block's labels, holding _K + "dd\n"
+# for each value 100q + dd labelled j.  A Sturmian word has m + 1 factors of
+# length m, and a column's 0/1 word is a morphic image of one, so about a
+# hundred templates serve every block of a column of an alpha generator
+# (101-103 for phi and sqrt2 at n = 3 and 8); the columns share one cache.
+_BLOCK_LINES = tuple(f"{_K}{d:02d}\n" for d in range(100))
+_TEMPLATE_CAP = 1024  # an explicit list's labels can have any number of block patterns
+_RUN = 10**4  # labels per translated mask, and so per run: a multiple of 100
+
+
+class _Templates(dict):
+    """Block text by 0/1 pattern, built on first use; emptied once it holds _TEMPLATE_CAP."""
+
+    def __missing__(self, pattern: bytes) -> str:
+        if len(self) >= _TEMPLATE_CAP:
+            self.clear()
+        text = self[pattern] = "".join(compress(_BLOCK_LINES, pattern))
+        return text
+
+
+def _value_runs(labels: bytearray, j: int, templates: _Templates) -> Iterator[str]:
+    """The values labelled j, ascending, as runs of lines "v\n", one width per run.
+
+    From 100 on, a run is one window of at most _RUN labels, cut where v
+    gains a digit and translated to a 0/1 mask.  A window starts at the
+    block of the next value labelled j and find skips every block with
+    none, so a sparse column costs per value, not per block.
+    """
+    for lo, hi in ((1, 10), (10, 100)):
+        if run := "".join([f"{v}\n" for v in range(lo, min(hi, len(labels))) if labels[v] == j]):
+            yield run
+    table = bytes(j) + b"\1" + bytes(255 - j)  # j to 1, every other byte to 0
+    found = labels.find(j, 100)
+    while found >= 0:
+        lo = found - found % 100
+        hi = min(lo + _RUN, 10 ** len(str(lo)))
+        mask = bytes(labels[lo:hi]).translate(table)
+        parts = []
+        i = found - lo
+        while i >= 0:
+            b = i - i % 100
+            parts.append(templates[mask[b : b + 100]].replace(_K, str((lo + b) // 100)))
+            i = mask.find(1, b + 100)
+        yield "".join(parts)
+        found = labels.find(j, hi)
+
+
+@functools.cache
+def _place_pattern(p: int) -> bytes:
+    """The digit at 10**p of k = 0, 1, 2, ...: period 10**(p + 1), long enough to slice _RUN rows from any offset."""
+    return b"".join(b"%d" % d * 10**p for d in range(10)) * (_RUN // 10 ** (p + 1) + 2)
+
+
+def _k_place(k: int, rows: int, p: int) -> bytes:
+    """The digit at 10**p of each row number k to k + rows - 1, for rows <= _RUN.
+
+    That digit runs through 0-9, each held for 10**p rows: a slice of its
+    periodic pattern while 10**p < _RUN, and past that one change at most.
+    """
+    if 10**p < _RUN:
+        start = k % 10 ** (p + 1)
+        return _place_pattern(p)[start : start + rows]
+    d = k // 10**p % 10
+    first = min(rows, 10**p - k % 10**p)
+    return b"%d" % d * first + b"%d" % ((d + 1) % 10) * (rows - first)
+
+
+def _csv_rows(j: int, k: int, width: int, lines: bytes, line: int) -> str:
+    """The rows "j,k,v\n" of lines, each "v\n" line bytes long, numbered from k, all k width digits.
+
+    Every row has the same layout, so one bytearray of rows copies of the
+    first row takes each other digit by one extended-slice assignment per
+    byte column, from the k digits or from lines.
+    """
+    prefix = b"%d," % j
+    rows = len(lines) // line
+    row = len(prefix) + width + 1 + line
+    out = bytearray(prefix + b"0" * width + b"," + lines[:line]) * rows
+    for c in range(width):
+        out[len(prefix) + c :: row] = _k_place(k, rows, width - 1 - c)
+    for c in range(line - 1):
+        out[row - line + c :: row] = lines[c::line]
+    return out.decode()
+
+
+def _write_csv_columns(fh: TextIO, labels: bytearray, n: int) -> None:
+    """The csv table column,k,value with one row per value labelled 1 to n."""
     fh.write("column,k,value\n")
-    for j, values in enumerate(columns, start=1):
-        fh.writelines(_numbered(f"{j},{_K},%d\n", 1, values))
+    templates = _Templates()
+    for j in range(1, n + 1):
+        k = 1
+        for run in _value_runs(labels, j, templates):
+            line = run.index("\n") + 1
+            data = run.encode()
+            while data:  # cut where k gains a digit
+                width = len(str(k))
+                rows = min(len(data) // line, 10**width - k)
+                fh.write(_csv_rows(j, k, width, data[: rows * line], line))
+                data = data[rows * line :]
+                k += rows
 
 
-def _write_json_columns(
-    fh: TextIO, spec: partition.PartitionSpec, limit: int, columns: Iterable[Iterator[int]]
-) -> None:
-    """The indented JSON object {n, generator, limit, columns}, values as decimal strings."""
+def _write_json_columns(fh: TextIO, spec: partition.PartitionSpec, limit: int, labels: bytearray) -> None:
+    """The indented JSON object {n, generator, limit, columns}, values as decimal strings.
+
+    One replace turns a run of lines "v\n" into its values' JSON lines.
+    """
     head = {"n": spec.n, "generator": spec.describe(), "limit": limit}
     fh.write("{\n" + "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items()))
     fh.write('  "columns": [')
     separator = "\n    "
-    for values in columns:
+    templates = _Templates()
+    for j in range(1, spec.n + 1):
         fh.write(separator)
         lead = "["
-        for chunk in _chunks(values):
-            fh.write(lead)
-            fh.write(('\n      "%d",' * len(chunk))[:-1] % chunk)
+        for run in _value_runs(labels, j, templates):
+            body = run[:-1].replace("\n", '",\n      "')
+            fh.write(f'{lead}\n      "{body}"')
             lead = ","
         fh.write("\n    ]" if lead == "," else "[]")
         separator = ",\n    "

@@ -34,10 +34,11 @@ from .wythoff import lower, standard_fill
 # cost grows with n; no construction in this package needs more columns.
 MAX_COLUMNS = 64
 
-# The sweep allocates one byte per value of [1, limit], and gen reads its
-# columns from those labels a chunk at a time.  At this cap verify peaks at
-# about 26 MB for any alpha generator and gen --n 3 --h phi at 26 MB in
-# either format (17 MB at 10**6; fresh interpreter, ru_maxrss, 2-vCPU Xeon).
+# The sweep allocates one byte per value of [1, limit], and gen writes its
+# columns from those labels one window of 10**4 labels at a time.  At this
+# cap verify peaks at about 26 MB for any alpha generator and gen --n 3
+# --h phi at 26 MB in either format, in 1.0-1.5 s (18 MB at 10**6; fresh
+# interpreter, ru_maxrss, 2-vCPU Xeon).
 MAX_LIMIT = 10**7
 
 # decompose's term search grows with the digits of m: --m 10**1000 + 7

@@ -574,6 +574,22 @@ def test_unwritable_out_exits_2(run_cli, tmp_path, argv, where):
             "argument --N: invalid int value of 5000 characters",
             id="classify census --N of 5000 digits",
         ),
+        # a malformed value past 40 characters is refused by length too
+        pytest.param(
+            f"decompose --n 3 --h phi --m {'x' * 4300}",
+            "argument --m: invalid int value of 4300 characters",
+            id="decompose --m of 4300 x's",
+        ),
+        pytest.param(
+            f"classify census --N {'x' * 41}",
+            "argument --N: invalid int value of 41 characters",
+            id="classify census --N of 41 x's",
+        ),
+        pytest.param(
+            f"classify census --N {'x' * 40}",
+            f"argument --N: invalid int value: '{'x' * 40}'",
+            id="classify census --N of 40 x's",
+        ),
         # each item of --r is read like every integer flag, and the error names the flag
         ("identities --N 5 --r a", "argument --r: invalid int value: 'a'"),
         ("identities --N 5 --r 1,x", "argument --r: invalid int value: 'x'"),

@@ -1,24 +1,38 @@
 """gen's column emitters against the csv and json encoders, byte for byte.
 
-gen writes its columns through % templates; oracles.gen_csv and
-oracles.gen_json render the same columns through csv.writer and
+gen writes its columns as text built from the label buffer, one template
+per 100-value block; oracles.gen_csv and oracles.gen_json render the
+columns of partition.build_columns through csv.writer and
 json.dump(indent=2), as gen did before.  The cases cover empty columns,
-both sides of the tiling threshold 2n*2**n, and every kind of generator,
-and the writers themselves on columns of every length around their
-ten-row templates and their chunks.
+both sides of the tiling threshold 2n*2**n, every kind of generator,
+every limit where a value or a row number gains a digit, more block
+patterns than the template cache holds, and the writers themselves on
+label buffers whose columns have every length around their edges.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beattylab import partition
-from beattylab.cli import _CHUNK, _resolve_spec, _write_csv_columns, _write_json_columns, build_parser, main
+from beattylab.cli import (
+    _RUN,
+    _TEMPLATE_CAP,
+    _resolve_spec,
+    _Templates,
+    _value_runs,
+    _write_csv_columns,
+    _write_json_columns,
+    build_parser,
+    main,
+)
 from oracles import gen_csv, gen_json
 
 
@@ -29,12 +43,25 @@ def _gen_stdout(argv: list[str]) -> str:
     return fh.getvalue()
 
 
+def _assert_same_text(got: str, want: str, context: object) -> None:
+    """Fail with the first line where got and want differ.
+
+    A plain assert would have pytest diff the two texts, which takes
+    minutes once they run to 10**5 lines.
+    """
+    if got != want:
+        got_lines, want_lines = got.splitlines(), want.splitlines()
+        pairs = zip(got_lines, want_lines)
+        i = next((i for i, (a, b) in enumerate(pairs) if a != b), min(len(got_lines), len(want_lines)))
+        pytest.fail(f"{context}: line {i + 1} is {got_lines[i : i + 1]}, expected {want_lines[i : i + 1]}")
+
+
 def _assert_gen_matches_encoders(*argv: str) -> None:
     args = build_parser().parse_args(["gen", *argv])
     spec = _resolve_spec(args)
     columns = partition.build_columns(spec, args.limit)
-    assert _gen_stdout(["gen", *argv, "--format", "csv"]) == gen_csv(columns), argv
-    assert _gen_stdout(["gen", *argv, "--format", "json"]) == gen_json(spec, args.limit, columns), argv
+    _assert_same_text(_gen_stdout(["gen", *argv, "--format", "csv"]), gen_csv(columns), argv)
+    _assert_same_text(_gen_stdout(["gen", *argv, "--format", "json"]), gen_json(spec, args.limit, columns), argv)
 
 
 def _phi_limits(n: int) -> list[int]:
@@ -80,20 +107,120 @@ def test_random_phi_ranges(n, limit):
     _assert_gen_matches_encoders("--n", str(n), "--h", "phi", "--limit", str(limit))
 
 
-# gen's CSV numbers rows 1-9 first and then _CHUNK rows per % call from k = 10;
-# its JSON formats _CHUNK values per % call
-_CHUNK_EDGES = sorted({edge + d for i in (1, 2) for edge in (i * _CHUNK, 9 + i * _CHUNK) for d in (-1, 0, 1)})
+# column lengths around each count of rows where k gains a digit and around
+# a run of _RUN labels, one row either side
+_EDGES = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, _RUN - 1, _RUN, _RUN + 1, 3 * _RUN + 7]
 
 
-@pytest.mark.parametrize("length", [0, 1, 9, 10, 11, 19, 20, 21, 99, 100, 101, *_CHUNK_EDGES])
+@pytest.mark.parametrize("length", _EDGES)
 def test_writers_on_every_column_length(length):
-    # a column of the length, an empty one, and the same length again from a
-    # value with more digits, so k restarts at 1 in each column
-    columns = [list(range(1, 3 * length, 3)), [], list(range(10**12, 10**12 + 7 * length, 7))]
+    # column 1 holds every third value from 1, so length rows; column 2 is
+    # empty; column 3 holds the rest, about 2 * length rows
+    labels = bytearray(3 * length + 1)
+    for v in range(1, len(labels)):
+        labels[v] = 1 if v % 3 == 1 else 3
+    columns = [[v for v in range(len(labels)) if labels[v] == j] for j in (1, 2, 3)]
+    assert len(columns[0]) == length and not columns[1]
     spec = partition.phi_spec(3)
     fh = io.StringIO()
-    _write_csv_columns(fh, map(iter, columns))
-    assert fh.getvalue() == gen_csv(columns)
+    _write_csv_columns(fh, labels, 3)
+    _assert_same_text(fh.getvalue(), gen_csv(columns), "csv")
     fh = io.StringIO()
-    _write_json_columns(fh, spec, 5, map(iter, columns))
-    assert fh.getvalue() == gen_json(spec, 5, columns)
+    _write_json_columns(fh, spec, 5, labels)
+    _assert_same_text(fh.getvalue(), gen_json(spec, 5, columns), "json")
+
+
+_WIDTH_LIMITS = sorted(
+    {*range(1, 100)}
+    | {100 * q + d for q in (1, 2, 10, 37, 100, 1000) for d in (-1, 1)}
+    | {10**i + d for i in range(2, 6) for d in (-1, 1)}
+)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_limits_around_every_width_change(n):
+    # 1-99 formatted one by one, 100q +- 1 on both sides of a block, and
+    # 10**i +- 1 where both v and k gain a digit
+    for limit in _WIDTH_LIMITS:
+        _assert_gen_matches_encoders("--n", str(n), "--h", "phi", "--limit", str(limit))
+
+
+def test_row_number_gains_a_digit_inside_a_run():
+    # column 2 of phi at n = 2 holds 0.62 of the values, so k = 10**i falls
+    # strictly inside a run, where the CSV cuts the run in two
+    labels = partition.column_labels(partition.phi_spec(2), 2 * 10**5)
+    inside = set()
+    k = 1
+    for run in _value_runs(labels, 2, _Templates()):
+        rows = run.count("\n")
+        inside |= {i for i in range(2, 6) if k < 10**i < k + rows}
+        k += rows
+    assert inside == {2, 3, 4, 5}
+    _assert_gen_matches_encoders("--n", "2", "--h", "phi", "--limit", str(2 * 10**5))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "64", "--h", "phi", "--limit", "100001"),  # columns 1-47 empty
+        ("--n", "8", "--h", "identity", "--limit", "30001"),
+        ("--n", "3", "--alpha", "3,0,2", "--limit", "30001"),
+        ("--n", "8", "--alpha", "sqrt2", "--limit", "100001"),
+    ],
+)
+def test_generators_across_blocks(argv):
+    _assert_gen_matches_encoders(*argv)
+
+
+def test_explicit_list_with_unreached_values(tmp_path):
+    spec = partition.phi_spec(3)
+    path = tmp_path / "terms.txt"
+    terms = [spec.term(k) for k in range(1, 201)]  # l(200) = 1169 reaches 1172
+    path.write_text(" ".join(map(str, terms)))
+    labels = partition.column_labels(partition.PartitionSpec(3, terms), 5000)
+    assert labels[1172] and not any(labels[1173:])
+    for limit in ("1172", "1173", "5000"):
+        _assert_gen_matches_encoders("--n", "3", "--explicit", str(path), "--limit", limit)
+
+
+def test_more_block_patterns_than_the_cache_holds(tmp_path):
+    rng = random.Random(27)
+    terms = [4]
+    while terms[-1] < 200_000:
+        terms.append(terms[-1] + rng.choice(sorted(partition.gap_set(3))))
+    path = tmp_path / "terms.txt"
+    path.write_text("\n".join(map(str, terms)))
+    labels = partition.column_labels(partition.PartitionSpec(3, terms), 200_000)
+    column_1 = bytes(labels).translate(bytes([0, 1]) + bytes(254))
+    patterns = {column_1[lo : lo + 100] for lo in range(100, len(labels), 100)}
+    assert len(patterns) > 1.5 * _TEMPLATE_CAP
+    templates = _Templates()
+    for j in (1, 2, 3):
+        for _ in _value_runs(labels, j, templates):
+            assert len(templates) <= _TEMPLATE_CAP
+    _assert_gen_matches_encoders("--n", "3", "--explicit", str(path), "--limit", "200000")
+
+
+class _Discard:
+    def write(self, text: str) -> None:
+        pass
+
+
+def test_one_column_is_written_window_by_window():
+    # every value of a 10**6-label buffer in column 1: a mask of the whole
+    # buffer alone would take 10**6 bytes, and the values as ints 28 MB;
+    # a window's mask, run and rows take about half that
+    labels = bytearray(b"\1") * (10**6 + 1)
+    labels[0] = 0
+    spec = partition.phi_spec(2)
+    for write in (
+        lambda: _write_csv_columns(_Discard(), labels, 1),
+        lambda: _write_json_columns(_Discard(), spec, 10**6, labels),
+    ):
+        tracemalloc.start()
+        try:
+            write()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(labels), peak
