@@ -10,10 +10,12 @@ command only parses (every integer with _int), dispatches and writes.
 Output is CSV by default or JSON with --format json; big integer values
 are serialized as decimal strings in JSON.  Each result is written once, after it is
 computed, to stdout or to --out; an --out path that cannot be opened
-for writing exits 2.  The small results (verify, decompose,
-identities --format, classify census and ab-over-scd, density) go
-through one writer, _write, which calls csv or json.  The streamed tables,
-gen's columns and classify rows, are read straight from their label
+for writing exits 2.  The small results (verify, decompose, classify
+census and ab-over-scd, density) go through one writer, _write, which
+calls csv or json.  identities --format writes its records one by one,
+each JSON record by json.dumps, so JSON holds one record's dict at a
+time, as CSV holds one row.  The streamed tables, gen's columns and
+classify rows, are read straight from their label
 buffers and written byte for byte as csv.writer and json.dump(indent=2)
 would write them.  gen builds its text from the labels without an int
 per value: one template per 0/1 pattern of a 100-value block, filled by
@@ -22,11 +24,17 @@ rows formats 4000 rows per % template, with each row number k spelled by
 the template.  No column is held as a list, so gen --n 3 --h phi --limit
 10**7 peaks at 26 MB in either format (fresh interpreter, 2-vCPU Xeon).
 
-main parses with one argparse parser per process: build_parser is
-cached, and parse_args reads the parser without changing it, so a later
-call in the same process, after a usage error too, behaves like a fresh
-one without rebuilding it (about 1.8 ms per call, 2-vCPU Xeon).  An
-argparse error (a bad type or choice, a missing flag, an unknown
+main parses with a parser built for the command it runs: when argv[0]
+names a subcommand, build_parser(command) holds that one subparser; with
+no command, an unknown one or a top-level --help, build_parser() holds
+all six, for the help or the list of choices.  Each is built once per
+process (build_parser is cached), and parse_args reads the parser
+without changing it, so a later call in the same process, after a usage
+error too, behaves like a fresh one without rebuilding it.  Only the
+identities command and its subparser import the identities module, and
+with it dataclasses and inspect, so import beattylab.cli, which every
+call pays, loads none of them (README, "Start-up").
+An argparse error (a bad type or choice, a missing flag, an unknown
 subcommand) is a ValueError too, reported in one line without the usage
 block; --help still prints the help and exits 0.
 """
@@ -42,7 +50,7 @@ import sys
 from itertools import chain, compress, islice
 from typing import Callable, Iterable, Iterator, TextIO
 
-from . import identities, partition, three_set
+from . import partition, three_set
 from .qfield import HALF_PHI_SQ, PHI, PHI_CUBED, PHI_SQ, QuadraticReal, SQRT2
 from .three_set import ADMISSIBLE_ROW_CLASSES, ALL_PAIR_CLASSES
 
@@ -157,6 +165,19 @@ def _write(args, payload: Callable[[], object], rows: Iterable[Iterable]) -> Non
             fh.write("\n")
         else:
             csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _write_json_list(fh: TextIO, items: Iterable[object]) -> None:
+    """json.dump(list(items), fh, indent=2) and a newline, with one item's text held at a time.
+
+    json.dumps escapes every newline inside a string, so indenting an
+    item's lines by two spaces nests it one level down.
+    """
+    lead = "["
+    for item in items:
+        fh.write(lead + "\n  " + json.dumps(item, indent=2).replace("\n", "\n  "))
+        lead = ","
+    fh.write("\n]\n" if lead == "," else "[]\n")
 
 
 def _frequency_string(count: int, total: int) -> str:
@@ -358,18 +379,22 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    from . import identities
+
     names = [args.identity] if args.identity else identities.identity_names()
     opts = identities.CheckOptions(args.r, args.bound, 1 if args.inject_off_by_one else 0)
     if args.format:
         checks = [check for name in names for check in identities.iter_identity_checks(name, args.N, opts)]
-        _write(
-            args,
-            lambda: [check.to_json_dict() for check in checks],
-            chain(
-                [("identity", "n", "case", "lhs", "rhs", "pass")],
-                ((c.identity, c.n, c.case, str(c.lhs), str(c.rhs), c.passed) for c in checks),
-            ),
-        )
+        with _output(args.out) as fh:
+            if args.format == "json":
+                _write_json_list(fh, (check.to_json_dict() for check in checks))
+            else:
+                csv.writer(fh, lineterminator="\n").writerows(
+                    chain(
+                        [("identity", "n", "case", "lhs", "rhs", "pass")],
+                        ((c.identity, c.n, c.case, str(c.lhs), str(c.rhs), c.passed) for c in checks),
+                    )
+                )
         return EXIT_OK if all(check.passed for check in checks) else EXIT_DEFECT
     lines = [f"{'identity':24} {'checks':>8} {'failed':>8}  first failure"]
     any_failed = False
@@ -452,11 +477,14 @@ def _cmd_density(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_generator_flags(sub) -> None:
+def _spec_flags(size: str, sub) -> None:
+    """The flags of a command on one partition: its generator, the integer flag size, the output."""
     sub.add_argument("--n", type=_int, required=True, help=f"number of columns (2 to {partition.MAX_COLUMNS})")
     sub.add_argument("--h", choices=("identity", "phi"), help="named step sequence")
     sub.add_argument("--alpha", help="exact alpha: named constant or p,q,d[,radicand]")
     sub.add_argument("--explicit", help="file with explicit first-column values")
+    sub.add_argument(size, type=_int, required=True)
+    _add_output_flags(sub)
 
 
 def _add_output_flags(sub, default_format: str | None = "csv") -> None:
@@ -464,79 +492,79 @@ def _add_output_flags(sub, default_format: str | None = "csv") -> None:
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The beatty-lab parser, built once per process: parse_args leaves it unchanged."""
-    parser = _Parser(
-        prog="beatty-lab",
-        description="Exact Beatty/Wythoff sequence partitions, identities and censuses.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+def _identities_flags(sub) -> None:
+    from . import identities
 
-    gen = subparsers.add_parser("gen", help="dump partition columns up to a limit")
-    _add_generator_flags(gen)
-    gen.add_argument("--limit", type=_int, required=True)
-    _add_output_flags(gen)
-
-    verify = subparsers.add_parser("verify", help="brute-force cover/disjointness check")
-    _add_generator_flags(verify)
-    verify.add_argument("--limit", type=_int, required=True)
-    _add_output_flags(verify)
-
-    dec = subparsers.add_parser("decompose", help="invert the partition map for one integer")
-    _add_generator_flags(dec)
-    dec.add_argument("--m", type=_int, required=True)
-    _add_output_flags(dec)
-
-    idn = subparsers.add_parser("identities", help="run the exact identity suite")
-    idn.add_argument("--N", type=_int, default=1000, help=f"scan indices 1..N, N at most {identities.MAX_N}")
-    idn.add_argument("--identity", help="run a single named identity")
+    sub.add_argument("--N", type=_int, default=1000, help=f"scan indices 1..N, N at most {identities.MAX_N}")
+    sub.add_argument("--identity", help="run a single named identity")
     default_rs = identities.CheckOptions().rs
-    idn.add_argument(
+    sub.add_argument(
         "--r",
         type=_int_list,
         default=default_rs,
         help=f"comma list of odd shift indices up to {identities.FIB_INDEX_CAP}"
         f" (default {','.join(map(str, default_rs))})",
     )
-    idn.add_argument(
+    sub.add_argument(
         "--bound",
         type=_int,
         help=f"search bound for the converse scan, 1 to {identities.CONVERSE_BOUND_CAP}",
     )
-    idn.add_argument(
+    sub.add_argument(
         "--inject-off-by-one",
         action="store_true",
         help="test mode: perturb the direct side of the grid check by +1",
     )
-    _add_output_flags(idn, default_format=None)
-
-    cls = subparsers.add_parser("classify", help="row classes and membership censuses")
-    cls.add_argument("what", choices=("rows", "census", "ab-over-scd"))
-    cls.add_argument("--N", type=_int, required=True)
-    _add_output_flags(cls)
-
-    den = subparsers.add_parser("density", help="desk-scale density measurements")
-    den.add_argument("--N", type=_int, required=True)
-    _add_output_flags(den)
-
-    return parser
+    _add_output_flags(sub, default_format=None)
 
 
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-    "decompose": _cmd_decompose,
-    "identities": _cmd_identities,
-    "classify": _cmd_classify,
-    "density": _cmd_density,
+def _index_flags(sub) -> None:
+    sub.add_argument("--N", type=_int, required=True)
+    _add_output_flags(sub)
+
+
+def _classify_flags(sub) -> None:
+    sub.add_argument("what", choices=("rows", "census", "ab-over-scd"))
+    _index_flags(sub)
+
+
+# name -> (help, add_flags, handler), in the order of the help text
+_COMMANDS = {
+    "gen": ("dump partition columns up to a limit", functools.partial(_spec_flags, "--limit"), _cmd_gen),
+    "verify": ("brute-force cover/disjointness check", functools.partial(_spec_flags, "--limit"), _cmd_verify),
+    "decompose": ("invert the partition map for one integer", functools.partial(_spec_flags, "--m"), _cmd_decompose),
+    "identities": ("run the exact identity suite", _identities_flags, _cmd_identities),
+    "classify": ("row classes and membership censuses", _classify_flags, _cmd_classify),
+    "density": ("desk-scale density measurements", _index_flags, _cmd_density),
 }
 
 
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The beatty-lab parser with command's subparser alone, or with every subparser for None.
+
+    Built once per process and command: parse_args leaves it unchanged.
+    """
+    parser = _Parser(
+        prog="beatty-lab",
+        description="Exact Beatty/Wythoff sequence partitions, identities and censuses.",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_flags(subparsers.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse hands every argument after the subcommand to its subparser, so
+    # a parser holding that subparser alone parses argv alike
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
-        return _DISPATCH[args.command](args)
+        args = build_parser(command).parse_args(argv)
+        return _COMMANDS[args.command][2](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

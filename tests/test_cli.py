@@ -6,14 +6,16 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from beattylab import identities, partition, three_set
-from beattylab.cli import _CHUNK, _parse_alpha, build_parser, main
+from beattylab.cli import _CHUNK, _parse_alpha, _write_json_list, build_parser, main
 from beattylab.qfield import QuadraticReal
 import oracles
 
@@ -36,6 +38,15 @@ k,s,c,d,s_class,c_class,d_class
 5,8,17,29,A,A,A
 6,10,20,33,B,B,A
 """
+
+
+SRC = str(Path(partition.__file__).resolve().parents[1])
+
+
+def _fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports beattylab from this checkout."""
+    code = f"import sys\nsys.path.insert(0, {SRC!r})\n" + code
+    return subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True).stdout
 
 
 def _no_work(*args):
@@ -391,6 +402,52 @@ class TestIdentities:
         assert records[0]["identity"] == "frac-sum"
         assert records[0]["pass"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--identity", "cassini", "--N", "1"),
+            ("--identity", "frac-sum", "--N", "4"),
+            ("--identity", "klm-grid", "--N", "7", "--inject-off-by-one"),
+            ("--identity", "fib-shift-converse", "--N", "3", "--bound", "40"),
+            ("--N", "2"),
+            ("--N", "12", "--r", "3"),
+        ],
+    )
+    def test_json_records_are_the_bytes_of_json_dump(self, run_cli, argv):
+        # the records are written one at a time, as json.dump(indent=2) writes their list
+        code, out, _ = run_cli("identities", *argv, "--format", "json")
+        args = build_parser().parse_args(["identities", *argv])
+        names = [args.identity] if args.identity else identities.identity_names()
+        opts = identities.CheckOptions(args.r, args.bound, 1 if args.inject_off_by_one else 0)
+        checks = [check for name in names for check in identities.iter_identity_checks(name, args.N, opts)]
+        assert code == (1 if args.inject_off_by_one else 0)
+        assert out == json.dumps([check.to_json_dict() for check in checks], indent=2) + "\n"
+
+    @pytest.mark.parametrize("items", [[], [{}], [[]], ["a\nb", 1, None], [{"k": [1, {"x": "y"}], "z": []}, {"q": "\n"}]])
+    def test_json_list_writer_matches_json_dump(self, items):
+        fh = io.StringIO()
+        _write_json_list(fh, iter(items))
+        assert fh.getvalue() == json.dumps(items, indent=2) + "\n"
+
+    def test_json_memory_stays_at_the_records(self):
+        # JSON holds one record's dict at a time beside the records, as CSV
+        # holds one row; a list of every record's dict took the JSON peak to
+        # twice the CSV one.  Each format runs in a fresh interpreter, so no
+        # cache warmed by another test counts toward either peak.
+        peaks = {}
+        for fmt in ("csv", "json"):
+            peaks[fmt] = int(
+                _fresh(
+                    "import tracemalloc\n"
+                    "import beattylab.identities\n"
+                    "from beattylab.cli import main\n"
+                    "tracemalloc.start()\n"
+                    f"assert main(['identities', '--N', '30', '--format', {fmt!r}, '--out', {os.devnull!r}]) == 0\n"
+                    "print(tracemalloc.get_traced_memory()[1])\n"
+                )
+            )
+        assert peaks["json"] < 1.25 * peaks["csv"], peaks
+
 
 class TestClassify:
     def test_rows_table(self, run_cli):
@@ -644,3 +701,38 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == fresh[tuple(argv)]
     assert build_parser() is build_parser()
+
+
+def test_each_command_has_its_own_cached_parser():
+    # a parser holding one subparser parses that subcommand's arguments as
+    # the parser holding all six does
+    assert build_parser("gen") is build_parser("gen")
+    assert build_parser("gen") is not build_parser()
+    for argv in (
+        ["gen", "--n", "3", "--h", "phi", "--limit", "10", "--format", "json"],
+        ["decompose", "--n", "4", "--alpha", "sqrt2", "--m", "7", "--out", "x"],
+        ["identities", "--r", "3,5", "--inject-off-by-one"],
+        ["classify", "rows", "--N", "5"],
+    ):
+        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def test_only_the_identities_command_imports_identities():
+    calls = {
+        "gen": ["gen", "--n", "3", "--h", "phi", "--limit", "20"],
+        "census": ["classify", "census", "--N", "50"],
+        "identities": ["identities", "--N", "3"],
+    }
+    for name, argv in calls.items():
+        out = _fresh(
+            "import contextlib, io, json\n"
+            "from beattylab.cli import main\n"
+            "buf = io.StringIO()\n"
+            "with contextlib.redirect_stdout(buf):\n"
+            f"    code = main({argv!r})\n"
+            "print(json.dumps([code, buf.getvalue(), 'beattylab.identities' in sys.modules]))\n"
+        )
+        code, text, imported = json.loads(out)
+        assert (code, imported) == (0, name == "identities"), name
+        if name == "identities":
+            assert text.endswith("overall: PASS (N=3)\n")

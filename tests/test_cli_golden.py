@@ -1,6 +1,7 @@
 """Golden CLI calls: each one's stdout, stderr and exit code are pinned by
 sha256 digests, and each call that writes a result writes the same bytes
-to --out as to stdout.
+to --out as to stdout.  The --help text of beatty-lab and of each
+subcommand is pinned the same way.
 
 These calls cover every subcommand and format, the usage errors and the
 defect exits; the benchmark's own digests cover only the large runs.
@@ -259,6 +260,18 @@ GOLDEN = {
     ),
 }
 
+# subcommand ("" for none) -> sha256 of its --help text at COLUMNS=80, to
+# which argparse wraps it
+HELP = {
+    "": "498e3541192538c06043920295c9829e99a9c608bd0aaff3bde40f5c6852c910",
+    "gen": "91e86b04f1086c04f27da9cadcbd361599bdf84139bad352b3b457a036e27acf",
+    "verify": "833aabc35a44137d53538238edacd9066afbf74986aa775855838d4ea03f9b84",
+    "decompose": "45f5bbdf2f8564f44cc7c7240dd3bc42186372c16a04c9427315a6492a6b3b12",
+    "identities": "50eb5806d183b603ebd8e906c1321dd3c9f459a28cbb8e2bb92be9c3d3288f94",
+    "classify": "c5d26bcb0c9434686b000c227caa79c5e3fcea52d6f2b89974bed51f2ab04452",
+    "density": "e2ab6b3d3f52274f6d99f277db86304334ee7d62bb55885f4ee66132494df671",
+}
+
 
 def _call(capsys, directory, call: str, *extra: str) -> tuple[int, str, str]:
     argv = [arg.replace("{dir}", str(directory)) for arg in call.split()] + list(extra)
@@ -294,3 +307,12 @@ def test_out_file_holds_the_stdout_bytes(call, capsys, explicit_dir, tmp_path):
         assert code != 0 and not target.exists()
     else:
         assert hashlib.sha256(target.read_bytes()).hexdigest() == out_digest
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_bytes_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"] if command else ["--help"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, _digest(out), err) == (0, HELP[command], "")

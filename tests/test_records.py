@@ -177,23 +177,30 @@ def test_tracer_contract():
     assert "term" in vars(partition.PartitionSpec)
 
 
-def test_importing_the_cli_loads_no_fractions_and_one_dataclass():
+def test_importing_the_cli_loads_no_fractions_and_no_dataclass():
+    # only the identities command imports identities, and with it dataclasses
+    # (and inspect) for IdentityDef, the one dataclass in the package
     src = str(Path(beattylab.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import beattylab.cli\n"
-        "heavy = [name for name in ('fractions', 'decimal') if name in sys.modules]\n"
+        "names = ('fractions', 'decimal', 'dataclasses', 'inspect', 'beattylab.identities')\n"
+        "loaded = [name for name in names if name in sys.modules]\n"
         "import dataclasses, json\n"
-        "records = sorted({\n"
-        "    f'{value.__module__}.{value.__qualname__}'\n"
-        "    for name, module in list(sys.modules.items()) if name.split('.')[0] == 'beattylab'\n"
-        "    for value in vars(module).values()\n"
-        "    if isinstance(value, type) and dataclasses.is_dataclass(value)\n"
-        "})\n"
-        "print(json.dumps([heavy, records]))\n"
+        "def records():\n"
+        "    return sorted({\n"
+        "        f'{value.__module__}.{value.__qualname__}'\n"
+        "        for name, module in list(sys.modules.items()) if name.split('.')[0] == 'beattylab'\n"
+        "        for value in vars(module).values()\n"
+        "        if isinstance(value, type) and dataclasses.is_dataclass(value)\n"
+        "    })\n"
+        "with_cli = records()\n"
+        "import beattylab.identities\n"
+        "print(json.dumps([loaded, with_cli, records()]))\n"
     )
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
-    heavy, records = json.loads(proc.stdout)
-    assert heavy == []
-    assert records == ["beattylab.identities.IdentityDef"]
+    loaded, with_cli, with_identities = json.loads(proc.stdout)
+    assert loaded == []
+    assert with_cli == []
+    assert with_identities == ["beattylab.identities.IdentityDef"]
