@@ -15,25 +15,24 @@ census and ab-over-scd, density) go through one writer, _write, which
 calls csv or json.  identities --format writes its records one by one,
 each JSON record by json.dumps, so JSON holds one record's dict at a
 time, as CSV holds one row.  The streamed tables, gen's columns and
-classify rows, are read straight from their label
-buffers and written byte for byte as csv.writer and json.dump(indent=2)
-would write them.  gen builds its text from the labels without an int
-per value: one template per 0/1 pattern of a 100-value block, filled by
-one replace, and CSV rows assembled one byte column at a time.  classify
-rows formats 4000 rows per % template, with each row number k spelled by
-the template.  No column is held as a list, so gen --n 3 --h phi --limit
+classify rows, read their values as text from a label buffer
+(partition.column_runs), with no int per value, and are written byte for
+byte as csv.writer and json.dump(indent=2) would write them: gen's CSV
+rows are assembled one byte column at a time, and classify rows formats
+4000 rows per % template, with each row number k spelled by the
+template.  No column is held as a list, so gen --n 3 --h phi --limit
 10**7 peaks at 26 MB in either format (fresh interpreter, 2-vCPU Xeon).
 
 main parses with a parser built for the command it runs: when argv[0]
-names a subcommand, build_parser(command) holds that one subparser; with
-no command, an unknown one or a top-level --help, build_parser() holds
-all six, for the help or the list of choices.  Each is built once per
-process (build_parser is cached), and parse_args reads the parser
-without changing it, so a later call in the same process, after a usage
-error too, behaves like a fresh one without rebuilding it.  Only the
-identities command and its subparser import the identities module, and
-with it dataclasses and inspect, so import beattylab.cli, which every
-call pays, loads none of them (README, "Start-up").
+names a subcommand, build_parser(command) holds that one subparser;
+otherwise build_parser() holds all six, for the help or the list of
+choices.  A subparser adds its flags on its first parse, so that help
+builds none.  Each parser is built once per process (build_parser is
+cached), and a later call in the same process, after a usage error too,
+behaves like a fresh one.  Only the identities command and its flags
+import the identities module, and with it dataclasses and inspect, so
+import beattylab.cli and the top-level help load none of them (README,
+"Start-up").
 An argparse error (a bad type or choice, a missing flag, an unknown
 subcommand) is a ValueError too, reported in one line without the usage
 block; --help still prints the help and exits 0.
@@ -47,7 +46,7 @@ import csv
 import functools
 import json
 import sys
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, TextIO
 
 from . import partition, three_set
@@ -70,21 +69,32 @@ EXIT_USAGE = 2
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the class of its subparsers, whose usage errors raise ValueError."""
 
+    add_flags: Callable[[argparse.ArgumentParser], None] | None = None  # called on the first parse
+
     def error(self, message: str):
         raise ValueError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.add_flags:
+            add_flags, self.add_flags = self.add_flags, None
+            add_flags(self)
+        return super().parse_known_args(args, namespace)
+
+
+_QUOTED = 40  # an error line quotes a malformed value this long at most, a longer one by its length
 
 
 def _int(text: str) -> int:
     """The argparse type of every integer flag: type=int's message for a short value, the length of a long one.
 
     A value past int()'s 4300 digits is not parsed (every size cap lies far
-    below it), and a malformed value past 40 characters is not echoed.
+    below it), and a malformed value past _QUOTED characters is not echoed.
     """
     if len(text) <= 4300:
         try:
             return int(text)
         except ValueError:
-            if len(text) <= 40:
+            if len(text) <= _QUOTED:
                 raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     raise argparse.ArgumentTypeError(f"invalid int value of {len(text)} characters")
 
@@ -99,13 +109,12 @@ def _parse_alpha(text: str) -> QuadraticReal:
         return ALPHA_NAMES[text]
     parts = text.split(",")
     if len(parts) not in (3, 4):
-        raise ValueError(
-            f"alpha must be one of {sorted(ALPHA_NAMES)} or p,q,d[,radicand], got {text!r}"
-        )
+        shown = repr(text) if len(text) <= _QUOTED else f"a value of {len(text)} characters"
+        raise ValueError(f"alpha must be one of {sorted(ALPHA_NAMES)} or p,q,d[,radicand], got {shown}")
     try:
-        numbers = [int(p) for p in parts]
-    except ValueError as exc:
-        raise ValueError(f"non-integer component in alpha tuple {text!r}") from exc
+        numbers = [_int(p) for p in parts]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"alpha component: {exc}") from None
     radicand = numbers[3] if len(numbers) == 4 else 5
     try:
         return QuadraticReal(numbers[0], numbers[1], numbers[2], radicand)
@@ -132,10 +141,15 @@ def _read_explicit(path: str) -> list[int]:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read explicit generator file: {exc}") from exc
+    tokens = text.replace(",", " ").split()
+    values: list[int] = []
     try:
-        return [int(token) for token in text.replace(",", " ").split()]
+        values.extend(map(int, tokens))
     except ValueError as exc:
-        raise ValueError(f"explicit generator file must contain integers: {exc}") from exc
+        bad = tokens[len(values)]  # extend keeps the values read before the bad token
+        reason = exc if len(bad) <= _QUOTED else f"invalid int value of {len(bad)} characters"
+        raise ValueError(f"explicit generator file must contain integers: {reason}") from None
+    return values
 
 
 def _output(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
@@ -203,13 +217,13 @@ def _cmd_gen(args) -> int:
 # gen and classify rows write their tables without csv or json: every value
 # is a decimal int or an A/B row class, which csv (QUOTE_MINIMAL) never quotes
 # and JSON never escapes, so the bytes are those of csv.writer and
-# json.dump(indent=2).  A template holds _K where a row number or a block's
-# leading digits go, filled by one replace, never formatted by %.
+# json.dump(indent=2).  A template holds _K where a row number's leading
+# digits go, filled by one replace, never formatted by %.
 _CHUNK = 4000  # rows per % call of classify rows; _numbered needs a multiple of ten
 _K = "\0"
-_CSV_ROW = _K + ",%d,%d,%d,%s\n"
+_CSV_ROW = _K + ",%s,%s,%s,%s\n"
 _CSV_CLASSES = {s + c + d: f"{s},{c},{d}" for s in "AB" for c in "AB" for d in "AB"}
-_JSON_ROW = ',\n  {\n    "k": ' + _K + ',\n    "s": "%d",\n    "c": "%d",\n    "d": "%d",\n    "class": "%s"\n  }'
+_JSON_ROW = ',\n  {\n    "k": ' + _K + ',\n    "s": "%s",\n    "c": "%s",\n    "d": "%s",\n    "class": "%s"\n  }'
 
 
 def _numbered(row: str, width: int, values: Iterator) -> Iterator[str]:
@@ -231,69 +245,19 @@ def _numbered(row: str, width: int, values: Iterator) -> Iterator[str]:
         q += full
 
 
-# gen writes column j as runs of lines "v\n" of one width, read straight from
-# the labels: values 1-99 are formatted one by one, and block q >= 1 holds the
-# values 100q to 100q + 99, each len(str(q)) + 2 digits long.  Its text is a
-# template, one per 0/1 pattern of the block's labels, holding _K + "dd\n"
-# for each value 100q + dd labelled j.  A Sturmian word has m + 1 factors of
-# length m, and a column's 0/1 word is a morphic image of one, so about a
-# hundred templates serve every block of a column of an alpha generator
-# (101-103 for phi and sqrt2 at n = 3 and 8); the columns share one cache.
-_BLOCK_LINES = tuple(f"{_K}{d:02d}\n" for d in range(100))
-_TEMPLATE_CAP = 1024  # an explicit list's labels can have any number of block patterns
-_RUN = 10**4  # labels per translated mask, and so per run: a multiple of 100
-
-
-class _Templates(dict):
-    """Block text by 0/1 pattern, built on first use; emptied once it holds _TEMPLATE_CAP."""
-
-    def __missing__(self, pattern: bytes) -> str:
-        if len(self) >= _TEMPLATE_CAP:
-            self.clear()
-        text = self[pattern] = "".join(compress(_BLOCK_LINES, pattern))
-        return text
-
-
-def _value_runs(labels: bytearray, j: int, templates: _Templates) -> Iterator[str]:
-    """The values labelled j, ascending, as runs of lines "v\n", one width per run.
-
-    From 100 on, a run is one window of at most _RUN labels, cut where v
-    gains a digit and translated to a 0/1 mask.  A window starts at the
-    block of the next value labelled j and find skips every block with
-    none, so a sparse column costs per value, not per block.
-    """
-    for lo, hi in ((1, 10), (10, 100)):
-        if run := "".join([f"{v}\n" for v in range(lo, min(hi, len(labels))) if labels[v] == j]):
-            yield run
-    table = bytes(j) + b"\1" + bytes(255 - j)  # j to 1, every other byte to 0
-    found = labels.find(j, 100)
-    while found >= 0:
-        lo = found - found % 100
-        hi = min(lo + _RUN, 10 ** len(str(lo)))
-        mask = bytes(labels[lo:hi]).translate(table)
-        parts = []
-        i = found - lo
-        while i >= 0:
-            b = i - i % 100
-            parts.append(templates[mask[b : b + 100]].replace(_K, str((lo + b) // 100)))
-            i = mask.find(1, b + 100)
-        yield "".join(parts)
-        found = labels.find(j, hi)
-
-
 @functools.cache
 def _place_pattern(p: int) -> bytes:
-    """The digit at 10**p of k = 0, 1, 2, ...: period 10**(p + 1), long enough to slice _RUN rows from any offset."""
-    return b"".join(b"%d" % d * 10**p for d in range(10)) * (_RUN // 10 ** (p + 1) + 2)
+    """The digit at 10**p of k = 0, 1, 2, ...: period 10**(p + 1), long enough to slice a run's rows from any offset."""
+    return b"".join(b"%d" % d * 10**p for d in range(10)) * (partition._RUN // 10 ** (p + 1) + 2)
 
 
 def _k_place(k: int, rows: int, p: int) -> bytes:
-    """The digit at 10**p of each row number k to k + rows - 1, for rows <= _RUN.
+    """The digit at 10**p of each row number k to k + rows - 1, for rows <= partition._RUN.
 
     That digit runs through 0-9, each held for 10**p rows: a slice of its
-    periodic pattern while 10**p < _RUN, and past that one change at most.
+    periodic pattern while 10**p < partition._RUN, and past that one change at most.
     """
-    if 10**p < _RUN:
+    if 10**p < partition._RUN:
         start = k % 10 ** (p + 1)
         return _place_pattern(p)[start : start + rows]
     d = k // 10**p % 10
@@ -322,10 +286,9 @@ def _csv_rows(j: int, k: int, width: int, lines: bytes, line: int) -> str:
 def _write_csv_columns(fh: TextIO, labels: bytearray, n: int) -> None:
     """The csv table column,k,value with one row per value labelled 1 to n."""
     fh.write("column,k,value\n")
-    templates = _Templates()
     for j in range(1, n + 1):
         k = 1
-        for run in _value_runs(labels, j, templates):
+        for run in partition.column_runs(labels, j):
             line = run.index("\n") + 1
             data = run.encode()
             while data:  # cut where k gains a digit
@@ -345,11 +308,10 @@ def _write_json_columns(fh: TextIO, spec: partition.PartitionSpec, limit: int, l
     fh.write("{\n" + "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items()))
     fh.write('  "columns": [')
     separator = "\n    "
-    templates = _Templates()
     for j in range(1, spec.n + 1):
         fh.write(separator)
         lead = "["
-        for run in _value_runs(labels, j, templates):
+        for run in partition.column_runs(labels, j):
             body = run[:-1].replace("\n", '",\n      "')
             fh.write(f'{lead}\n      "{body}"')
             lead = ","
@@ -543,7 +505,7 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The beatty-lab parser with command's subparser alone, or with every subparser for None.
 
-    Built once per process and command: parse_args leaves it unchanged.
+    Built once per process and command; a subparser's first parse adds its flags.
     """
     parser = _Parser(
         prog="beatty-lab",
@@ -552,7 +514,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
         if command in (None, name):
-            add_flags(subparsers.add_parser(name, help=help_text))
+            subparsers.add_parser(name, help=help_text).add_flags = add_flags
     return parser
 
 

@@ -12,7 +12,8 @@ terms.  This module materializes the columns, inverts the construction
 verification share one labelling of [1, limit] with one column byte per
 value: an alpha generator's labels are the image of the characteristic
 word of slope alpha - 1 under two prefixes of the ruler word, and a
-tuple of terms is swept value by value.
+tuple of terms is swept value by value.  A column is read off the labels
+as ints (column_values) or as decimal text (column_runs).
 
 An integer inside the overlap of two consecutive generator intervals has
 two valid (index, signs) representations; they always agree on the
@@ -22,12 +23,13 @@ returns all of them.
 
 from __future__ import annotations
 
+import functools
 import re
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple
 
-from .qfield import ONE, PHI, QuadraticReal
+from .qfield import ONE, PHI, QuadraticReal, _brief
 from .wythoff import lower, standard_fill
 
 # Column labels are stored one byte per value, and gap_set / _sign_expansion
@@ -85,7 +87,7 @@ class PartitionSpec:
         _require_columns(n)
         if isinstance(generator, QuadraticReal):
             if generator.floor() != 1:
-                raise ValueError(f"alpha must satisfy 1 <= alpha < 2, got {generator}")
+                raise ValueError(f"alpha must satisfy 1 <= alpha < 2, got {_brief(generator)}")
             g = generator
             coords = (2 ** (n - 1) - 1, g.p, g.radicand * g.q * g.q, g.q < 0, g.d)
         else:
@@ -374,32 +376,57 @@ def column_labels(spec: PartitionSpec, limit: int) -> bytearray:
     return labels
 
 
-# column_values reads a dense column through a translated window of this
-# many labels at a time, so its mask never grows with the buffer.
-_WINDOW = 2**16
-
-
 def column_values(labels: bytes | bytearray, j: int) -> Iterator[int]:
     """The values labelled j in labels, ascending: column j when labels come from column_labels.
 
-    A column with at least a quarter of the labels is read one window at
-    a time, compress over the window translated to a 0/1 mask: 25-32 ms
-    per 10**6 labels however many are j.  A sparser one is one regex scan
-    for the byte j, 100-150 ns per value; on phi labels the two cross
-    near density 0.25 (2-vCPU Xeon); a label that occurs nowhere is not
-    scanned at all.  labels must not be resized while the values are read.
+    One regex scan for the byte j, one match at a time, so labels must not
+    be resized while the values are read.
     """
-    count = labels.count(j)
-    if not count:
-        return iter(())
-    if 4 * count < len(labels):
-        return map(re.Match.start, re.finditer(re.escape(bytes([j])), labels))
-    mask = bytearray(256)
-    mask[j] = 1
-    return chain.from_iterable(
-        compress(range(lo, lo + _WINDOW), labels[lo : lo + _WINDOW].translate(mask))
-        for lo in range(0, len(labels), _WINDOW)
-    )
+    return map(re.Match.start, re.finditer(re.escape(bytes([j])), labels))
+
+
+# block q >= 1 holds the values 100q to 100q + 99, each len(str(q)) + 2
+# digits long; its text is a template, one per 0/1 pattern of its labels,
+# with "\0dd\n" for each value 100q + dd labelled j
+_BLOCK_LINES = tuple(f"\0{d:02d}\n" for d in range(100))
+_TEMPLATE_CAP = 1024  # an explicit list's labels can have any number of block patterns
+_RUN = 10**4  # labels per translated mask, and so per run: a multiple of 100
+
+
+@functools.lru_cache(maxsize=_TEMPLATE_CAP)
+def _block_text(pattern: bytes) -> str:
+    return "".join(compress(_BLOCK_LINES, pattern))
+
+
+def column_runs(labels: bytes | bytearray, j: int) -> Iterator[str]:
+    """The values labelled j in labels[1:], ascending, as runs of lines "v\n", one width per run.
+
+    The text of column_values, with no int per value.  Values 1-99 are
+    formatted one by one.  From 100 on, a run is a window of at most _RUN
+    labels, cut where v gains a digit and translated to a 0/1 mask; a
+    block's text is its template with str(q) for "\0".  A column's 0/1
+    word is a morphic image of a Sturmian word, which has m + 1 factors
+    of length m, so about a hundred templates, in one LRU cache, serve
+    every block of an alpha generator's column (101-103 for phi and sqrt2
+    at n = 3 and 8).  find skips every block with no value labelled j.
+    """
+    for lo, hi in ((1, 10), (10, 100)):
+        if run := "".join([f"{v}\n" for v in range(lo, min(hi, len(labels))) if labels[v] == j]):
+            yield run
+    table = bytes(j) + b"\1" + bytes(255 - j)  # j to 1, every other byte to 0
+    found = labels.find(j, 100)
+    while found >= 0:
+        lo = found - found % 100
+        hi = min(lo + _RUN, 10 ** len(str(lo)))
+        mask = bytes(labels[lo:hi]).translate(table)
+        parts = []
+        i = found - lo
+        while i >= 0:
+            b = i - i % 100
+            parts.append(_block_text(mask[b : b + 100]).replace("\0", str((lo + b) // 100)))
+            i = mask.find(1, b + 100)
+        yield "".join(parts)
+        found = labels.find(j, hi)
 
 
 def build_columns(spec: PartitionSpec, limit: int) -> list[list[int]]:

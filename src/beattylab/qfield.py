@@ -15,6 +15,12 @@ from math import gcd, isqrt
 DEFAULT_RADICAND = 5
 
 
+def _brief(value: object) -> str:
+    """str(value) for an error message, or only its length past 40 characters, so no message grows with its input."""
+    text = str(value)
+    return text if len(text) <= 40 else f"a value of {len(text)} characters"
+
+
 def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
@@ -63,7 +69,7 @@ class QuadraticReal:
         if d == 0:
             raise ZeroDivisionError("denominator must be nonzero")
         if q != 0 and (radicand < 2 or _is_square(radicand)):
-            raise ValueError(f"radicand must be a non-square integer >= 2, got {radicand}")
+            raise ValueError(f"radicand must be a non-square integer >= 2, got {_brief(radicand)}")
         if d < 0:
             p, q, d = -p, -q, -d
         g = gcd(p, q, d)

@@ -24,6 +24,7 @@ formulas as the scans' oracle.  Every scan takes an index limit in
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import partition
@@ -145,19 +146,19 @@ def _select(tags: bytearray, limit: int, shift: int, planes: tuple[tuple[bytes, 
     return codes
 
 
-def row_columns(limit: int) -> tuple[Iterator[int], Iterator[int], Iterator[int], Iterator[str]]:
-    """s(k), c(k), d(k) and the class code of row k, one iterator each over k in [1, limit], from one tag buffer.
+def row_columns(limit: int) -> tuple[Iterator[str], Iterator[str], Iterator[str], Iterator[str]]:
+    """s(k), c(k) and d(k) as decimal text, and the class code of row k, one iterator each over k in [1, limit].
 
     The k-th smallest values of columns S, C and D (partition columns 3,
-    2 and 1) are s(k), c(k) and d(k), read from the tags' column bits.  A
-    limit outside [1, MAX_INDEX] raises ValueError before any buffer is
-    built.
+    2 and 1) are s(k), c(k) and d(k), read by partition.column_runs from
+    the tags' column bits, so no value is an int.  A limit outside
+    [1, MAX_INDEX] raises ValueError before any buffer is built.
     """
     partition._require_limit(limit, MAX_INDEX)
     tags = _tagged_values(THREE_SET_SPEC.term(limit))
     codes = map(_ROW_CLASSES.__getitem__, _select(tags, limit, 1, _ROW_PLANES))
     labels = tags.translate(_TAG_COLUMNS)
-    s, c, d = (partition.column_values(labels, j) for j in (3, 2, 1))
+    s, c, d = (chain.from_iterable(map(str.split, partition.column_runs(labels, j))) for j in (3, 2, 1))
     return s, c, d, codes
 
 

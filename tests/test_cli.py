@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from beattylab import identities, partition, three_set
-from beattylab.cli import _CHUNK, _parse_alpha, _write_json_list, build_parser, main
+from beattylab.cli import ALPHA_NAMES, _CHUNK, _parse_alpha, _write_json_list, build_parser, main
 from beattylab.qfield import QuadraticReal
 import oracles
 
@@ -143,6 +143,44 @@ class TestGen:
         # phi^3 is a fine constant but too large for a step sequence
         code, _, _ = run_cli("gen", "--n", "2", "--alpha", "phi3", "--limit", "5")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ("x" * 300, f"alpha must be one of {sorted(ALPHA_NAMES)} or p,q,d[,radicand], got a value of 300 characters"),
+            ("x" * 40, f"alpha must be one of {sorted(ALPHA_NAMES)} or p,q,d[,radicand], got '{'x' * 40}'"),
+            # each component is read like every integer flag
+            (f"1,1,2,{'9' * 5000}", "alpha component: invalid int value of 5000 characters"),
+            (f"1,{'x' * 41},2", "alpha component: invalid int value of 41 characters"),
+            ("1,x,2", "alpha component: invalid int value: 'x'"),
+            # components that int() reads make an alpha out of range, or a bad radicand
+            (f"{10**4000},0,1", "alpha must satisfy 1 <= alpha < 2, got a value of 4001 characters"),
+            (f"1,1,2,-{10**4000}", "radicand must be a non-square integer >= 2, got a value of 4002 characters"),
+            ("3,0,1", "alpha must satisfy 1 <= alpha < 2, got 3"),
+        ],
+        ids=["300 x's", "40 x's", "5000-digit radicand", "41-character q", "q x", "4001-digit p", "negative radicand", "3"],
+    )
+    def test_alpha_errors_take_one_short_line(self, run_cli, alpha, message):
+        code, out, err = run_cli("gen", "--n", "3", "--alpha", alpha, "--limit", "5")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "token, reason",
+        [
+            ("x" * 500, "invalid int value of 500 characters"),
+            ("1" + "0" * 4999, "invalid int value of 5000 characters"),
+            ("x" * 40, f"invalid literal for int() with base 10: '{'x' * 40}'"),
+        ],
+        ids=["500 x's", "5000 digits", "40 x's"],
+    )
+    def test_explicit_errors_take_one_short_line(self, run_cli, tmp_path, token, reason):
+        # the first token int() refuses is named, not the 4401-character one before it that int() reads
+        path = tmp_path / "terms.txt"
+        path.write_text(f"4 {'1_' * 2200}1 {token} 11\n")
+        code, out, err = run_cli("gen", "--n", "3", "--explicit", str(path), "--limit", "5")
+        assert (code, out, err) == (2, "", f"error: explicit generator file must contain integers: {reason}\n")
+        assert len(err.encode()) < 200
 
     def test_rational_alpha_with_square_radicand(self, run_cli):
         # q = 0 makes the radicand irrelevant: 7,0,4,4 is the rational 7/4
@@ -715,6 +753,24 @@ def test_each_command_has_its_own_cached_parser():
         ["classify", "rows", "--N", "5"],
     ):
         assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def test_help_and_command_errors_import_no_identities():
+    # the identities subparser adds its flags, whose help reads the
+    # identities bounds, only when it parses
+    for argv in (["--help"], [], ["no-such"], ["-x", "classify", "census", "--N", "5"]):
+        out = _fresh(
+            "import contextlib, io, json\n"
+            "from beattylab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        main({argv!r})\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "names = ('dataclasses', 'inspect', 'beattylab.identities')\n"
+            "print(json.dumps([name for name in names if name in sys.modules]))\n"
+        )
+        assert json.loads(out) == [], argv
 
 
 def test_only_the_identities_command_imports_identities():

@@ -23,11 +23,7 @@ from hypothesis import strategies as st
 
 from beattylab import partition
 from beattylab.cli import (
-    _RUN,
-    _TEMPLATE_CAP,
     _resolve_spec,
-    _Templates,
-    _value_runs,
     _write_csv_columns,
     _write_json_columns,
     build_parser,
@@ -109,6 +105,7 @@ def test_random_phi_ranges(n, limit):
 
 # column lengths around each count of rows where k gains a digit and around
 # a run of _RUN labels, one row either side
+_RUN = partition._RUN
 _EDGES = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, _RUN - 1, _RUN, _RUN + 1, 3 * _RUN + 7]
 
 
@@ -151,7 +148,7 @@ def test_row_number_gains_a_digit_inside_a_run():
     labels = partition.column_labels(partition.phi_spec(2), 2 * 10**5)
     inside = set()
     k = 1
-    for run in _value_runs(labels, 2, _Templates()):
+    for run in partition.column_runs(labels, 2):
         rows = run.count("\n")
         inside |= {i for i in range(2, 6) if k < 10**i < k + rows}
         k += rows
@@ -193,11 +190,13 @@ def test_more_block_patterns_than_the_cache_holds(tmp_path):
     labels = partition.column_labels(partition.PartitionSpec(3, terms), 200_000)
     column_1 = bytes(labels).translate(bytes([0, 1]) + bytes(254))
     patterns = {column_1[lo : lo + 100] for lo in range(100, len(labels), 100)}
-    assert len(patterns) > 1.5 * _TEMPLATE_CAP
-    templates = _Templates()
+    assert len(patterns) > 1.5 * partition._TEMPLATE_CAP
+    partition._block_text.cache_clear()
     for j in (1, 2, 3):
-        for _ in _value_runs(labels, j, templates):
-            assert len(templates) <= _TEMPLATE_CAP
+        for _ in partition.column_runs(labels, j):
+            assert partition._block_text.cache_info().currsize <= partition._TEMPLATE_CAP
+    info = partition._block_text.cache_info()
+    assert (info.maxsize, info.currsize) == (partition._TEMPLATE_CAP, partition._TEMPLATE_CAP)
     _assert_gen_matches_encoders("--n", "3", "--explicit", str(path), "--limit", "200000")
 
 

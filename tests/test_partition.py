@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import re
 import tracemalloc
-from itertools import chain, product
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -593,34 +593,30 @@ class TestColumnValues:
     @pytest.mark.parametrize(
         "spec, limit",
         [
-            (identity_spec(40), 5000),
-            (PartitionSpec(2, SQRT2), 5000),
-            (PartitionSpec(3, QuadraticReal(7, -1, 4)), 5000),
+            pytest.param(identity_spec(40), 5000, id="identity-40"),
+            pytest.param(PartitionSpec(2, SQRT2), 5000, id="sqrt2"),
+            pytest.param(PartitionSpec(3, QuadraticReal(7, -1, 4)), 5000, id="7,-1,4"),
+            # identity columns are residue classes: column n - 1 holds the
+            # v = 2 mod 4, cut at limits 4m + 1 and 4m + 3
+            *(
+                pytest.param(identity_spec(n), limit, id=f"identity-{n}-{limit}")
+                for n in (3, 8, 20)
+                for limit in (4001, 4003, 4 * 2**16 + 1, 4 * 2**16 + 3)
+            ),
+            # values 2**16 - 1, 2**16 and 2**17 lie in columns 3, 2 and 3
+            pytest.param(phi_spec(3), 3 * 2**16 + 4321, id="phi-3-across-2**17"),
         ],
-        ids=["identity-40", "sqrt2", "7,-1,4"],
     )
     def test_other_generators(self, spec, limit):
         assert build_columns(spec, limit) == appended_columns(spec, limit)
 
     def test_unreached_values(self):
-        spec = PartitionSpec(3, [4, 11, 15, 22])
-        labels = column_labels(spec, 60)
-        assert labels.count(0) > 1  # 0 and every value past 22 + 3
-        assert build_columns(spec, 60) == appended_columns(spec, 60)
-        assert list(column_values(labels, 0)) == [0, *range(26, 61)]
-
-    def test_absent_label_skips_the_scan(self, monkeypatch):
-        # [1, 1000] lies in the first interval of identity_spec(64), which
-        # reaches columns 55-64 only; no other label is scanned for
-        labels = column_labels(identity_spec(64), 1000)
-
-        def no_scan(*args):
-            raise AssertionError("an absent label was scanned")
-
-        monkeypatch.setattr(re, "finditer", no_scan)
-        for j in (1, 54, 255):
-            assert list(column_values(labels, j)) == []
-        assert list(column_values(labels, 64)) == list(range(1, 1001, 2))  # dense: read through the mask
+        # label 0 holds labels[0] and every value past the last term's interval
+        for terms, limit, first_unreached in (([4, 11, 15, 22], 60, 26), ([4], 2 * 2**16 + 99, 8)):
+            spec = PartitionSpec(3, terms)
+            labels = column_labels(spec, limit)
+            assert build_columns(spec, limit) == appended_columns(spec, limit)
+            assert list(column_values(labels, 0)) == [0, *range(first_unreached, limit + 1)]
 
     def test_wide_columns_mostly_empty(self):
         spec = identity_spec(64)
@@ -628,42 +624,14 @@ class TestColumnValues:
         assert columns == appended_columns(spec, 2**20)
         # the first term 2**63 reaches column 64 - v2(v) for v <= 2**20
         assert sum(1 for column in columns if column) == 21
-
-    @pytest.mark.parametrize("n", [3, 8, 20])
-    def test_both_sides_of_the_density_rule(self, n):
-        # identity columns are residues: column n - 1 holds the v = 2 mod 4, so
-        # at limit 4m + 3 it is exactly a quarter of the limit + 1 labels, the
-        # least a dense column holds, and at 4m + 1 just less
-        spec = identity_spec(n)
-        for limit, dense in ((4001, False), (4003, True), (4 * 2**16 + 1, False), (4 * 2**16 + 3, True)):
-            labels = column_labels(spec, limit)
-            assert 4 * labels.count(n - 1) - len(labels) == (0 if dense else -2)
-            assert isinstance(column_values(labels, n - 1), chain) is dense, (n, limit)
-            assert build_columns(spec, limit) == appended_columns(spec, limit), (n, limit)
-
-    def test_dense_values_on_the_window_edges(self):
-        # three windows and a partial one; the last value of the first window,
-        # the first of the second and the first of the third lie in columns
-        # 3, 2 and 3, both read through the mask
-        window = partition._WINDOW
-        limit = 3 * window + 4321
-        labels = column_labels(phi_spec(3), limit)
-        assert (labels[window - 1], labels[window], labels[2 * window]) == (3, 2, 3)
-        for j in (2, 3):
-            assert isinstance(column_values(labels, j), chain)
-        assert build_columns(phi_spec(3), limit) == appended_columns(phi_spec(3), limit)
-
-    def test_dense_run_of_unreached_values(self):
-        # one term reaches [1, 7]; label 0 fills labels[0] and [8, limit]
-        limit = 2 * partition._WINDOW + 99
-        spec = PartitionSpec(3, [4])
-        labels = column_labels(spec, limit)
-        assert isinstance(column_values(labels, 0), chain)
-        assert list(column_values(labels, 0)) == [0, *range(8, limit + 1)]
-        assert build_columns(spec, limit) == appended_columns(spec, limit)
+        # [1, 1000] lies in the first interval, which reaches columns 55-64 only
+        labels = column_labels(spec, 1000)
+        for j in (1, 54, 255):
+            assert list(column_values(labels, j)) == []
+        assert list(column_values(labels, 64)) == list(range(1, 1001, 2))
 
     def test_dense_column_reads_a_window_at_a_time(self):
-        # a mask of the whole buffer would take 10**6 bytes
+        # a mask or a list of the whole column would take 10**6 bytes
         labels = column_labels(phi_spec(3), 10**6 - 1)
         tracemalloc.start()
         try:
@@ -673,6 +641,40 @@ class TestColumnValues:
             tracemalloc.stop()
         assert count == labels.count(3)
         assert peak < 2**19, peak
+
+
+# limits around every value and row count where v gains a digit, and around
+# the runs of partition._RUN labels
+_RUN_EDGES = sorted(
+    {10**i + d for i in range(6) for d in (-1, 0, 1) if 10**i + d >= 1}
+    | {q * partition._RUN + d for q in (1, 2, 3) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        phi_spec(3),
+        phi_spec(8),
+        identity_spec(20),
+        PartitionSpec(2, SQRT2),
+        PartitionSpec(3, QuadraticReal(7, -1, 4)),
+        PartitionSpec(3, QuadraticReal(3, 0, 2)),
+        PartitionSpec(3, [4, 11, 15, 22]),
+    ],
+    ids=lambda spec: f"{spec.n}-{spec.describe()}",
+)
+def test_column_runs_spell_column_values(spec):
+    # label 0 (values no term reaches) and n + 1 (absent) are read like any
+    # column; column_runs starts at value 1, column_values at index 0
+    for limit in _RUN_EDGES:
+        labels = column_labels(spec, limit)
+        for j in range(spec.n + 2):
+            runs = list(partition.column_runs(labels, j))
+            expected = "".join(f"{v}\n" for v in column_values(labels, j) if v)
+            assert "".join(runs) == expected, (limit, j)
+            for run in runs:
+                assert run and len({len(line) for line in run.split()}) == 1, (limit, j)
 
 
 class TestIntervalSeparation:

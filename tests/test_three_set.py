@@ -121,7 +121,7 @@ class TestRows:
 
     def test_rows_read_from_the_columns_match_scd(self):
         limit = 20000
-        expected = [(oracles.col_s(k), col_c(k), col_d(k), row_class(k).code) for k in range(1, limit + 1)]
+        expected = [(str(oracles.col_s(k)), str(col_c(k)), str(col_d(k)), row_class(k).code) for k in range(1, limit + 1)]
         assert list(zip(*row_columns(limit))) == expected
 
     def test_domain(self):
