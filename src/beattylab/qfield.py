@@ -60,6 +60,52 @@ def floor_surd(p: int, q: int, d: int, r: int = DEFAULT_RADICAND) -> int:
     return (p + m) // d
 
 
+def floor_sum(n: int, a: QuadraticReal, b: QuadraticReal) -> int:
+    """S(n, a, b) = sum of floor(a*k + b) over k in [0, n), for a and b in one Q(sqrt(r)); 0 for n <= 0.
+
+    Euclid's reduction for floor sums (Graham, Knuth and Patashnik,
+    Concrete Mathematics, section 3.5), in a loop.  With the floors of a
+    and b taken out, 0 <= a, b < 1, and the m = floor(a*(n - 1) + b)
+    integers j in [1, m] each count the k with a*k + b >= j, that is
+    n - ceil((j - b)/a) of them.  With ceil(y) = -floor(-y) that gives
+    S(n, a, b) = m*n + S(m, -1/a, (b - 1)/a), and m < n.  a and b travel
+    as the integers (p1 + q1*sqrt(r))/d and (p2 + q2*sqrt(r))/d over one
+    denominator, reduced by their gcd at every step (without it the
+    coordinates double in length at every step), and every floor is one
+    floor_surd, so no float and no QuadraticReal enters the loop.
+    """
+    o = a._coerce(b)
+    if o is None:
+        raise TypeError(f"floor_sum needs QuadraticReal a and b, got {type(a).__name__} and {type(b).__name__}")
+    r = a._field(o)
+    p1, q1, p2, q2, d = a._p * o._d, a._q * o._d, o._p * a._d, o._q * a._d, a._d * o._d
+    total = 0
+    while n > 0:
+        whole_a = floor_surd(p1, q1, d, r)
+        whole_b = floor_surd(p2, q2, d, r)
+        total += whole_a * (n * (n - 1) // 2) + whole_b * n
+        p1 -= whole_a * d
+        p2 -= whole_b * d
+        m = floor_surd(p1 * (n - 1) + p2, q1 * (n - 1) + q2, d, r)
+        if m == 0:  # a*k + b < 1 for every k < n, a = 0 included
+            break
+        total += m * n
+        norm = p1 * p1 - r * q1 * q1  # nonzero: a > 0 here, and r is not a square
+        p1, q1, p2, q2, d = (
+            -d * p1,
+            d * q1,
+            (p2 - d) * p1 - r * q2 * q1,
+            q2 * p1 - (p2 - d) * q1,
+            norm,
+        )
+        if d < 0:
+            p1, q1, p2, q2, d = -p1, -q1, -p2, -q2, -d
+        g = gcd(p1, q1, p2, q2, d)
+        p1, q1, p2, q2, d = p1 // g, q1 // g, p2 // g, q2 // g, d // g
+        n = m
+    return total
+
+
 class QuadraticReal:
     """An exact element (p + q*sqrt(radicand))/d of Q(sqrt(radicand))."""
 

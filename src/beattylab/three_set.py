@@ -7,19 +7,27 @@ the eight conceivable triples ever occur.  This module computes the
 rows, the row-class census, and the census of which columns the Wythoff
 values a(n), b(n) land in.
 
-The range scans rest on two orderings: the k-th smallest value of
-column D, C or S is d(k), c(k) or s(k), and the n-th smallest value
-labelled A or B is a(n) or b(n).  So each census is a selection from one
-buffer of tags, 2*column(v) + [v is B] for every value v up to d(N) (up
-to b(N) for the pairs), built from the partition labels of phi_spec(3)
-and the B word (standard_fill, slope 1/phi^2): bytes.translate keeps one
-column's (or one label's) values, the kept planes are combined bytewise
-through big-endian integers, and bytes.count and bytes.find read the
-result.  rows reads the rows themselves and their codes from one such
-buffer.  d(k) is THREE_SET_SPEC.term(k), c(k) is
-partition.d2_closed_form(3, k), and the tests keep the paper's per-point
-formulas as the scans' oracle.  Every scan takes an index limit in
-[1, MAX_INDEX] by partition's one limit rule, before any buffer is built.
+The censuses count by exact floor sums.  Each class is a step function
+of one fractional part: of x = {h*phi} and the parity of k, h =
+ceil(k/2), for the row class of k, and of z = {n*(5 - sqrt5)/10} for
+the columns of (a(n), b(n)).  The steps are tables of breakpoints in
+Q(sqrt5) and labels, and the number of h <= H with {h*theta} below a
+breakpoint x is S(H, theta, theta) - S(H, theta, theta - x), with S
+qfield.floor_sum: O(log H) integer steps per breakpoint and no buffer.
+The tables were fitted to the data, not derived; the tests check them
+against the byte scans of tests/oracles.py at every index up to 2*10**5,
+and CI at every index up to MAX_INDEX, where the censuses stop.
+
+classify rows reads its rows from one buffer of tags,
+2*column(v) + [v is B] for every value v up to d(N), built from the
+partition labels of phi_spec(3) and the B word (standard_fill, slope
+1/phi^2).  The k-th smallest value of column D, C or S is d(k), c(k) or
+s(k), so bytes.translate keeps one column's B bits, and the planes are
+combined bytewise through big-endian integers into one code per row.
+d(k) is THREE_SET_SPEC.term(k), c(k) is partition.d2_closed_form(3, k),
+and the tests keep the paper's per-point formulas as the oracle.  Every
+census and scan takes an index limit in [1, MAX_INDEX] by partition's
+one limit rule, before any work.
 """
 
 from __future__ import annotations
@@ -28,17 +36,19 @@ from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import partition
-from .qfield import INV_PHI, INV_PHI_SQ, QuadraticReal
-from .wythoff import ABLabel, c_half, lower, standard_fill, upper
+from .qfield import INV_PHI, INV_PHI_SQ, QuadraticReal, floor_sum
+from .wythoff import ABLabel, standard_fill
 
 ADMISSIBLE_ROW_CLASSES = frozenset({"AAA", "AAB", "ABA", "BAA", "BBA", "BAB"})
 ALL_PAIR_CLASSES = ("SC", "CS", "DS", "CD", "SS", "SD", "DC", "CC", "DD")
 
 THREE_SET_SPEC = partition.phi_spec(3)
 
-# Largest index range the scans accept.  The tag buffer runs to d(N),
-# about 5.9*N bytes, and d(10**6) stays within partition.MAX_LIMIT.  A
-# scan holds about 12 bytes per index at its peak, 12 MB at this cap.
+# Largest index range the censuses and classify rows accept: the tests
+# check the step tables against the scan at every index up to it.
+# classify rows' tag buffer runs to d(N), about 5.9*N bytes, and d(10**6)
+# stays within partition.MAX_LIMIT; it holds about 12 bytes per index at
+# its peak, 12 MB at this cap.  The censuses hold no buffer.
 MAX_INDEX = 10**6
 
 
@@ -91,12 +101,6 @@ def _keep(values: dict[int, int]) -> tuple[bytes, bytes]:
 # 4*[s(k) is B] + 2*[c(k) is B] + [d(k) is B].
 _ROW_PLANES = tuple(_keep({2 * column: 0, 2 * column + 1: 1}) for column in (3, 2, 1))
 _ROW_CLASSES = dict(enumerate(s + c + d for s in "AB" for c in "AB" for d in "AB"))
-# The pair planes are the columns (0 for D, 1 for C, 2 for S) of the
-# A-labelled values, a(1), a(2), ..., and of the B-labelled ones, b(1),
-# b(2), ..., so shifted in two bits at a time, a pair code is
-# 4*column(a(n)) + column(b(n)).
-_PAIR_PLANES = (_keep({2: 0, 4: 1, 6: 2}), _keep({3: 0, 5: 1, 7: 2}))
-_PAIR_CLASSES = {4 * i + j: x + y for i, x in enumerate("DCS") for j, y in enumerate("DCS")}
 _TAG_COLUMNS = bytes(tag >> 1 for tag in range(256))  # bytes.translate table: tag -> partition column
 
 
@@ -119,21 +123,13 @@ def _tagged_values(top: int) -> bytearray:
     return tags
 
 
-def _tally(codes: bytes | bytearray, names: dict[int, str]) -> Census:
-    """Census of index k = 1, ..., len(codes) with code codes[k - 1], keyed by names, in order of first occurrence."""
-    found = sorted((at, code) for code in names if (at := codes.find(code)) >= 0)
-    counts = {names[code]: codes.count(code) for _, code in found}
-    return Census(len(codes), counts, {names[code]: at + 1 for at, code in found})
-
-
 def _select(tags: bytearray, limit: int, shift: int, planes: tuple[tuple[bytes, bytes], ...]) -> bytearray:
     """Codes of indices 1, ..., limit: the k-th value each plane keeps, shifted in plane by plane.
 
     Each plane must keep at least limit values: the row planes do when
-    tags runs to d(limit), the pair planes when it runs to b(limit).  A
-    plane is translated a block of tags at a time, up to its limit-th
-    value, so it never takes more than about limit bytes, and one plane
-    is held at a time.
+    tags runs to d(limit).  A plane is translated a block of tags at a
+    time, up to its limit-th value, so it never takes more than about
+    limit bytes, and one plane is held at a time.
     """
     codes = bytearray(limit)
     for keep in planes:
@@ -162,6 +158,82 @@ def row_columns(limit: int) -> tuple[Iterator[str], Iterator[str], Iterator[str]
     return s, c, d, codes
 
 
+# -- step tables ---------------------------------------------------------------
+#
+# A table is the slope theta and its pieces (label, end), in order: index
+# h is labelled by the piece [previous end, end) that holds {h*theta},
+# the first piece starting at 0 and the last ending at 1.  Ends are
+# (p, q, d) for (p + q*sqrt5)/d.  No {h*theta} with h >= 1 equals an end,
+# since their sqrt5 coefficients differ.  Each class also carries the
+# first index it labels, in that order.
+
+_PHI = (1, 1, 2)
+# the row class of k = 2h: (s, c, d) labels read from x = {h*phi}
+_EVEN_ROWS = (
+    ("BAA", (0, 1, 10)),  # sqrt5/10
+    ("BBA", (5, -1, 10)),  # (5 - sqrt5)/10
+    ("ABA", (5, 1, 20)),  # (5 + sqrt5)/20
+    ("AAB", (1, 0, 2)),
+    ("AAA", (5, 1, 10)),  # (5 + sqrt5)/10
+    ("BBA", (15, 1, 20)),  # (15 + sqrt5)/20
+    ("BAB", (1, 0, 1)),
+)
+# the row class of k = 2h - 1, from x = {h*phi}
+_ODD_ROWS = (
+    ("AAA", (-15, 7, 20)),  # (7sqrt5 - 15)/20
+    ("ABA", (-5, 3, 10)),  # (3sqrt5 - 5)/10
+    ("BAB", (-1, 1, 4)),  # (sqrt5 - 1)/4
+    ("BAA", (0, 1, 5)),  # sqrt5/5
+    ("AAA", (-5, 7, 20)),  # (7sqrt5 - 5)/20
+    ("ABA", (0, 3, 10)),  # 3sqrt5/10
+    ("AAB", (1, 1, 4)),  # (sqrt5 + 1)/4
+    ("AAA", (0, 2, 5)),  # 2sqrt5/5
+    ("BAA", (1, 0, 1)),
+)
+_ROW_FIRST = {"ABA": 1, "AAA": 2, "BAB": 3, "BBA": 4, "AAB": 8, "BAA": 10}
+# the columns of (a(n), b(n)), from z = {n*(5 - sqrt5)/10}
+_PAIR_SLOPE = (5, -1, 10)
+_PAIRS = (
+    ("CS", (1, 0, 5)),
+    ("SC", (2, 0, 5)),
+    ("SS", (3, 0, 5)),
+    ("CD", (5, 1, 10)),  # (5 + sqrt5)/10
+    ("SS", (4, 0, 5)),
+    ("DS", (1, 0, 1)),
+)
+_PAIR_FIRST = {"SC": 1, "SS": 2, "DS": 3, "CS": 4, "CD": 6}
+# the column of a(n), C or D, from {n*phi}
+_A_COLUMNS = (
+    ("D", (3, -1, 4)),  # (3 - sqrt5)/4
+    ("C", (1, 1, 4)),  # phi/2
+    ("D", (1, 0, 1)),
+)
+
+
+def _piece_counts(count: int, theta: tuple[int, int, int], pieces, counts: dict[str, int]) -> dict[str, int]:
+    """Add to counts, per label of pieces, the number of h in [1, count] whose {h*theta} lies in that label's pieces.
+
+    For 0 < x <= 1, floor(y) - floor(y - x) is 1 when {y} < x and 0
+    otherwise, so S(count, theta, theta) - S(count, theta, theta - x)
+    of the h have {h*theta} < x, and a piece holds the difference
+    between its end's count and the one before.
+    """
+    slope = QuadraticReal(*theta)
+    whole = floor_sum(count, slope, slope)
+    below = 0
+    for label, end in pieces:
+        upto = whole - floor_sum(count, slope, slope - QuadraticReal(*end))
+        counts[label] = counts.get(label, 0) + upto - below
+        below = upto
+    return counts
+
+
+def _census(limit: int, counts: dict[str, int], first: dict[str, int]) -> Census:
+    """Census of the classes of counts with a count above 0, in the order of first."""
+    found = [code for code in first if counts[code]]
+    return Census(limit, {code: counts[code] for code in found}, {code: first[code] for code in found})
+
+
 def row_class_census(limit: int) -> Census:
     """Census of row classes for k in [1, limit].
 
@@ -169,7 +241,8 @@ def row_class_census(limit: int) -> Census:
     classification; callers should treat such keys as defects.
     """
     partition._require_limit(limit, MAX_INDEX)
-    return _tally(_select(_tagged_values(THREE_SET_SPEC.term(limit)), limit, 1, _ROW_PLANES), _ROW_CLASSES)
+    counts = _piece_counts(limit // 2, _PHI, _EVEN_ROWS, {})
+    return _census(limit, _piece_counts((limit + 1) // 2, _PHI, _ODD_ROWS, counts), _ROW_FIRST)
 
 
 def row_class_keys(counts: dict[str, int]) -> list[str]:
@@ -180,7 +253,7 @@ def row_class_keys(counts: dict[str, int]) -> list[str]:
 def ab_over_scd_census(limit: int) -> Census:
     """Census of (column of a(n), column of b(n)) for n in [1, limit]."""
     partition._require_limit(limit, MAX_INDEX)
-    return _tally(_select(_tagged_values(upper(limit)), limit, 2, _PAIR_PLANES), _PAIR_CLASSES)
+    return _census(limit, _piece_counts(limit, _PAIR_SLOPE, _PAIRS, {}), _PAIR_FIRST)
 
 
 # -- density measurements ------------------------------------------------------
@@ -207,21 +280,6 @@ class DensityReport(NamedTuple):
     entries: tuple[DensityEntry, ...]
 
 
-def _c_half_counts(limit: int) -> tuple[int, int]:
-    """(c-half-in-A, a-in-C) counts over indices up to limit.
-
-    The values c_half(i) = floor(i*phi^2/2) are marked by the word of
-    slope 2/phi^2 = 3 - sqrt5, and the A values by the word of slope 1/phi.
-    The A values up to a(limit) are a(1), ..., a(limit), so a value up to
-    a(limit) marked both C and A is one a(n) in C, and one up to
-    c_half(limit) is one c_half(i) in A.
-    """
-    marks = bytearray(lower(limit))
-    standard_fill(marks, 2 * INV_PHI_SQ, b"\x01", b"\x00")
-    _shift_word(marks, INV_PHI)  # marks[m - 1] = 2*[m in C] + [m in A]
-    return marks.count(3, 0, c_half(limit)), marks.count(3)
-
-
 def density_report(limit: int) -> DensityReport:
     """Desk-scale density measurements over indices up to limit.
 
@@ -230,16 +288,24 @@ def density_report(limit: int) -> DensityReport:
     compared against the reported table; the density of S-column rows in
     A and the six row-class frequencies have no proof and are flagged
     empirical-open.
+
+    c_half(i) = floor(i*phi^2/2) is in A exactly when i is odd, so
+    c-half-in-A counts ceil(limit/2).  For i = 2j it is floor(j*phi^2) =
+    b(j), in B.  For i = 2j - 1 it is floor(j*phi^2 - phi^2/2), which is
+    b(j) - 1, in A because B holds no two consecutive integers, or, when
+    {j*phi} < (sqrt5 - 1)/4, b(j) - 2.  Then {j*phi} < phi - 1 as well,
+    so b(j) - b(j - 1) = 3 and b(j) - 2 is in A too.  a(n) is in C
+    exactly when {n*phi} lies in [(3 - sqrt5)/4, phi/2), a piece of
+    length 1/phi, by the step table _A_COLUMNS.
     """
     partition._require_limit(limit, MAX_INDEX)
-    c_in_a, a_in_c = _c_half_counts(limit)
-    tags = _tagged_values(THREE_SET_SPEC.term(limit))
-    rows = _tally(_select(tags, limit, 1, _ROW_PLANES), _ROW_CLASSES)
-    pairs = _tally(_select(tags, limit, 2, _PAIR_PLANES), _PAIR_CLASSES)
+    a_in_c = _piece_counts(limit, _PHI, _A_COLUMNS, {})["C"]
+    rows = row_class_census(limit)
+    pairs = ab_over_scd_census(limit)
     # a row-class code starts with the A/B letter of s(k)
     s_in_a = sum(count for code, count in rows.counts.items() if code[0] == ABLabel.A.value)
     entries = [
-        DensityEntry("c-half-in-A", c_in_a, limit, QuadraticReal(1, 0, 2), "proved-density"),
+        DensityEntry("c-half-in-A", (limit + 1) // 2, limit, QuadraticReal(1, 0, 2), "proved-density"),
         DensityEntry("a-in-C", a_in_c, limit, INV_PHI, "proved-density"),
         DensityEntry("a-in-D", limit - a_in_c, limit, INV_PHI_SQ, "proved-density"),
         DensityEntry("s-col-in-A", s_in_a, limit, None, "empirical-open"),

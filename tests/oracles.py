@@ -29,8 +29,14 @@ and the full coefficient grid, the references for the integer scans in
 identities.fib_shift_converse and identities._check_klm_grid; ab_word builds
 the Fibonacci word by string concatenation.  row_codes, pair_codes and
 c_half_counts are the per-index scans behind the three_set censuses and
-densities, one isqrt per index, the references for the bytes
-operations over three_set's tag buffer.
+densities, one isqrt per index.  row_scan, pair_scan and c_half_scan
+are the byte scans over three_set's tag buffer that the censuses ran
+before they counted by floor sums: the references for the step tables
+at every index up to three_set.MAX_INDEX, where the per-index scans
+are too slow.  table_codes labels each index by a step table of
+three_set, one exact comparison per breakpoint, and table_row_codes
+merges the odd and even row tables, to compare with the scans' codes
+index by index.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from math import isqrt
 from typing import Iterator, NamedTuple
 
 from beattylab import partition, three_set, wythoff
-from beattylab.qfield import DEFAULT_RADICAND, INV_PHI_SQ, ONE, ONE_HALF, PHI, ZERO, QuadraticReal, floor_surd, phi_pow
+from beattylab.qfield import DEFAULT_RADICAND, INV_PHI, INV_PHI_SQ, ONE, ONE_HALF, PHI, ZERO, QuadraticReal, floor_surd, phi_pow
 from beattylab.identities import BREAK_HIGH, strict_compare
 from beattylab.wythoff import ABLabel, frac_phi, klm, lower
 
@@ -298,3 +304,67 @@ def c_half_counts(limit: int) -> tuple[int, int]:
                 c_in_a += 1
         i += 1
     return c_in_a, a_in_c
+
+
+def tally(codes: bytes | bytearray, names: dict[int, str]) -> three_set.Census:
+    """Census of index k = 1, ..., len(codes) with code codes[k - 1], keyed by names, in order of first occurrence."""
+    found = sorted((at, code) for code in names if (at := codes.find(code)) >= 0)
+    counts = {names[code]: codes.count(code) for _, code in found}
+    return three_set.Census(len(codes), counts, {names[code]: at + 1 for at, code in found})
+
+
+# The pair planes are the columns (0 for D, 1 for C, 2 for S) of the
+# A-labelled values, a(1), a(2), ..., and of the B-labelled ones, b(1),
+# b(2), ..., so shifted in two bits at a time, a pair code is
+# 4*column(a(n)) + column(b(n)).
+PAIR_PLANES = (three_set._keep({2: 0, 4: 1, 6: 2}), three_set._keep({3: 0, 5: 1, 7: 2}))
+PAIR_CLASSES = {4 * i + j: x + y for i, x in enumerate("DCS") for j, y in enumerate("DCS")}
+
+
+def row_scan(limit: int) -> bytearray:
+    """Row codes of k in [1, limit], 4*[s(k) is B] + 2*[c(k) is B] + [d(k) is B], selected from the tags of [1, d(limit)]."""
+    tags = three_set._tagged_values(three_set.THREE_SET_SPEC.term(limit))
+    return three_set._select(tags, limit, 1, three_set._ROW_PLANES)
+
+
+def pair_scan(limit: int) -> bytearray:
+    """Pair codes of n in [1, limit], 4*column(a(n)) + column(b(n)), selected from the tags of [1, b(limit)]."""
+    return three_set._select(three_set._tagged_values(wythoff.upper(limit)), limit, 2, PAIR_PLANES)
+
+
+def c_half_scan(limit: int) -> tuple[int, int]:
+    """(c-half-in-A, a-in-C) counts over indices up to limit, from two words.
+
+    The values c_half(i) = floor(i*phi^2/2) are marked by the word of
+    slope 2/phi^2 = 3 - sqrt5, and the A values by the word of slope 1/phi.
+    The A values up to a(limit) are a(1), ..., a(limit), so a value up to
+    a(limit) marked both C and A is one a(n) in C, and one up to
+    c_half(limit) is one c_half(i) in A.
+    """
+    marks = bytearray(lower(limit))
+    wythoff.standard_fill(marks, 2 * INV_PHI_SQ, b"\x01", b"\x00")
+    three_set._shift_word(marks, INV_PHI)  # marks[m - 1] = 2*[m in C] + [m in A]
+    return marks.count(3, 0, wythoff.c_half(limit)), marks.count(3)
+
+
+def table_row_codes(limit: int) -> list[str]:
+    """The row class of k in [1, limit] by three_set's step tables: the odd table for k = 2h - 1, the even one for k = 2h."""
+    codes = [""] * limit
+    codes[0::2] = table_codes((limit + 1) // 2, three_set._PHI, three_set._ODD_ROWS)
+    codes[1::2] = table_codes(limit // 2, three_set._PHI, three_set._EVEN_ROWS)
+    return codes
+
+
+def table_codes(limit: int, theta: tuple[int, int, int], pieces) -> list[str]:
+    """The label of the piece of a three_set step table that holds {h*theta}, for h in [1, limit].
+
+    {h*theta} < x exactly when floor(h*theta - x) < floor(h*theta), so
+    each breakpoint costs one floor_surd.
+    """
+    tp, tq, td = theta
+    codes = []
+    for h in range(1, limit + 1):
+        whole = floor_surd(h * tp, h * tq, td)
+        below = (label for label, (xp, xq, xd) in pieces if floor_surd(h * tp * xd - xp * td, h * tq * xd - xq * td, td * xd) < whole)
+        codes.append(next(below))
+    return codes

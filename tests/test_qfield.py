@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beattylab import qfield
 from beattylab.qfield import (
     INV_PHI,
     INV_PHI_SQ,
@@ -25,6 +26,7 @@ from beattylab.qfield import (
     SQRT5,
     ZERO,
     fib,
+    floor_sum,
     phi_pow,
 )
 from oracles import quadratic_from_json
@@ -259,6 +261,68 @@ class TestFloorFrac:
             f = (PHI * k).frac()
             for b in breakpoints:
                 assert f.compare(b) != 0
+
+
+# (a, b) for the floor-sum oracle: both signs of a, rational a, Q(sqrt5)
+# and Q(sqrt2), and b = j - t*a, where a*k + b is the integer j at k = t
+FLOOR_SUM_CASES = [
+    (PHI, PHI),
+    (PHI, PHI - QuadraticReal(3, -1, 4)),
+    (QuadraticReal(5, -1, 10), QuadraticReal(5, -1, 10) - QuadraticReal(5, 1, 10)),
+    (-PHI, QuadraticReal(7, 3, 5)),
+    (-PHI_CUBED, QuadraticReal(-11, 2, 3)),
+    (INV_PHI_SQ, 4 - 17 * INV_PHI_SQ),
+    (-INV_PHI, -3 + 40 * INV_PHI),
+    (SQRT2, QuadraticReal(1, -1, 3, radicand=2)),
+    (-3 * SQRT2, QuadraticReal(-5, 1, 1, radicand=2)),
+    (QuadraticReal(-1, 1, 1, radicand=2), 2 - 9 * QuadraticReal(-1, 1, 1, radicand=2)),
+    (QuadraticReal(3, 0, 7), QuadraticReal(1, 1, 3)),
+    (QuadraticReal(3, 0, 7), 2 - 5 * QuadraticReal(3, 0, 7)),
+    (QuadraticReal(-22, 0, 7), QuadraticReal(0, 1, 1, radicand=2)),
+    (QuadraticReal(-22, 0, 7), QuadraticReal(-1, 0, 7)),
+    (QuadraticReal(2), QuadraticReal(-1, 0, 2)),
+    (ZERO, QuadraticReal(1, 1, 3)),
+]
+
+
+class TestFloorSum:
+    @pytest.mark.parametrize("a, b", FLOOR_SUM_CASES, ids=[f"{a}|{b}" for a, b in FLOOR_SUM_CASES])
+    def test_every_n_to_200_against_term_by_term_floors(self, a, b):
+        total = 0
+        for n in range(201):
+            assert floor_sum(n, a, b) == total, n
+            total += (a * n + b).floor()
+
+    def test_ties_are_hit(self):
+        # b = j - t*a puts a*k + b on an integer, where ceil(y) = -floor(-y) decides
+        hits = [a * t + b for a, b in FLOOR_SUM_CASES for t in range(201) if (a * t + b).frac() == ZERO]
+        assert len(hits) >= 6
+
+    def test_no_terms(self):
+        for n in (0, -1, -(10**30)):
+            assert floor_sum(n, PHI, PHI) == 0
+
+    def test_mixed_radicands_raise(self):
+        with pytest.raises(ValueError, match="mixed radicands"):
+            floor_sum(10, PHI, SQRT2)
+
+    @pytest.mark.parametrize("a, b", [FLOOR_SUM_CASES[1], FLOOR_SUM_CASES[2], FLOOR_SUM_CASES[7]], ids=["phi", "pairs", "sqrt2"])
+    def test_coordinates_stay_small_at_10_to_300(self, monkeypatch, a, b):
+        # reduced at every step, the coordinates of a and b keep a few
+        # digits, so each floor's arguments stay within n's length plus a
+        # constant; unreduced they double in length at every step
+        n = 10**300
+        bound = n.bit_length() + 64
+        floor = qfield.floor_surd
+
+        def guarded(p, q, d, r=5):
+            assert max(abs(p), abs(q), d).bit_length() <= bound, "floor_sum coordinates grow"
+            return floor(p, q, d, r)
+
+        monkeypatch.setattr(qfield, "floor_surd", guarded)
+        total = floor_sum(n, a, b)
+        # the sum of floor(a*k + b) is within n of a*n*(n - 1)/2 + b*n
+        assert -n <= total - (a * (n * (n - 1) // 2) + b * n) <= n
 
 
 class TestFibonacci:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import oracles
 import pytest
@@ -25,7 +27,7 @@ from beattylab.three_set import (
     row_columns,
 )
 from beattylab.identities import S_OFFSETS_EVEN, S_OFFSETS_ODD, frac_col_c, frac_col_d, frac_col_s
-from beattylab.wythoff import ABLabel, c_half, classify_ab, frac_phi, lower, upper
+from beattylab.wythoff import ABLabel, c_half, classify_ab, frac_phi, lower, standard_fill, upper
 from oracles import CDLabel, ab_label, cd_label, col_c, col_d, density_entry, row_class
 
 TABLE_ROWS = [(1, 2, 4), (3, 6, 11), (5, 9, 15), (7, 13, 22), (8, 17, 29), (10, 20, 33)]
@@ -68,9 +70,10 @@ def scan_limits() -> list[int]:
     """Limits where the bytes scans could go wrong: small ones, Fibonacci numbers and block edges, +-1.
 
     _shift_in works in blocks of _BLOCK bytes over buffers of limit
-    codes, d(limit) + 1 and b(limit) + 1 tags and a(limit) c-half marks,
-    so each limit where one of those sizes reaches a multiple of _BLOCK
-    is taken with its neighbours.
+    codes, d(limit) + 1 tags for classify rows and the row scan, and
+    b(limit) + 1 tags and a(limit) c-half marks for the oracles' pair
+    and c-half scans, so each limit where one of those sizes reaches a
+    multiple of _BLOCK is taken with its neighbours.
     """
     limits = set(range(1, 201)) | {ORACLE_TOP}
     f, g = 1, 2
@@ -363,19 +366,22 @@ class TestDensities:
             assert entry.status == "reported-density"
             assert abs(entry.count / entry.total - float(entry.expected)) < 0.01
 
-    def test_peak_memory_per_index(self):
-        # at the peak: the tag buffer and the Fibonacci word shifted into
-        # it, d(N) ~ 5.9*N bytes each, plus a few blocks; a conversion or
-        # translate of whole buffers would hold more buffers that long
-        limit = 10**5
-        density_report(100)
+    @pytest.mark.parametrize("census", [row_class_census, ab_over_scd_census, density_report])
+    def test_peak_memory_is_constant(self, census):
+        # the floor sums carry a few integers of O(log N) bits; a buffer of
+        # one byte per index would take 1 MB at the cap
+        census(100)
         tracemalloc.start()
         try:
-            density_report(limit)
+            census(MAX_INDEX)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 13 * limit, peak
+        assert peak < 64 * 1024, peak
+
+    def test_c_half_in_a_is_every_odd_index(self):
+        # c_half(2j) = b(j) is B, and c_half(2j - 1) is b(j) - 1 or b(j) - 2, both A
+        assert [ab_label(c_half(i)).value for i in range(1, 2001)] == ["A", "B"] * 1000
 
 
 class TestAgainstPerIndexScans:
@@ -386,14 +392,83 @@ class TestAgainstPerIndexScans:
         census = row_class_census(limit)
         assert (census.counts, census.first_index) == expected_rows
         assert list(three_set.row_columns(limit)[3]) == rows.codes[:limit]
+        assert scan_census(oracles.row_scan(limit), limit, three_set._ROW_CLASSES) == expected_rows
         census = ab_over_scd_census(limit)
         assert (census.counts, census.first_index) == pairs(limit)
+        assert scan_census(oracles.pair_scan(limit), limit, oracles.PAIR_CLASSES) == pairs(limit)
         report = density_report(limit)
         for code in ADMISSIBLE_ROW_CLASSES:
             assert density_entry(report, f"row-class-{code}").count == expected_rows[0].get(code, 0)
         for code in ALL_PAIR_CLASSES:
             assert density_entry(report, f"pair-{code}").count == census.counts.get(code, 0)
         c_in_a, a_in_c = oracles.c_half_counts(limit)
+        assert oracles.c_half_scan(limit) == (c_in_a, a_in_c)
         assert density_entry(report, "c-half-in-A").count == c_in_a
         assert density_entry(report, "a-in-C").count == a_in_c
         assert density_entry(report, "a-in-D").count == limit - a_in_c
+
+
+TABLE_TOP = 2 * 10**5
+
+
+def scan_census(codes: bytes, limit: int, names: dict[int, str]) -> tuple[dict[str, int], dict[str, int]]:
+    """Counts and first indices of the first limit scan codes; a code depends on its index only."""
+    census = oracles.tally(codes[:limit], names)
+    return census.counts, census.first_index
+
+
+class TestStepTables:
+    """The step tables against the byte scans of tests/oracles.py.
+
+    The tables were fitted, so these checks are their evidence; the CI
+    job checks every index up to MAX_INDEX.
+    """
+
+    def test_row_classes_at_every_index(self):
+        expected = [three_set._ROW_CLASSES[code] for code in oracles.row_scan(TABLE_TOP)]
+        assert oracles.table_row_codes(TABLE_TOP) == expected
+
+    def test_pair_classes_at_every_index(self):
+        expected = [oracles.PAIR_CLASSES[code] for code in oracles.pair_scan(TABLE_TOP)]
+        assert oracles.table_codes(TABLE_TOP, three_set._PAIR_SLOPE, three_set._PAIRS) == expected
+
+    def test_a_columns_at_every_index(self):
+        # word[m - 1] is C exactly when m is some c_half(i)
+        word = bytearray(lower(TABLE_TOP))
+        standard_fill(word, 2 * INV_PHI_SQ, b"C", b"D")
+        expected = [chr(word[(n + isqrt(5 * n * n)) // 2 - 1]) for n in range(1, TABLE_TOP + 1)]
+        assert oracles.table_codes(TABLE_TOP, three_set._PHI, three_set._A_COLUMNS) == expected
+
+    def test_first_indices_are_the_first_occurrences(self):
+        rows = oracles.table_row_codes(20)
+        assert three_set._ROW_FIRST == {code: rows.index(code) + 1 for code in sorted(set(rows), key=rows.index)}
+        assert list(three_set._ROW_FIRST.values()) == sorted(three_set._ROW_FIRST.values())
+        pairs = oracles.table_codes(20, three_set._PAIR_SLOPE, three_set._PAIRS)
+        assert three_set._PAIR_FIRST == {code: pairs.index(code) + 1 for code in sorted(set(pairs), key=pairs.index)}
+        assert list(three_set._PAIR_FIRST.values()) == sorted(three_set._PAIR_FIRST.values())
+
+    @pytest.mark.parametrize(
+        "limits",
+        [range(1, 2001), sorted(random.Random(12).sample(range(1, MAX_INDEX + 1), 30))],
+        ids=["every-N-to-2000", "30-random-N-to-10^6"],
+    )
+    def test_censuses_equal_the_scan(self, limits):
+        top = max(limits)
+        rows, pairs = oracles.row_scan(top), oracles.pair_scan(top)
+        for limit in limits:
+            expected_rows = scan_census(rows, limit, three_set._ROW_CLASSES)
+            census = row_class_census(limit)
+            assert (census.counts, census.first_index) == expected_rows, limit
+            assert list(census.counts) == list(census.first_index)  # in order of first occurrence
+            expected_pairs = scan_census(pairs, limit, oracles.PAIR_CLASSES)
+            census = ab_over_scd_census(limit)
+            assert (census.counts, census.first_index) == expected_pairs, limit
+            assert list(census.counts) == list(census.first_index)
+            counts = {entry.name: entry.count for entry in density_report(limit).entries}
+            c_in_a, a_in_c = oracles.c_half_scan(limit)
+            assert (counts["c-half-in-A"], counts["a-in-C"], counts["a-in-D"]) == (c_in_a, a_in_c, limit - a_in_c)
+            for code in ADMISSIBLE_ROW_CLASSES:
+                assert counts[f"row-class-{code}"] == expected_rows[0].get(code, 0)
+            assert counts["s-col-in-A"] == sum(n for code, n in expected_rows[0].items() if code[0] == "A")
+            for code in ALL_PAIR_CLASSES:
+                assert counts[f"pair-{code}"] == expected_pairs[0].get(code, 0)
