@@ -114,7 +114,8 @@ class QuadraticReal:
     def __init__(self, p: int, q: int = 0, d: int = 1, radicand: int = DEFAULT_RADICAND):
         if d == 0:
             raise ZeroDivisionError("denominator must be nonzero")
-        if q != 0 and (radicand < 2 or _is_square(radicand)):
+        # only the int 5 itself (identity, not equality) skips the square test
+        if q != 0 and radicand is not DEFAULT_RADICAND and (radicand < 2 or _is_square(radicand)):
             raise ValueError(f"radicand must be a non-square integer >= 2, got {_brief(radicand)}")
         if d < 0:
             p, q, d = -p, -q, -d
@@ -164,7 +165,12 @@ class QuadraticReal:
 
     # -- arithmetic ----------------------------------------------------------
 
+    # an int operand enters the coordinates directly, where _coerce would
+    # build QuadraticReal(other) first
+
     def __add__(self, other: int | QuadraticReal) -> QuadraticReal:
+        if isinstance(other, int):
+            return QuadraticReal(self._p + other * self._d, self._q, self._d, self._r)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -178,6 +184,8 @@ class QuadraticReal:
     __radd__ = __add__
 
     def __sub__(self, other: int | QuadraticReal) -> QuadraticReal:
+        if isinstance(other, int):
+            return QuadraticReal(self._p - other * self._d, self._q, self._d, self._r)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -195,6 +203,8 @@ class QuadraticReal:
         return QuadraticReal(-self._p, -self._q, self._d, self._r)
 
     def __mul__(self, other: int | QuadraticReal) -> QuadraticReal:
+        if isinstance(other, int):
+            return QuadraticReal(self._p * other, self._q * other, self._d, self._r)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -246,6 +256,8 @@ class QuadraticReal:
 
     def compare(self, other: int | QuadraticReal) -> int:
         """Exact sign of self - other: -1, 0, or +1."""
+        if isinstance(other, int):
+            return _sign_of(self._p - other * self._d, self._q, self._r)
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare QuadraticReal with {type(other).__name__}")
@@ -257,7 +269,7 @@ class QuadraticReal:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = QuadraticReal(other)
+            return self._q == 0 and self._d == 1 and self._p == other
         if not isinstance(other, QuadraticReal):
             return NotImplemented
         return (

@@ -83,20 +83,35 @@ def frac_phi(n: int) -> QuadraticReal:
     return QuadraticReal(n - 2 * lower(n), n, 2)
 
 
+# (n, a(n), b(n), gp, gq, 5*gq) of the last n klm was called with, where
+# {n*phi}/phi = (gp + gq*sqrt5)/4; klm reads it by identity with n, and
+# None is no int
+_klm_record: tuple = (None, 0, 0, 0, 0, 0)
+
+
 def klm(K: int, L: int, M: int, n: int) -> int:
     """Closed form for floor((K*a(n) + L*n + M)*phi) with a = lower Wythoff.
 
     Returns K*b(n) + L*a(n) + floor(M*phi + (L*phi - K)*{n*phi}/phi); the
-    argument K*a(n) + L*n + M must itself be a positive integer.
+    argument K*a(n) + L*n + M must itself be a positive integer.  A scan
+    over (K, L, M) calls it many times with one n, so that n's coordinates
+    are kept in _klm_record, read once per call as one tuple and replaced
+    whole: callers in several threads never mix two n, and an n equal to
+    the last but not the same object (2.0 for 2) is computed afresh.
     """
     if n < 1:
         _require_positive(n)
-    an = (n + isqrt(5 * n * n)) // 2  # a(n), as in lower
+    global _klm_record
+    record = _klm_record
+    if record[0] is not n:
+        an = (n + isqrt(5 * n * n)) // 2  # a(n), as in lower
+        fp = n - 2 * an  # {n*phi} = (fp + n*sqrt5)/2
+        gq = fp - n
+        record = _klm_record = (n, an, an + n, 5 * n - fp, gq, 5 * gq)
+    _, an, bn, gp, gq, gq5 = record
     arg = K * an + L * n + M
     if arg < 1:
         raise ValueError(f"argument K*a(n)+L*n+M = {arg} must be positive")
-    fp = n - 2 * an  # {n*phi} = (fp + n*sqrt5)/2
-    gp, gq = 5 * n - fp, fp - n  # {n*phi}/phi = {n*phi}*(-1 + sqrt5)/2, over 4
     hp = L - 2 * K  # L*phi - K = (hp + L*sqrt5)/2
     # 8*(M*phi + (L*phi - K)*{n*phi}/phi) = tp + tq*sqrt5, with tp = hp*gp + 5*L*gq + 4M;
     # its floor over 8 is floor_surd(tp, tq, 8), inlined
@@ -104,7 +119,7 @@ def klm(K: int, L: int, M: int, n: int) -> int:
     root = isqrt(5 * tq * tq)  # floor(tq*sqrt5) for tq >= 0
     if tq < 0:
         root = -root - 1
-    return K * (an + n) + L * an + (hp * gp + 5 * L * gq + 4 * M + root) // 8
+    return K * bn + L * an + (hp * gp + L * gq5 + 4 * M + root) // 8
 
 
 def _split(m: int, count: int, first, second) -> tuple[bool, int]:

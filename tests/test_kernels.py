@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -381,6 +385,107 @@ class TestAgainstReference:
     @given(indices)
     def test_classify_cd(self, m):
         assert classify_cd(m) == ref_classify_cd(m)
+
+
+class TestKlmRecord:
+    """klm keeps the last n's coordinates; no call may read another n's."""
+
+    def test_grid_with_n_innermost_and_rejected_calls_between(self):
+        # n changes at every step, each n is also passed as an equal int that
+        # is not the same object, and a call rejected for n <= 0 or for an
+        # argument below 1 comes between any two calls
+        ns = (1, 150, 10**6, 10**30)
+        for K, L, M in product(range(-5, 6), repeat=3):
+            for n in ns:
+                for same in (n, int(str(n))):
+                    if K * lower(n) + L * n + M >= 1:
+                        assert klm(K, L, M, same) == ref_klm(K, L, M, n), (K, L, M, n)
+                    else:
+                        with pytest.raises(ValueError, match="must be positive"):
+                            klm(K, L, M, same)
+                    with pytest.raises(ValueError, match="n must be a positive integer"):
+                        klm(K, L, M, -n if n % 2 else 0)
+                    with pytest.raises(ValueError, match="argument K\\*a\\(n\\)\\+L\\*n\\+M = 0 must be positive"):
+                        klm(0, 0, 0, same)
+
+    def test_first_call_in_a_fresh_interpreter(self):
+        # the record klm starts from must hold no n a caller can pass
+        code = (
+            f"import sys\nsys.path.insert(0, {str(Path(wythoff.__file__).resolve().parents[1])!r})\n"
+            "from beattylab.wythoff import klm\nprint(klm(1, 1, 1, 1), klm(1, 1, 1, 2))\n"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == [str(lower(lower(1) + 2)), str(lower(lower(2) + 3))]
+
+    def test_a_call_before_every_opcode(self):
+        # a trace hook calls klm with another n before each opcode of
+        # klm(K, L, M, n), so the record changes at every point of the call;
+        # the call must still answer from its own n, whether the record held
+        # n (and is read) or another n (and is replaced) when it began
+        code = wythoff.klm.__code__
+        other = 10**30 + 7
+
+        def interleave(frame, event, arg):
+            if event == "opcode":
+                klm(1, 1, 1, other)
+            return interleave
+
+        def on_call(frame, event, arg):
+            if frame.f_code is code:
+                frame.f_trace_opcodes = True
+                return interleave
+            return None
+
+        for n in (1, 150, 10**6, 10**30):
+            for K, L, M in ((1, 1, 1), (2, -3, 5), (-1, 2, 0), (1, -1, 1), (5, -5, 4), (0, 0, 1)):
+                for before in (n, other):
+                    klm(0, 0, 1, before)
+                    previous = sys.gettrace()
+                    sys.settrace(on_call)
+                    try:
+                        value = klm(K, L, M, n)
+                    finally:
+                        sys.settrace(previous)
+                    assert value == lower(K * lower(n) + L * n + M), (K, L, M, n, before)
+
+    def test_threads_on_disjoint_n(self):
+        # four threads switch every microsecond; a record read in two steps or
+        # changed in place would hand one thread the coordinates of another's n
+        # (under a GIL no switch falls inside klm's body, which calls no Python
+        # function and has no loop, so there the opcode test above is the sharp one)
+        triples = random.Random(11).sample(list(product(range(-5, 6), repeat=3)), 6)
+        bases = (0, 10**6, 10**20, 10**30)
+        results = {}
+
+        def run(base):
+            out = []
+            for n in range(base + 1, base + 51):
+                for K, L, M in triples:
+                    try:
+                        out.append(klm(K, L, M, n))
+                    except ValueError:
+                        out.append(None)
+            results[base] = out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(base,)) for base in bases]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for base in bases:
+            expected = []
+            for n in range(base + 1, base + 51):
+                an = lower(n)
+                for K, L, M in triples:
+                    arg = K * an + L * n + M
+                    expected.append(lower(arg) if arg >= 1 else None)
+            assert results[base] == expected, base
 
 
 # the label of the values each enumerator lists

@@ -86,14 +86,15 @@ class TestCanonicalForm:
             QuadraticReal(1, 1, 0)
 
     def test_square_radicand_rejected(self):
-        with pytest.raises(ValueError):
-            QuadraticReal(1, 1, 1, radicand=4)
-        with pytest.raises(ValueError):
-            QuadraticReal(1, 1, 1, radicand=1)
+        for radicand in (4, 1, 0, -3):
+            with pytest.raises(ValueError, match="radicand must be a non-square integer >= 2"):
+                QuadraticReal(1, 1, 1, radicand=radicand)
 
     def test_square_radicand_allowed_for_rationals(self):
         assert QuadraticReal(7, 0, 4, radicand=4) == QuadraticReal(7, 0, 4)
         assert QuadraticReal(3, 0, 1, radicand=1) == 3
+        x = QuadraticReal(3, 0, 2, 4)
+        assert (x.p, x.q, x.d, x.radicand) == (3, 0, 2, 5)
 
     def test_rationals_hash_like_numbers(self):
         assert len({QuadraticReal(3), 3}) == 1
@@ -176,6 +177,36 @@ class TestArithmetic:
         if y == ZERO:
             return
         assert (x * y) / y == x
+
+
+class TestIntOperands:
+    """An int operand enters the coordinates directly; the result is the one
+    the operand gives as QuadraticReal(i, 0, 1, r)."""
+
+    @pytest.mark.parametrize("r", (5, 2))
+    def test_operators_match_the_field_operand(self, r):
+        def coordinates(x: QuadraticReal) -> tuple[int, int, int, int]:
+            return x.p, x.q, x.d, x.radicand
+
+        values = [
+            QuadraticReal(p, q, d, r)
+            for p, q, d in ((1, 1, 2), (-7, 3, 5), (10**40, -1, 3), (3, 0, 4), (1, 0, 3), (-2, 0, 1), (0, 0, 1))
+        ]
+        for x in values:
+            for i in (0, 1, -1, 10**40, -(10**40), True, False):
+                y = QuadraticReal(i, 0, 1, r)
+                pairs = ((x + i, x + y), (i + x, y + x), (x - i, x - y), (i - x, y - x), (x * i, x * y), (i * x, y * x))
+                for got, want in pairs:
+                    assert coordinates(got) == coordinates(want), (x, i)
+                    if got.q == 0:
+                        assert got.radicand == 5
+                        if got.d == 1:
+                            assert got == got.p and got.p == got and hash(got) == hash(got.p)
+                assert x.compare(i) == x.compare(y), (x, i)
+                assert (x < i, x <= i, x > i, x >= i) == (x < y, x <= y, x > y, x >= y), (x, i)
+                assert (x == i, i == x, x != i) == (x == y, y == x, x != y), (x, i)
+                if x == i:
+                    assert hash(x) == hash(i)
 
 
 class TestOrdering:
