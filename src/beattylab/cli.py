@@ -18,10 +18,12 @@ time, as CSV holds one row.  The streamed tables, gen's columns and
 classify rows, read their values as text from a label buffer
 (partition.column_runs), with no int per value, and are written byte for
 byte as csv.writer and json.dump(indent=2) would write them: gen's CSV
-rows are assembled one byte column at a time, and classify rows formats
-4000 rows per % template, with each row number k spelled by the
-template.  No column is held as a list, so gen --n 3 --h phi --limit
-10**7 peaks at 26 MB in either format (fresh interpreter, 2-vCPU Xeon).
+rows are assembled one byte column at a time, gen's JSON runs come
+spelled as their JSON lines and are written as they come, and classify
+rows formats 4000 rows per % template, with each row number k spelled
+by the template.  No column is held as a list, so gen --n 3 --h phi
+--limit 10**7 peaks at 25 MB in either format (fresh interpreter,
+2-vCPU Xeon).
 
 main parses with a parser built for the command it runs: when argv[0]
 names a subcommand, build_parser(command) holds that one subparser;
@@ -302,7 +304,9 @@ def _write_csv_columns(fh: TextIO, labels: bytearray, n: int) -> None:
 def _write_json_columns(fh: TextIO, spec: partition.PartitionSpec, limit: int, labels: bytearray) -> None:
     """The indented JSON object {n, generator, limit, columns}, values as decimal strings.
 
-    One replace turns a run of lines "v\n" into its values' JSON lines.
+    column_runs spells each value as its JSON line ',\n      "v"', so the
+    runs are written as they come; only a column's first run swaps its
+    leading comma for the opening bracket.
     """
     head = {"n": spec.n, "generator": spec.describe(), "limit": limit}
     fh.write("{\n" + "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items()))
@@ -310,12 +314,15 @@ def _write_json_columns(fh: TextIO, spec: partition.PartitionSpec, limit: int, l
     separator = "\n    "
     for j in range(1, spec.n + 1):
         fh.write(separator)
-        lead = "["
-        for run in partition.column_runs(labels, j):
-            body = run[:-1].replace("\n", '",\n      "')
-            fh.write(f'{lead}\n      "{body}"')
-            lead = ","
-        fh.write("\n    ]" if lead == "," else "[]")
+        runs = partition.column_runs(labels, j, ',\n      "%s"')
+        first = next(runs, None)
+        if first is None:
+            fh.write("[]")
+        else:
+            fh.write("[" + first[1:])
+            for run in runs:
+                fh.write(run)
+            fh.write("\n    ]")
         separator = ",\n    "
     fh.write("\n  ]\n}\n")
 

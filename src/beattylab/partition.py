@@ -39,7 +39,7 @@ MAX_COLUMNS = 64
 # The sweep allocates one byte per value of [1, limit], and gen writes its
 # columns from those labels one window of 10**4 labels at a time.  At this
 # cap verify peaks at about 26 MB for any alpha generator and gen --n 3
-# --h phi at 26 MB in either format, in 1.0-1.5 s (18 MB at 10**6; fresh
+# --h phi at 25 MB in either format, in 0.5-1.2 s (16 MB at 10**6; fresh
 # interpreter, ru_maxrss, 2-vCPU Xeon).
 MAX_LIMIT = 10**7
 
@@ -386,32 +386,44 @@ def column_values(labels: bytes | bytearray, j: int) -> Iterator[int]:
 
 
 # block q >= 1 holds the values 100q to 100q + 99, each len(str(q)) + 2
-# digits long; its text is a template, one per 0/1 pattern of its labels,
-# with "\0dd\n" for each value 100q + dd labelled j
-_BLOCK_LINES = tuple(f"\0{d:02d}\n" for d in range(100))
+# digits long; a layout line head + "%s" + tail spells the block as
+# str(q).join of its pieces: head, then "dd" + tail + head for each value
+# 100q + dd labelled j but the last, and "dd" + tail for the last
 _TEMPLATE_CAP = 1024  # an explicit list's labels can have any number of block patterns
 _RUN = 10**4  # labels per translated mask, and so per run: a multiple of 100
 
 
+@functools.cache
+def _line_pieces(line: str) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """The head, the 100 middles "dd" + tail + head and the 100 tails "dd" + tail of a layout line."""
+    head, tail = line.split("%s")
+    return head, tuple(f"{d:02d}{tail}{head}" for d in range(100)), tuple(f"{d:02d}{tail}" for d in range(100))
+
+
 @functools.lru_cache(maxsize=_TEMPLATE_CAP)
-def _block_text(pattern: bytes) -> str:
-    return "".join(compress(_BLOCK_LINES, pattern))
+def _block_pieces(pattern: bytes, line: str) -> tuple[str, ...]:
+    """The pieces of a block whose 0/1 mask is pattern, each one of line's shared strings."""
+    head, middles, tails = _line_pieces(line)
+    last = pattern.rindex(1)
+    return (head, *compress(middles[:last], pattern), tails[last])
 
 
-def column_runs(labels: bytes | bytearray, j: int) -> Iterator[str]:
-    """The values labelled j in labels[1:], ascending, as runs of lines "v\n", one width per run.
+def column_runs(labels: bytes | bytearray, j: int, line: str = "%s\n") -> Iterator[str]:
+    """The values labelled j in labels[1:], ascending, as runs of lines line % v, one width per run.
 
-    The text of column_values, with no int per value.  Values 1-99 are
-    formatted one by one.  From 100 on, a run is a window of at most _RUN
-    labels, cut where v gains a digit and translated to a 0/1 mask; a
-    block's text is its template with str(q) for "\0".  A column's 0/1
-    word is a morphic image of a Sturmian word, which has m + 1 factors
-    of length m, so about a hundred templates, in one LRU cache, serve
-    every block of an alpha generator's column (101-103 for phi and sqrt2
-    at n = 3 and 8).  find skips every block with no value labelled j.
+    The text of column_values, with no int per value: line holds one "%s"
+    where a value goes, "%s\n" for CSV and classify rows, ',\n      "%s"'
+    for gen's JSON.  Values 1-99 are formatted one by one.  From 100 on, a
+    run is a window of at most _RUN labels, cut where v gains a digit and
+    translated to a 0/1 mask; a block's text is one str(q).join of its
+    pieces, which point at strings built once per line.  A column's 0/1
+    word is a morphic image of a Sturmian word, which has m + 1 factors of
+    length m, so about a hundred templates per line, in one LRU cache,
+    serve every block of an alpha generator's column (101-103 for phi and
+    sqrt2 at n = 3 and 8).  find skips every block with no value labelled j.
     """
     for lo, hi in ((1, 10), (10, 100)):
-        if run := "".join([f"{v}\n" for v in range(lo, min(hi, len(labels))) if labels[v] == j]):
+        if run := "".join([line % v for v in range(lo, min(hi, len(labels))) if labels[v] == j]):
             yield run
     table = bytes(j) + b"\1" + bytes(255 - j)  # j to 1, every other byte to 0
     found = labels.find(j, 100)
@@ -423,7 +435,7 @@ def column_runs(labels: bytes | bytearray, j: int) -> Iterator[str]:
         i = found - lo
         while i >= 0:
             b = i - i % 100
-            parts.append(_block_text(mask[b : b + 100]).replace("\0", str((lo + b) // 100)))
+            parts.append(str((lo + b) // 100).join(_block_pieces(mask[b : b + 100], line)))
             i = mask.find(1, b + 100)
         yield "".join(parts)
         found = labels.find(j, hi)
@@ -489,24 +501,3 @@ def d2_closed_form(n: int, k: int) -> int:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     return lower(k) + (2 ** (n - 1) - 2) * k - (2 ** (n - 2) - 1)
-
-
-def limiting_prefix_check(n: int, e: int, spec: PartitionSpec | None = None) -> bool:
-    """Whether column n-e starts with 2**e * (1, 3, 5, ..., 2**(n-e) - 1).
-
-    The prefix claim only uses l(1) = 2**(n-1), so any valid spec for the
-    given n may be passed; the identity-step spec is the default.  The
-    prefix ends at 2**e * (2**(n-e) - 1), which must lie within MAX_LIMIT.
-    """
-    _require_columns(n)
-    if not 0 <= e <= n - 1:
-        raise ValueError(f"e must be in [0, {n - 1}], got {e}")
-    top = 2**e * (2 ** (n - e) - 1)
-    if top > MAX_LIMIT:
-        raise ValueError(f"prefix of column {n - e} ends at {top}, past the limit cap {MAX_LIMIT}")
-    if spec is None:
-        spec = identity_spec(n)
-    elif spec.n != n:
-        raise ValueError(f"spec has {spec.n} columns, expected {n}")
-    expected = [2**e * u for u in range(1, 2 ** (n - e), 2)]
-    return list(islice(column_values(column_labels(spec, top), n - e), len(expected))) == expected

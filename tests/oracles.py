@@ -24,6 +24,9 @@ generator term's interval by offset_column, the column n - v2(d) of
 each offset d, the reference for the ruler word that
 partition._ruler_word writes in place and for the inverse map
 partition._sign_expansion.
+limiting_prefix_check reads the paper's limiting 2-adic prefixes off a
+column: column n - e starts with 2**e times the odd numbers below
+2**(n-e).
 fib_shift_converse and klm_grid are the field-arithmetic converse scan
 and the full coefficient grid, the references for the integer scans in
 identities.fib_shift_converse and identities._check_klm_grid; ab_word builds
@@ -45,7 +48,7 @@ import csv
 import io
 import json
 from enum import Enum
-from itertools import product
+from itertools import islice, product
 from math import isqrt
 from typing import Iterator, NamedTuple
 
@@ -205,6 +208,28 @@ def interval_labels(n: int, size: int | None = None) -> bytes:
     """The first size labels (all 2**n - 1 by default) of t - w .. t + w around a term t, w = 2**(n-1) - 1."""
     w = 2 ** (n - 1) - 1
     return bytes(offset_column(n, d) for d in range(-w, w + 1)[:size])
+
+
+def limiting_prefix_check(n: int, e: int, spec: partition.PartitionSpec | None = None) -> bool:
+    """Whether column n-e starts with 2**e * (1, 3, 5, ..., 2**(n-e) - 1).
+
+    The prefix claim only uses l(1) = 2**(n-1), so any valid spec for the
+    given n may be passed; the identity-step spec is the default.  The
+    prefix ends at 2**e * (2**(n-e) - 1), which must lie within
+    partition.MAX_LIMIT.
+    """
+    partition._require_columns(n)
+    if not 0 <= e <= n - 1:
+        raise ValueError(f"e must be in [0, {n - 1}], got {e}")
+    top = 2**e * (2 ** (n - e) - 1)
+    if top > partition.MAX_LIMIT:
+        raise ValueError(f"prefix of column {n - e} ends at {top}, past the limit cap {partition.MAX_LIMIT}")
+    if spec is None:
+        spec = partition.identity_spec(n)
+    elif spec.n != n:
+        raise ValueError(f"spec has {spec.n} columns, expected {n}")
+    expected = [2**e * u for u in range(1, 2 ** (n - e), 2)]
+    return list(islice(partition.column_values(partition.column_labels(spec, top), n - e), len(expected))) == expected
 
 
 def gen_csv(columns: list[list[int]]) -> str:

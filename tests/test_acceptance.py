@@ -19,7 +19,6 @@ from beattylab.partition import (
     decompose,
     decompositions,
     identity_spec,
-    limiting_prefix_check,
     phi_spec,
     verify_partition,
 )
@@ -31,7 +30,7 @@ from beattylab.three_set import (
 )
 from beattylab.identities import fib_shift_converse
 from beattylab.wythoff import klm, lower
-from oracles import density_entry, linear_form
+from oracles import density_entry, limiting_prefix_check, linear_form
 
 N_DESK = 100_000
 

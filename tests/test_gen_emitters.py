@@ -1,13 +1,16 @@
 """gen's column emitters against the csv and json encoders, byte for byte.
 
-gen writes its columns as text built from the label buffer, one template
-per 100-value block; oracles.gen_csv and oracles.gen_json render the
-columns of partition.build_columns through csv.writer and
-json.dump(indent=2), as gen did before.  The cases cover empty columns,
-both sides of the tiling threshold 2n*2**n, every kind of generator,
-every limit where a value or a row number gains a digit, more block
-patterns than the template cache holds, and the writers themselves on
-label buffers whose columns have every length around their edges.
+gen writes its columns as text built from the label buffer, in the line
+layout of its format: each 100-value block is one join of str(q) over a
+template of pieces its layout shares.  oracles.gen_csv and
+oracles.gen_json render the columns of partition.build_columns through
+csv.writer and json.dump(indent=2), as gen did before.  The cases cover
+empty columns, both sides of the tiling threshold 2n*2**n, every kind of
+generator, every limit where a value or a row number gains a digit, more
+block patterns than the template cache holds under both layouts,
+templates that point at their layout's shared pieces, and the writers
+themselves on label buffers whose columns have every length around
+their edges.
 """
 
 from __future__ import annotations
@@ -180,24 +183,63 @@ def test_explicit_list_with_unreached_values(tmp_path):
         _assert_gen_matches_encoders("--n", "3", "--explicit", str(path), "--limit", limit)
 
 
-def test_more_block_patterns_than_the_cache_holds(tmp_path):
+class _CacheWatch(io.StringIO):
+    """A text buffer that checks, on every write, that the template cache holds at most _TEMPLATE_CAP entries."""
+
+    def write(self, text: str) -> int:
+        assert partition._block_pieces.cache_info().currsize <= partition._TEMPLATE_CAP
+        return super().write(text)
+
+
+def test_more_block_patterns_than_the_cache_holds():
     rng = random.Random(27)
     terms = [4]
     while terms[-1] < 200_000:
         terms.append(terms[-1] + rng.choice(sorted(partition.gap_set(3))))
-    path = tmp_path / "terms.txt"
-    path.write_text("\n".join(map(str, terms)))
-    labels = partition.column_labels(partition.PartitionSpec(3, terms), 200_000)
+    spec = partition.PartitionSpec(3, terms)
+    labels = partition.column_labels(spec, 200_000)
     column_1 = bytes(labels).translate(bytes([0, 1]) + bytes(254))
     patterns = {column_1[lo : lo + 100] for lo in range(100, len(labels), 100)}
     assert len(patterns) > 1.5 * partition._TEMPLATE_CAP
-    partition._block_text.cache_clear()
-    for j in (1, 2, 3):
-        for _ in partition.column_runs(labels, j):
-            assert partition._block_text.cache_info().currsize <= partition._TEMPLATE_CAP
-    info = partition._block_text.cache_info()
+    columns = partition.build_columns(spec, 200_000)
+    csv_text, json_text = gen_csv(columns), gen_json(spec, 200_000, columns)
+    partition._block_pieces.cache_clear()
+    # CSV, then JSON, then CSV again: both layouts share the one cache
+    for layout, want in (("csv", csv_text), ("json", json_text), ("csv", csv_text)):
+        fh = _CacheWatch()
+        if layout == "csv":
+            _write_csv_columns(fh, labels, 3)
+        else:
+            _write_json_columns(fh, spec, 200_000, labels)
+        _assert_same_text(fh.getvalue(), want, layout)
+    info = partition._block_pieces.cache_info()
     assert (info.maxsize, info.currsize) == (partition._TEMPLATE_CAP, partition._TEMPLATE_CAP)
-    _assert_gen_matches_encoders("--n", "3", "--explicit", str(path), "--limit", "200000")
+
+
+def test_cached_templates_point_at_their_layouts_shared_pieces():
+    # a template holds the head, middles and tails that _line_pieces built
+    # once for its layout, never copies of them
+    labels = partition.column_labels(partition.phi_spec(3), 10**5)
+    layouts = ("%s\n", ',\n      "%s"')
+    partition._block_pieces.cache_clear()
+    for line in layouts:
+        for j in (1, 2, 3):
+            for _ in partition.column_runs(labels, j, line):
+                pass
+    keys = set()
+    for j in (1, 2, 3):
+        mask = bytes(labels).translate(bytes(j) + b"\1" + bytes(255 - j))
+        blocks = {mask[lo : lo + 100] for lo in range(100, len(labels), 100)}
+        keys |= {(pattern, line) for pattern in blocks if 1 in pattern for line in layouts}
+    # every key is a hit and the cache holds nothing else, so each call
+    # below returns a cached template
+    assert partition._block_pieces.cache_info().currsize == len(keys)
+    misses = partition._block_pieces.cache_info().misses
+    for pattern, line in keys:
+        head, middles, tails = partition._line_pieces(line)
+        shared = {id(piece) for piece in (head, *middles, *tails)}
+        assert all(id(piece) in shared for piece in partition._block_pieces(pattern, line))
+    assert partition._block_pieces.cache_info().misses == misses
 
 
 class _Discard:

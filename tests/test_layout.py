@@ -20,7 +20,6 @@ SRC = Path(beattylab.__file__).resolve().parent
 
 # kept in src/ on purpose although no code in src/ calls them
 ALLOWED = {
-    "limiting_prefix_check": "the limiting-prefix statement of the paper, for the column-density output still to come",
     "QuadraticReal.sign": "field API next to compare and floor",
     "QuadraticReal.frac": "field API: the README lists the fractional part among the field operations",
     "_Parser.error": "argparse calls it on every usage error; src/ never does",

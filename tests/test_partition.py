@@ -28,13 +28,12 @@ from beattylab.partition import (
     decompositions,
     gap_set,
     identity_spec,
-    limiting_prefix_check,
     phi_spec,
     verify_partition,
 )
 from beattylab.qfield import PHI, PHI_CUBED, QuadraticReal, SQRT2
 from beattylab.wythoff import lower
-from oracles import appended_columns, beatty_term, interval_labels, linear_form, offset_column
+from oracles import appended_columns, beatty_term, interval_labels, limiting_prefix_check, linear_form, offset_column
 
 
 class TestGapSet:
@@ -664,17 +663,18 @@ _RUN_EDGES = sorted(
     ],
     ids=lambda spec: f"{spec.n}-{spec.describe()}",
 )
-def test_column_runs_spell_column_values(spec):
+@pytest.mark.parametrize("line", ["%s\n", ',\n      "%s"'], ids=["csv", "json"])
+def test_column_runs_spell_column_values(spec, line):
     # label 0 (values no term reaches) and n + 1 (absent) are read like any
     # column; column_runs starts at value 1, column_values at index 0
     for limit in _RUN_EDGES:
         labels = column_labels(spec, limit)
         for j in range(spec.n + 2):
-            runs = list(partition.column_runs(labels, j))
-            expected = "".join(f"{v}\n" for v in column_values(labels, j) if v)
+            runs = list(partition.column_runs(labels, j, line))
+            expected = "".join(line % v for v in column_values(labels, j) if v)
             assert "".join(runs) == expected, (limit, j)
             for run in runs:
-                assert run and len({len(line) for line in run.split()}) == 1, (limit, j)
+                assert run and len({len(v) for v in re.findall(r"\d+", run)}) == 1, (limit, j)
 
 
 class TestIntervalSeparation:
