@@ -2,28 +2,27 @@
 
 Exit codes: 0 on success / all checks passing, 1 when a mathematical
 defect is found (failed verification, failed identity, inadmissible
-census class, any ArithmeticError), 2 on invalid input: every
-ValueError.  main alone maps an exception, by its type, to its exit
-code and one stderr line.  Every input bound (limit, N, m, n, r, bound)
-is checked once, by the library function that sizes the work, so a
-command only parses (every integer with _int), dispatches and writes.
-Output is CSV by default or JSON with --format json; big integer values
-are serialized as decimal strings in JSON.  Each result is written once, after it is
-computed, to stdout or to --out; an --out path that cannot be opened
-for writing exits 2.  The small results (verify, decompose, classify
-census and ab-over-scd, density) go through one writer, _write, which
-calls csv or json.  identities --format writes its records one by one,
-each JSON record by json.dumps, so JSON holds one record's dict at a
-time, as CSV holds one row.  The streamed tables, gen's columns and
-classify rows, read their values as text from a label buffer
-(partition.column_runs), with no int per value, and are written byte for
-byte as csv.writer and json.dump(indent=2) would write them: gen's CSV
-rows are assembled one byte column at a time, gen's JSON runs come
-spelled as their JSON lines and are written as they come, and classify
-rows formats 4000 rows per % template, with each row number k spelled
-by the template.  No column is held as a list, so gen --n 3 --h phi
---limit 10**7 peaks at 25 MB in either format (fresh interpreter,
-2-vCPU Xeon).
+census class, any ArithmeticError), 2 on invalid input, every
+ValueError, a failed write included.  main alone maps an exception, by
+its type, to its exit code and one stderr line.  Every input bound
+(limit, N, m, n, r, bound) is checked once, by the library function that
+sizes the work, so a command only parses (every integer with _int),
+dispatches and writes.  Output is CSV by default or JSON with --format
+json; big integer values are serialized as decimal strings in JSON.
+Each result is written once, after it is computed, to stdout or to
+--out; an --out path that cannot be opened for writing exits 2.  The
+small results (verify, decompose, classify census and ab-over-scd,
+density) go through one writer, _write, which calls csv or json.
+identities --format writes its records one by one, each JSON record by
+json.dumps, so JSON holds one record's dict at a time, as CSV holds one
+row.  The streamed tables, gen's columns and classify rows, read their
+values as text from a label buffer (partition.column_runs), with no int
+per value, and are written byte for byte as csv.writer and
+json.dump(indent=2) would write them.  gen's JSON runs are written as
+they come, spelled as JSON lines; every numbered row, of gen's CSV and
+of classify rows, is assembled one byte column at a time by _table.  No
+column is held as a list, so gen --n 3 --h phi --limit 10**7 peaks at
+25 MB in either format (fresh interpreter, 2-vCPU Xeon).
 
 main parses with a parser built for the command it runs: when argv[0]
 names a subcommand, build_parser(command) holds that one subparser;
@@ -47,9 +46,10 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import sys
-from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, TextIO
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import partition, three_set
 from .qfield import HALF_PHI_SQ, PHI, PHI_CUBED, PHI_SQ, QuadraticReal, SQRT2
@@ -154,18 +154,28 @@ def _read_explicit(path: str) -> list[int]:
     return values
 
 
-def _output(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
-    """Where a computed result goes: the --out file, or stdout left open after the with-block.
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """Where a computed result goes: the --out file, closed after the with-block, or stdout, flushed and left open.
 
     Commands call it only once their result is computed, so a run that
-    fails before that writes nothing and creates no file.
+    fails before that writes nothing and creates no file.  A write that
+    fails is a ValueError too; on stdout it first points fd 1 at
+    os.devnull, so that the interpreter's flush at exit cannot fail again.
     """
-    if not out:
-        return contextlib.nullcontext(sys.stdout)
     try:
-        return open(out, "w")
+        fh = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise ValueError(f"cannot write --out file: {exc}") from exc
+    try:
+        with fh as stream:
+            yield stream
+            stream.flush()
+    except OSError as exc:
+        if not out:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ValueError(f"cannot write output: {exc}") from exc
 
 
 def _write(args, payload: Callable[[], object], rows: Iterable[Iterable]) -> None:
@@ -216,35 +226,10 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# gen and classify rows write their tables without csv or json: every value
-# is a decimal int or an A/B row class, which csv (QUOTE_MINIMAL) never quotes
-# and JSON never escapes, so the bytes are those of csv.writer and
-# json.dump(indent=2).  A template holds _K where a row number's leading
-# digits go, filled by one replace, never formatted by %.
-_CHUNK = 4000  # rows per % call of classify rows; _numbered needs a multiple of ten
-_K = "\0"
-_CSV_ROW = _K + ",%s,%s,%s,%s\n"
-_CSV_CLASSES = {s + c + d: f"{s},{c},{d}" for s in "AB" for c in "AB" for d in "AB"}
-_JSON_ROW = ',\n  {\n    "k": ' + _K + ',\n    "s": "%s",\n    "c": "%s",\n    "d": "%s",\n    "class": "%s"\n  }'
-
-
-def _numbered(row: str, width: int, values: Iterator) -> Iterator[str]:
-    """row formatted for k = 1, 2, ... with the next width values each, until values run out.
-
-    Rows 10q to 10q + 9 come from one ten-row template, row with _K + d in
-    place of _K, by one replace of _K with the digits of q; q = 0 has no
-    digits and no row 0.  So the text of k takes one str per ten rows.
-    """
-    tens = [row.replace(_K, _K + str(d)) for d in range(10)]
-    ten = "".join(tens)
-    head = tuple(islice(values, 9 * width))
-    yield "".join(tens[1 : 1 + len(head) // width]).replace(_K, "") % head
-    q = 1
-    while chunk := tuple(islice(values, _CHUNK * width)):
-        full, part = divmod(len(chunk) // width, 10)
-        template = "".join([ten.replace(_K, str(p)) for p in range(q, q + full)])
-        yield (template + "".join(tens[:part]).replace(_K, str(q + full))) % chunk
-        q += full
+# gen and classify rows write their tables without csv or json: every value is
+# a decimal int or an A/B letter, which csv (QUOTE_MINIMAL) never quotes and
+# JSON never escapes, so the bytes are those of csv.writer and json.dump(indent=2).
+_JSON_ROW = b',\n  {\n    "k": %s,\n    "s": "%s",\n    "c": "%s",\n    "d": "%s",\n    "class": "%s%s%s"\n  }'
 
 
 @functools.cache
@@ -267,38 +252,52 @@ def _k_place(k: int, rows: int, p: int) -> bytes:
     return b"%d" % d * first + b"%d" % ((d + 1) % 10) * (rows - first)
 
 
-def _csv_rows(j: int, k: int, width: int, lines: bytes, line: int) -> str:
-    """The rows "j,k,v\n" of lines, each "v\n" line bytes long, numbered from k, all k width digits.
+def _table(row: bytes, columns: list[Iterator[str]], count: int, planes: Sequence[bytes] = ()) -> Iterator[str]:
+    """The rows row % (k, v1, ..., letters) for k = 1 to count, or until a column runs out, as text.
 
-    Every row has the same layout, so one bytearray of rows copies of the
-    first row takes each other digit by one extended-slice assignment per
-    byte column, from the k digits or from lines.
+    vi is the next line of columns[i], a partition.column_runs stream, less
+    its newline; each letter is byte k - 1 of a plane.  A segment ends where
+    k gains a digit or a run ends, so its rows share one layout: a bytearray
+    of copies of it takes each byte column by one extended-slice assignment.
     """
-    prefix = b"%d," % j
-    rows = len(lines) // line
-    row = len(prefix) + width + 1 + line
-    out = bytearray(prefix + b"0" * width + b"," + lines[:line]) * rows
-    for c in range(width):
-        out[len(prefix) + c :: row] = _k_place(k, rows, width - 1 - c)
-    for c in range(line - 1):
-        out[row - line + c :: row] = lines[c::line]
-    return out.decode()
+    runs = [[b"", 1, 0] for _ in columns]  # each column's run, the bytes of its lines, where its next line starts
+    k = 1
+    while k <= count:
+        for run, column in zip(runs, columns):
+            if run[2] == len(run[0]):
+                if (text := next(column, None)) is None:
+                    return
+                run[:] = text.encode(), text.index("\n") + 1, 0
+        digits = len(str(k))
+        rows = min(count + 1 - k, 10**digits - k, partition._RUN, *[(len(r) - at) // n for r, n, at in runs])
+        starts, layout = _layout(row, (digits, *[n - 1 for _, n, _ in runs], *[1] * len(planes)))
+        out = bytearray(layout) * rows
+        for c in range(digits):
+            out[starts[0] + c :: len(layout)] = _k_place(k, rows, digits - 1 - c)
+        for run, start in zip(runs, starts[1:]):
+            data, line, at = run
+            run[2] += rows * line
+            for c in range(line - 1):
+                out[start + c :: len(layout)] = data[at + c : run[2] : line]
+        for plane, start in zip(planes, starts[1 + len(runs) :]):
+            out[start :: len(layout)] = plane[k - 1 : k - 1 + rows]
+        yield out.decode()
+        k += rows
+
+
+@functools.cache
+def _layout(row: bytes, widths: tuple[int, ...]) -> tuple[tuple[int, ...], bytes]:
+    """Where each field of row starts when the fields are widths bytes wide, and row with every field zeros."""
+    pieces = row.split(b"%s")
+    starts = tuple(sum(map(len, pieces[: i + 1])) + sum(widths[:i]) for i in range(len(widths)))
+    return starts, row % tuple(b"0" * width for width in widths)
 
 
 def _write_csv_columns(fh: TextIO, labels: bytearray, n: int) -> None:
     """The csv table column,k,value with one row per value labelled 1 to n."""
     fh.write("column,k,value\n")
     for j in range(1, n + 1):
-        k = 1
-        for run in partition.column_runs(labels, j):
-            line = run.index("\n") + 1
-            data = run.encode()
-            while data:  # cut where k gains a digit
-                width = len(str(k))
-                rows = min(len(data) // line, 10**width - k)
-                fh.write(_csv_rows(j, k, width, data[: rows * line], line))
-                data = data[rows * line :]
-                k += rows
+        fh.writelines(_table(b"%d,%%s,%%s\n" % j, [partition.column_runs(labels, j)], len(labels)))
 
 
 def _write_json_columns(fh: TextIO, spec: partition.PartitionSpec, limit: int, labels: bytearray) -> None:
@@ -384,17 +383,16 @@ def _cmd_identities(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.what == "rows":
-        s, c, d, codes = three_set.row_columns(args.N)
+        s, c, d, *planes = three_set.row_columns(args.N)
         with _output(args.out) as fh:
             if args.format == "json":
-                objects = _numbered(_JSON_ROW, 4, chain.from_iterable(zip(s, c, d, codes)))
-                fh.write("[" + next(objects)[1:])  # N >= 1: drop the first row's separator
-                fh.writelines(objects)
+                rows = _table(_JSON_ROW, [s, c, d], args.N, planes)
+                fh.write("[" + next(rows)[1:])  # N >= 1: drop the first row's separator
+                fh.writelines(rows)
                 fh.write("\n]\n")
             else:
-                classes = map(_CSV_CLASSES.__getitem__, codes)
                 fh.write("k,s,c,d,s_class,c_class,d_class\n")
-                fh.writelines(_numbered(_CSV_ROW, 4, chain.from_iterable(zip(s, c, d, classes))))
+                fh.writelines(_table(b"%s,%s,%s,%s,%s,%s,%s\n", [s, c, d], args.N, planes))
         return EXIT_OK
     if args.what == "census":
         census = three_set.row_class_census(args.N)

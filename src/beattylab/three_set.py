@@ -23,7 +23,8 @@ classify rows reads its rows from one buffer of tags,
 partition labels of phi_spec(3) and the B word (standard_fill, slope
 1/phi^2).  The k-th smallest value of column D, C or S is d(k), c(k) or
 s(k), so bytes.translate keeps one column's B bits, and the planes are
-combined bytewise through big-endian integers into one code per row.
+combined bytewise through big-endian integers into one code per row,
+translated back to one plane of A/B letters per column.
 d(k) is THREE_SET_SPEC.term(k), c(k) is partition.d2_closed_form(3, k),
 and the tests keep the paper's per-point formulas as the oracle.  Every
 census and scan takes an index limit in [1, MAX_INDEX] by partition's
@@ -32,7 +33,6 @@ one limit rule, before any work.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import partition
@@ -100,7 +100,7 @@ def _keep(values: dict[int, int]) -> tuple[bytes, bytes]:
 # shifted in one bit at a time, a row code is
 # 4*[s(k) is B] + 2*[c(k) is B] + [d(k) is B].
 _ROW_PLANES = tuple(_keep({2 * column: 0, 2 * column + 1: 1}) for column in (3, 2, 1))
-_ROW_CLASSES = dict(enumerate(s + c + d for s in "AB" for c in "AB" for d in "AB"))
+_ROW_LETTERS = tuple(bytes(b"AB"[code >> bit & 1] for code in range(256)) for bit in (2, 1, 0))  # code -> s, c, d
 _TAG_COLUMNS = bytes(tag >> 1 for tag in range(256))  # bytes.translate table: tag -> partition column
 
 
@@ -142,8 +142,8 @@ def _select(tags: bytearray, limit: int, shift: int, planes: tuple[tuple[bytes, 
     return codes
 
 
-def row_columns(limit: int) -> tuple[Iterator[str], Iterator[str], Iterator[str], Iterator[str]]:
-    """s(k), c(k) and d(k) as decimal text, and the class code of row k, one iterator each over k in [1, limit].
+def row_columns(limit: int) -> tuple[Iterator[str], Iterator[str], Iterator[str], bytes, bytes, bytes]:
+    """s(k), c(k) and d(k) as runs of decimal lines, then their A/B letters, a byte per k in [1, limit].
 
     The k-th smallest values of columns S, C and D (partition columns 3,
     2 and 1) are s(k), c(k) and d(k), read by partition.column_runs from
@@ -152,10 +152,10 @@ def row_columns(limit: int) -> tuple[Iterator[str], Iterator[str], Iterator[str]
     """
     partition._require_limit(limit, MAX_INDEX)
     tags = _tagged_values(THREE_SET_SPEC.term(limit))
-    codes = map(_ROW_CLASSES.__getitem__, _select(tags, limit, 1, _ROW_PLANES))
+    codes = _select(tags, limit, 1, _ROW_PLANES)
     labels = tags.translate(_TAG_COLUMNS)
-    s, c, d = (chain.from_iterable(map(str.split, partition.column_runs(labels, j))) for j in (3, 2, 1))
-    return s, c, d, codes
+    del tags  # the letter planes are built without it, so the peak stays that of tags and labels
+    return *(partition.column_runs(labels, j) for j in (3, 2, 1)), *(codes.translate(t) for t in _ROW_LETTERS)
 
 
 # -- step tables ---------------------------------------------------------------

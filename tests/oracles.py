@@ -344,6 +344,8 @@ def tally(codes: bytes | bytearray, names: dict[int, str]) -> three_set.Census:
 # 4*column(a(n)) + column(b(n)).
 PAIR_PLANES = (three_set._keep({2: 0, 4: 1, 6: 2}), three_set._keep({3: 0, 5: 1, 7: 2}))
 PAIR_CLASSES = {4 * i + j: x + y for i, x in enumerate("DCS") for j, y in enumerate("DCS")}
+# the names of the row codes of row_scan
+ROW_CLASSES = dict(enumerate(s + c + d for s in "AB" for c in "AB" for d in "AB"))
 
 
 def row_scan(limit: int) -> bytearray:

@@ -11,11 +11,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
 from beattylab import identities, partition, three_set
-from beattylab.cli import ALPHA_NAMES, _CHUNK, _parse_alpha, _write_json_list, build_parser, main
+from beattylab.cli import ALPHA_NAMES, _parse_alpha, _table, _write_json_list, build_parser, main
 from beattylab.qfield import QuadraticReal
 import oracles
 
@@ -487,6 +488,62 @@ class TestIdentities:
         assert peaks["json"] < 1.25 * peaks["csv"], peaks
 
 
+class TestTable:
+    """cli._table on synthetic runs against % formatting of the same values."""
+
+    # the width of column a changes at row 4, that of b at row 7 and k's at
+    # row 10; a's run 10-11 ends at row 5, where no width changes
+    A = ["7\n8\n9\n", "10\n11\n", "12\n13\n14\n15\n16\n17\n18\n"]
+    B = ["94\n95\n96\n97\n98\n99\n", "100\n101\n102\n103\n104\n105\n106\n107\n"]
+    PLANE = b"ABBABAABABBABAAB"
+
+    @staticmethod
+    def expected(row: str, columns: list[list[str]], count: int, plane: bytes) -> str:
+        values = ["".join(runs).split() for runs in columns]
+        rows = min([count, *map(len, values)])
+        return "".join(row % (k, *(v[k - 1] for v in values), chr(plane[k - 1])) for k in range(1, rows + 1))
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 9, 10, 11, 12, 13, 100])
+    def test_stops_at_count_or_where_a_column_runs_out(self, count):
+        # column a holds 12 values, b 14: past 12 rows a runs out first
+        row = "%s,%s,%s,%s\n"
+        got = "".join(_table(row.encode(), [iter(self.A), iter(self.B)], count, [self.PLANE]))
+        assert got == self.expected(row, [self.A, self.B], count, self.PLANE)
+
+    def test_a_run_longer_than_a_window(self):
+        # one run of 3*10**4 six-digit values: no run ends before row 30000, so
+        # rows from 10**4 on are cut into segments of partition._RUN rows at most
+        run = "".join(f"{v}\n" for v in range(10**5, 10**5 + 3 * partition._RUN))
+        plane = b"AB" * (2 * partition._RUN)
+        got = "".join(_table(b"%s:%s%s\n", [iter([run])], 10**6, [plane]))
+        assert got == self.expected("%s:%s%s\n", [[run]], 10**6, plane)
+
+
+def _first(f: Callable[[int], int], bound: int) -> int:
+    """The least k >= 1 with f(k) >= bound, for f increasing."""
+    k = 1
+    while f(k) < bound:
+        k += 1
+    return k
+
+
+def _row_cuts(top: int = 10**4) -> list[int]:
+    """Row counts where classify rows cuts its segments.
+
+    One below, at and one past each k up to top where k, s(k), c(k) or
+    d(k) gains a digit, and for each column the first row past its first
+    full window of partition._RUN labels, [10**4, 10**4 + _RUN).
+    """
+    cuts = {1}
+    for f in (lambda k: k, oracles.col_s, oracles.col_c, oracles.col_d):
+        for digits in range(1, len(str(top))):
+            if (k := _first(f, 10**digits)) <= top:
+                cuts |= {k - 1, k, k + 1}
+    for f in (oracles.col_s, oracles.col_c, oracles.col_d):
+        cuts.add(_first(f, 10**4 + partition._RUN))
+    return sorted(cuts)
+
+
 class TestClassify:
     def test_rows_table(self, run_cli):
         code, out, _ = run_cli("classify", "rows", "--N", "6")
@@ -499,10 +556,7 @@ class TestClassify:
         payload = json.loads(out)
         assert payload[0] == {"k": 1, "s": "1", "c": "2", "d": "4", "class": "ABA"}
 
-    # rows 1-9 are written first and then cli._CHUNK rows per % call from k = 10
-    @pytest.mark.parametrize(
-        "N", [1, 2, 9, 10, 11, 21, 4096, 4097, 8192, *(9 + i * _CHUNK + d for i in (1, 2) for d in (-1, 0, 1)), 10**4]
-    )
+    @pytest.mark.parametrize("N", _row_cuts())
     def test_rows_match_the_encoders(self, run_cli, N):
         # the rows as csv.writer and json.dump(indent=2) write them, from the per-index
         # oracles.col_s, oracles.col_c, oracles.col_d and oracles.row_class
@@ -625,6 +679,46 @@ def test_size_argument_out_of_range_exits_2_before_any_work(run_cli, monkeypatch
     code, out, err = run_cli(*argv.split(), *fmt)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+# a write that fails, here on a full device, exits 2 like an --out that cannot be opened
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--n", "3", "--h", "phi", "--limit", "20"),
+        ("verify", "--n", "3", "--h", "phi", "--limit", "20"),
+        ("classify", "rows", "--N", "1000"),
+        ("identities", "--N", "3", "--format", "json"),
+    ],
+    ids=" ".join,
+)
+def test_failed_write_exits_2(run_cli, argv):
+    code, out, err = run_cli(*argv, "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n", err
+
+
+@pytest.mark.parametrize("limit, lines", [(10**6, 1), (30, 0)], ids=["after-the-header", "before-any-write"])
+def test_closed_pipe_exits_2_without_a_traceback(limit, lines):
+    # At 10**6 gen writes about 10 MB, far more than a pipe holds, so it is
+    # still writing when the reader closes the pipe after the header.  At
+    # 30 the reader closes it before gen starts, so every row is still in
+    # stdout's buffer when the flush fails, and without fd 1 pointed at
+    # os.devnull the interpreter's final flush would fail again.
+    read, write = os.pipe()
+    reader = open(read, "rb")
+    if not lines:
+        reader.close()
+    code = f"import sys\nsys.path.insert(0, {SRC!r})\nfrom beattylab.cli import main\nraise SystemExit(main())"
+    argv = ["gen", "--n", "3", "--h", "phi", "--limit", str(limit)]
+    with subprocess.Popen([sys.executable, "-I", "-S", "-c", code, *argv], stdout=write, stderr=subprocess.PIPE) as proc:
+        os.close(write)
+        if lines:
+            assert reader.readline() == b"column,k,value\n"
+            reader.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode() == "error: cannot write output: [Errno 32] Broken pipe\n", err
 
 
 # one call per subcommand and result format that writes a result

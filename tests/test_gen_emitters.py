@@ -246,6 +246,10 @@ class _Discard:
     def write(self, text: str) -> None:
         pass
 
+    def writelines(self, texts) -> None:
+        for _ in texts:
+            pass
+
 
 def test_one_column_is_written_window_by_window():
     # every value of a 10**6-label buffer in column 1: a mask of the whole

@@ -124,8 +124,11 @@ class TestRows:
 
     def test_rows_read_from_the_columns_match_scd(self):
         limit = 20000
-        expected = [(str(oracles.col_s(k)), str(col_c(k)), str(col_d(k)), row_class(k).code) for k in range(1, limit + 1)]
-        assert list(zip(*row_columns(limit))) == expected
+        s, c, d, *planes = row_columns(limit)
+        values = ["".join(runs).split()[:limit] for runs in (s, c, d)]  # the runs go on to d(limit)
+        assert values == [[str(f(k)) for k in range(1, limit + 1)] for f in (oracles.col_s, col_c, col_d)]
+        codes = [row_class(k).code for k in range(1, limit + 1)]
+        assert [plane.decode() for plane in planes] == ["".join(code[i] for code in codes) for i in range(3)]
 
     def test_domain(self):
         for limit in (0, MAX_INDEX + 1):
@@ -391,8 +394,9 @@ class TestAgainstPerIndexScans:
         expected_rows = rows(limit)
         census = row_class_census(limit)
         assert (census.counts, census.first_index) == expected_rows
-        assert list(three_set.row_columns(limit)[3]) == rows.codes[:limit]
-        assert scan_census(oracles.row_scan(limit), limit, three_set._ROW_CLASSES) == expected_rows
+        planes = (plane.decode() for plane in three_set.row_columns(limit)[3:])
+        assert list(map("".join, zip(*planes))) == rows.codes[:limit]
+        assert scan_census(oracles.row_scan(limit), limit, oracles.ROW_CLASSES) == expected_rows
         census = ab_over_scd_census(limit)
         assert (census.counts, census.first_index) == pairs(limit)
         assert scan_census(oracles.pair_scan(limit), limit, oracles.PAIR_CLASSES) == pairs(limit)
@@ -425,7 +429,7 @@ class TestStepTables:
     """
 
     def test_row_classes_at_every_index(self):
-        expected = [three_set._ROW_CLASSES[code] for code in oracles.row_scan(TABLE_TOP)]
+        expected = [oracles.ROW_CLASSES[code] for code in oracles.row_scan(TABLE_TOP)]
         assert oracles.table_row_codes(TABLE_TOP) == expected
 
     def test_pair_classes_at_every_index(self):
@@ -456,7 +460,7 @@ class TestStepTables:
         top = max(limits)
         rows, pairs = oracles.row_scan(top), oracles.pair_scan(top)
         for limit in limits:
-            expected_rows = scan_census(rows, limit, three_set._ROW_CLASSES)
+            expected_rows = scan_census(rows, limit, oracles.ROW_CLASSES)
             census = row_class_census(limit)
             assert (census.counts, census.first_index) == expected_rows, limit
             assert list(census.counts) == list(census.first_index)  # in order of first occurrence
