@@ -36,7 +36,8 @@ import beattylab.cli and the top-level help load none of them (README,
 "Start-up").
 An argparse error (a bad type or choice, a missing flag, an unknown
 subcommand) is a ValueError too, reported in one line without the usage
-block; --help still prints the help and exits 0.
+block; --help still prints the help and exits 0, and its text goes to
+stdout through _output, so a failed write exits 2 as for any result.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ class _Parser(argparse.ArgumentParser):
             add_flags, self.add_flags = self.add_flags, None
             add_flags(self)
         return super().parse_known_args(args, namespace)
+
+    def _print_message(self, message, file=None):
+        # the help goes to stdout through _output, so a failed write exits 2
+        if message and file is sys.stdout:
+            with _output(None) as fh:
+                fh.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 _QUOTED = 40  # an error line quotes a malformed value this long at most, a longer one by its length

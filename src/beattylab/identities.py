@@ -84,7 +84,7 @@ CONVERSE_BOUND_CAP = 10**4
 
 # Largest index range iter_identity_checks scans.  Every index runs the
 # whole registry, so time grows linearly in N: identities --N 10**4 takes
-# about 5.4 s (2-vCPU Xeon, 16.7 MB peak RSS), most of it in the klm grid.
+# about 4.8 s (2-vCPU Xeon, 16.7 MB peak RSS), most of it in the klm grid.
 MAX_N = 10**4
 
 

@@ -83,10 +83,10 @@ def frac_phi(n: int) -> QuadraticReal:
     return QuadraticReal(n - 2 * lower(n), n, 2)
 
 
-# (n, a(n), b(n), gp, gq, 5*gq) of the last n klm was called with, where
-# {n*phi}/phi = (gp + gq*sqrt5)/4; klm reads it by identity with n, and
-# None is no int
-_klm_record: tuple = (None, 0, 0, 0, 0, 0)
+# (n, K, L, K*a(n) + L*n, K*b(n) + L*a(n), cp, cq) of the last row klm was
+# called with, where 8*(M*phi + (L*phi - K)*{n*phi}/phi) = cp + 4M + (cq + 4M)*sqrt5;
+# klm reads it by identity with n, K and L, and None is no int
+_klm_record: tuple = (None, None, None, 0, 0, 0, 0)
 
 
 def klm(K: int, L: int, M: int, n: int) -> int:
@@ -94,32 +94,35 @@ def klm(K: int, L: int, M: int, n: int) -> int:
 
     Returns K*b(n) + L*a(n) + floor(M*phi + (L*phi - K)*{n*phi}/phi); the
     argument K*a(n) + L*n + M must itself be a positive integer.  A scan
-    over (K, L, M) calls it many times with one n, so that n's coordinates
-    are kept in _klm_record, read once per call as one tuple and replaced
-    whole: callers in several threads never mix two n, and an n equal to
-    the last but not the same object (2.0 for 2) is computed afresh.
+    over (K, L, M) calls it with one row (n, K, L) for several M in a row,
+    so that row's M-free terms are kept in _klm_record, read once per call
+    as one tuple and replaced whole: callers in several threads never mix
+    two rows, and an n, K or L equal to the last but not the same object
+    (2.0 for 2, True for 1) is computed afresh.
     """
     if n < 1:
         _require_positive(n)
     global _klm_record
-    record = _klm_record
-    if record[0] is not n:
+    rn, rK, rL, base, whole, cp, cq = _klm_record
+    if rn is not n or rK is not K or rL is not L:
         an = (n + isqrt(5 * n * n)) // 2  # a(n), as in lower
         fp = n - 2 * an  # {n*phi} = (fp + n*sqrt5)/2
+        gp = 5 * n - fp  # {n*phi}/phi = (gp + gq*sqrt5)/4
         gq = fp - n
-        record = _klm_record = (n, an, an + n, 5 * n - fp, gq, 5 * gq)
-    _, an, bn, gp, gq, gq5 = record
-    arg = K * an + L * n + M
-    if arg < 1:
-        raise ValueError(f"argument K*a(n)+L*n+M = {arg} must be positive")
-    hp = L - 2 * K  # L*phi - K = (hp + L*sqrt5)/2
-    # 8*(M*phi + (L*phi - K)*{n*phi}/phi) = tp + tq*sqrt5, with tp = hp*gp + 5*L*gq + 4M;
-    # its floor over 8 is floor_surd(tp, tq, 8), inlined
-    tq = hp * gq + L * gp + 4 * M
+        hp = L - 2 * K  # L*phi - K = (hp + L*sqrt5)/2
+        base = K * an + L * n
+        whole = K * (an + n) + L * an
+        cp = hp * gp + 5 * L * gq
+        cq = hp * gq + L * gp
+        _klm_record = (n, K, L, base, whole, cp, cq)
+    if base + M < 1:
+        raise ValueError(f"argument K*a(n)+L*n+M = {base + M} must be positive")
+    # with tq = cq + 4M the floor is floor_surd(cp + 4M, tq, 8), inlined
+    tq = cq + 4 * M
     root = isqrt(5 * tq * tq)  # floor(tq*sqrt5) for tq >= 0
     if tq < 0:
         root = -root - 1
-    return K * bn + L * an + (hp * gp + L * gq5 + 4 * M + root) // 8
+    return whole + (cp + 4 * M + root) // 8
 
 
 def _split(m: int, count: int, first, second) -> tuple[bool, int]:

@@ -681,6 +681,11 @@ def test_size_argument_out_of_range_exits_2_before_any_work(run_cli, monkeypatch
     assert err == f"error: {message}\n"
 
 
+# main in a fresh interpreter, for a stdout that a test points at a full device or a closed pipe
+_MAIN = f"import sys\nsys.path.insert(0, {SRC!r})\nfrom beattylab.cli import main\nraise SystemExit(main())"
+_HELP_CALLS = [("--help",), ("gen", "--help")]
+
+
 # a write that fails, here on a full device, exits 2 like an --out that cannot be opened
 @pytest.mark.parametrize(
     "argv",
@@ -689,29 +694,46 @@ def test_size_argument_out_of_range_exits_2_before_any_work(run_cli, monkeypatch
         ("verify", "--n", "3", "--h", "phi", "--limit", "20"),
         ("classify", "rows", "--N", "1000"),
         ("identities", "--N", "3", "--format", "json"),
+        *_HELP_CALLS,
     ],
     ids=" ".join,
 )
 def test_failed_write_exits_2(run_cli, argv):
-    code, out, err = run_cli(*argv, "--out", "/dev/full")
+    if "--help" in argv:
+        # argparse writes the help to stdout itself, with no --out, so stdout
+        # is the full device, in a fresh interpreter; unbuffered (-u), where
+        # argparse's own write fails at once (the closed-pipe test below
+        # covers a buffered stdout)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-I", "-S", "-u", "-c", _MAIN, *argv], stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        code, out, err = proc.returncode, "", proc.stderr
+    else:
+        code, out, err = run_cli(*argv, "--out", "/dev/full")
     assert (code, out) == (2, "")
     assert err == "error: cannot write output: [Errno 28] No space left on device\n", err
 
 
-@pytest.mark.parametrize("limit, lines", [(10**6, 1), (30, 0)], ids=["after-the-header", "before-any-write"])
-def test_closed_pipe_exits_2_without_a_traceback(limit, lines):
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (("gen", "--n", "3", "--h", "phi", "--limit", str(10**6)), 1),
+        (("gen", "--n", "3", "--h", "phi", "--limit", "30"), 0),
+        *((argv, 0) for argv in _HELP_CALLS),
+    ],
+    ids=["after-the-header", "before-any-write", "help", "gen-help"],
+)
+def test_closed_pipe_exits_2_without_a_traceback(argv, lines):
     # At 10**6 gen writes about 10 MB, far more than a pipe holds, so it is
     # still writing when the reader closes the pipe after the header.  At
     # 30 the reader closes it before gen starts, so every row is still in
     # stdout's buffer when the flush fails, and without fd 1 pointed at
-    # os.devnull the interpreter's final flush would fail again.
+    # os.devnull the interpreter's final flush would fail again.  A help
+    # fits in the pipe, so it fails only on a pipe closed before the write.
     read, write = os.pipe()
     reader = open(read, "rb")
     if not lines:
         reader.close()
-    code = f"import sys\nsys.path.insert(0, {SRC!r})\nfrom beattylab.cli import main\nraise SystemExit(main())"
-    argv = ["gen", "--n", "3", "--h", "phi", "--limit", str(limit)]
-    with subprocess.Popen([sys.executable, "-I", "-S", "-c", code, *argv], stdout=write, stderr=subprocess.PIPE) as proc:
+    with subprocess.Popen([sys.executable, "-I", "-S", "-c", _MAIN, *argv], stdout=write, stderr=subprocess.PIPE) as proc:
         os.close(write)
         if lines:
             assert reader.readline() == b"column,k,value\n"

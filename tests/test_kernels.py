@@ -388,7 +388,7 @@ class TestAgainstReference:
 
 
 class TestKlmRecord:
-    """klm keeps the last n's coordinates; no call may read another n's."""
+    """klm keeps the last row (n, K, L); no call may read another row's terms."""
 
     def test_grid_with_n_innermost_and_rejected_calls_between(self):
         # n changes at every step, each n is also passed as an equal int that
@@ -417,17 +417,73 @@ class TestKlmRecord:
         proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.split() == [str(lower(lower(1) + 2)), str(lower(lower(2) + 3))]
 
+    def test_grid_with_m_innermost_and_rejected_calls_between(self):
+        # each row (n, K, L) runs over M, so after its first call every call
+        # reads the record; a call rejected for an argument of 0 at the same
+        # row comes between any two of them
+        for n in (1, 150, 10**6, 10**30):
+            an = lower(n)
+            for K, L in product(range(-5, 6), repeat=2):
+                base = K * an + L * n
+                for M in range(max(-5, 1 - base), 6):
+                    assert klm(K, L, M, n) == ref_klm(K, L, M, n), (K, L, M, n)
+                    with pytest.raises(ValueError, match="argument K\\*a\\(n\\)\\+L\\*n\\+M = 0 must be positive"):
+                        klm(K, L, -base, n)
+
+    def test_k_or_l_alone_changes_at_one_n(self):
+        # L changes at every step with K and n kept, then K with L and n kept
+        rows = list(product(range(-5, 6), repeat=2))
+        for n in (1, 150, 10**6, 10**30):
+            an = lower(n)
+            for K, L in rows + [(K, L) for L, K in rows]:
+                M = max(5, 1 - (K * an + L * n))
+                assert klm(K, L, M, n) == ref_klm(K, L, M, n), (K, L, M, n)
+
+    def test_equal_arguments_that_are_other_objects(self):
+        # an n, K or L equal to the row's but not the same object is computed
+        # afresh: it answers as after a call at another row, an int built
+        # anew or a bool as its int, a float or a Fraction as a non-int does
+        big = 10**20
+
+        def outcome(K, L, n):
+            try:
+                return klm(K, L, 1, n)
+            except (TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        for n in (1, 150, 10**6, 10**30):
+            cases = [
+                ((big, 1), (int(str(big)), 1, n)),
+                ((1, big), (1, int(str(big)), n)),
+                ((1, 1), (True, 1, n)),
+                ((1, 1), (1, True, n)),
+                ((2, 3), (2.0, 3, n)),
+                ((2, 3), (2, Fraction(3), n)),
+                ((2, 3), (2, 3, Fraction(n))),
+            ]
+            for (K, L), equal in cases:
+                klm(1, 1, 1, n + 1)
+                fresh = outcome(*equal)
+                klm(K, L, 1, n)
+                assert outcome(*equal) == fresh, (K, L, equal)
+                if all(type(x) in (int, bool) for x in equal):
+                    assert fresh == ref_klm(K, L, 1, n), (K, L, n)
+
     def test_a_call_before_every_opcode(self):
-        # a trace hook calls klm with another n before each opcode of
-        # klm(K, L, M, n), so the record changes at every point of the call;
-        # the call must still answer from its own n, whether the record held
-        # n (and is read) or another n (and is replaced) when it began
+        # a trace hook calls klm before each opcode of klm(K, L, M, n), in
+        # turn at another n and at n with another (K, L), so the record
+        # changes at every point of the call; the call must still answer from
+        # its own row, whether the record held that row (and is read), its n
+        # with another (K, L), or another n (and is replaced) when it began
         code = wythoff.klm.__code__
         other = 10**30 + 7
+        hooked = 0
 
         def interleave(frame, event, arg):
+            nonlocal hooked
             if event == "opcode":
-                klm(1, 1, 1, other)
+                hooked += 1
+                klm(*((1, 1, 1, other) if hooked % 2 else neighbour))
             return interleave
 
         def on_call(frame, event, arg):
@@ -438,8 +494,11 @@ class TestKlmRecord:
 
         for n in (1, 150, 10**6, 10**30):
             for K, L, M in ((1, 1, 1), (2, -3, 5), (-1, 2, 0), (1, -1, 1), (5, -5, 4), (0, 0, 1)):
-                for before in (n, other):
-                    klm(0, 0, 1, before)
+                # another row at n, with a positive argument at M = 1
+                neighbour = (2, 1, 1, n) if (K, L) == (1, 1) else (1, 1, 1, n)
+                for before in ((K, L, M, n), neighbour, (1, 1, 1, other)):
+                    klm(*before)
+                    hooked = 0
                     previous = sys.gettrace()
                     sys.settrace(on_call)
                     try:
@@ -447,6 +506,7 @@ class TestKlmRecord:
                     finally:
                         sys.settrace(previous)
                     assert value == lower(K * lower(n) + L * n + M), (K, L, M, n, before)
+                    assert hooked >= 20, hooked  # the hook ran inside the call
 
     def test_threads_on_disjoint_n(self):
         # four threads switch every microsecond; a record read in two steps or
