@@ -24,16 +24,20 @@ of classify rows, is assembled one byte column at a time by _table.  No
 column is held as a list, so gen --n 3 --h phi --limit 10**7 peaks at
 25 MB in either format (fresh interpreter, 2-vCPU Xeon).
 
-main parses with a parser built for the command it runs: when argv[0]
-names a subcommand, build_parser(command) holds that one subparser;
-otherwise build_parser() holds all six, for the help or the list of
-choices.  A subparser adds its flags on its first parse, so that help
-builds none.  Each parser is built once per process (build_parser is
-cached), and a later call in the same process, after a usage error too,
-behaves like a fresh one.  Only the identities command and its flags
-import the identities module, and with it dataclasses and inspect, so
-import beattylab.cli and the top-level help load none of them (README,
-"Start-up").
+main reads a plainly well-formed argv itself (_read), from the one
+table of flags each command has, so a valid call never imports argparse,
+nor the gettext and locale modules that argparse's messages load.  Every
+other argv (help, no command, an abbreviated flag, --flag=value, a
+repeated flag, a value that starts with "-", every usage error) goes to
+argparse, the one authority on help and errors.  build_parser(command)
+then holds that one subparser, or all six for no command, for the help
+or the list of choices; a subparser adds its flags from the same table
+on its first parse, so the help builds none.  Each parser is built once
+per process (build_parser is cached), and a later call in the same
+process, after a usage error too, behaves like a fresh one.  Only the
+identities command and its flags import the identities module, and with
+it dataclasses and inspect, so import beattylab.cli and the top-level
+help load none of them (README, "Start-up").
 An argparse error (a bad type or choice, a missing flag, an unknown
 subcommand) is a ValueError too, reported in one line without the usage
 block; --help still prints the help and exits 0, and its text goes to
@@ -42,13 +46,13 @@ stdout through _output, so a failed write exits 2 as for any result.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import functools
 import json
 import os
 import sys
+import types
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -69,29 +73,6 @@ EXIT_DEFECT = 1
 EXIT_USAGE = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and the class of its subparsers, whose usage errors raise ValueError."""
-
-    add_flags: Callable[[argparse.ArgumentParser], None] | None = None  # called on the first parse
-
-    def error(self, message: str):
-        raise ValueError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self.add_flags:
-            add_flags, self.add_flags = self.add_flags, None
-            add_flags(self)
-        return super().parse_known_args(args, namespace)
-
-    def _print_message(self, message, file=None):
-        # the help goes to stdout through _output, so a failed write exits 2
-        if message and file is sys.stdout:
-            with _output(None) as fh:
-                fh.write(message)
-        else:
-            super()._print_message(message, file)
-
-
 _QUOTED = 40  # an error line quotes a malformed value this long at most, a longer one by its length
 
 
@@ -100,13 +81,17 @@ def _int(text: str) -> int:
 
     A value past int()'s 4300 digits is not parsed (every size cap lies far
     below it), and a malformed value past _QUOTED characters is not echoed.
+    Only a value that fails imports argparse, for its ArgumentTypeError.
     """
     if len(text) <= 4300:
         try:
             return int(text)
         except ValueError:
-            if len(text) <= _QUOTED:
-                raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            pass
+    import argparse
+
+    if len(text) <= _QUOTED:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     raise argparse.ArgumentTypeError(f"invalid int value of {len(text)} characters")
 
 
@@ -124,7 +109,7 @@ def _parse_alpha(text: str) -> QuadraticReal:
         raise ValueError(f"alpha must be one of {sorted(ALPHA_NAMES)} or p,q,d[,radicand], got {shown}")
     try:
         numbers = [_int(p) for p in parts]
-    except argparse.ArgumentTypeError as exc:
+    except Exception as exc:  # _int raises only argparse.ArgumentTypeError, loaded by the failure
         raise ValueError(f"alpha component: {exc}") from None
     radicand = numbers[3] if len(numbers) == 4 else 5
     try:
@@ -450,61 +435,64 @@ def _cmd_density(args) -> int:
     return EXIT_OK
 
 
-# -- parser --------------------------------------------------------------------
+# -- flags and parser ----------------------------------------------------------
+#
+# Each command's flags are one table, name -> the keywords of add_argument,
+# in the order of the help text: build_parser adds them as they stand, and
+# _read reads a well-formed argv by the same table, without argparse.
 
 
-def _spec_flags(size: str, sub) -> None:
+def _output_flags(default_format: str | None = "csv") -> dict[str, dict]:
+    return {
+        "--format": {"choices": ("csv", "json"), "default": default_format},
+        "--out": {"help": "write output to this file instead of stdout"},
+    }
+
+
+def _spec_flags(size: str) -> dict[str, dict]:
     """The flags of a command on one partition: its generator, the integer flag size, the output."""
-    sub.add_argument("--n", type=_int, required=True, help=f"number of columns (2 to {partition.MAX_COLUMNS})")
-    sub.add_argument("--h", choices=("identity", "phi"), help="named step sequence")
-    sub.add_argument("--alpha", help="exact alpha: named constant or p,q,d[,radicand]")
-    sub.add_argument("--explicit", help="file with explicit first-column values")
-    sub.add_argument(size, type=_int, required=True)
-    _add_output_flags(sub)
+    return {
+        "--n": {"type": _int, "required": True, "help": f"number of columns (2 to {partition.MAX_COLUMNS})"},
+        "--h": {"choices": ("identity", "phi"), "help": "named step sequence"},
+        "--alpha": {"help": "exact alpha: named constant or p,q,d[,radicand]"},
+        "--explicit": {"help": "file with explicit first-column values"},
+        size: {"type": _int, "required": True},
+        **_output_flags(),
+    }
 
 
-def _add_output_flags(sub, default_format: str | None = "csv") -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default=default_format)
-    sub.add_argument("--out", help="write output to this file instead of stdout")
-
-
-def _identities_flags(sub) -> None:
+def _identities_flags() -> dict[str, dict]:
     from . import identities
 
-    sub.add_argument("--N", type=_int, default=1000, help=f"scan indices 1..N, N at most {identities.MAX_N}")
-    sub.add_argument("--identity", help="run a single named identity")
     default_rs = identities.CheckOptions().rs
-    sub.add_argument(
-        "--r",
-        type=_int_list,
-        default=default_rs,
-        help=f"comma list of odd shift indices up to {identities.FIB_INDEX_CAP}"
-        f" (default {','.join(map(str, default_rs))})",
-    )
-    sub.add_argument(
-        "--bound",
-        type=_int,
-        help=f"search bound for the converse scan, 1 to {identities.CONVERSE_BOUND_CAP}",
-    )
-    sub.add_argument(
-        "--inject-off-by-one",
-        action="store_true",
-        help="test mode: perturb the direct side of the grid check by +1",
-    )
-    _add_output_flags(sub, default_format=None)
+    return {
+        "--N": {"type": _int, "default": 1000, "help": f"scan indices 1..N, N at most {identities.MAX_N}"},
+        "--identity": {"help": "run a single named identity"},
+        "--r": {
+            "type": _int_list,
+            "default": default_rs,
+            "help": f"comma list of odd shift indices up to {identities.FIB_INDEX_CAP}"
+            f" (default {','.join(map(str, default_rs))})",
+        },
+        "--bound": {"type": _int, "help": f"search bound for the converse scan, 1 to {identities.CONVERSE_BOUND_CAP}"},
+        "--inject-off-by-one": {
+            "action": "store_true",
+            "default": False,
+            "help": "test mode: perturb the direct side of the grid check by +1",
+        },
+        **_output_flags(None),
+    }
 
 
-def _index_flags(sub) -> None:
-    sub.add_argument("--N", type=_int, required=True)
-    _add_output_flags(sub)
+def _index_flags() -> dict[str, dict]:
+    return {"--N": {"type": _int, "required": True}, **_output_flags()}
 
 
-def _classify_flags(sub) -> None:
-    sub.add_argument("what", choices=("rows", "census", "ab-over-scd"))
-    _index_flags(sub)
+def _classify_flags() -> dict[str, dict]:
+    return {"what": {"choices": ("rows", "census", "ab-over-scd")}, **_index_flags()}
 
 
-# name -> (help, add_flags, handler), in the order of the help text
+# name -> (help, flags, handler), in the order of the help text
 _COMMANDS = {
     "gen": ("dump partition columns up to a limit", functools.partial(_spec_flags, "--limit"), _cmd_gen),
     "verify": ("brute-force cover/disjointness check", functools.partial(_spec_flags, "--limit"), _cmd_verify),
@@ -515,31 +503,101 @@ _COMMANDS = {
 }
 
 
+def _read(argv: list[str]) -> types.SimpleNamespace | None:
+    """What build_parser(argv[0]).parse_args(argv) returns, for a plainly well-formed argv; None for any other.
+
+    argv[0] names a command.  Each later token is one of its flags by exact
+    name, at most once, with a value that does not start with "-" (a
+    store_true flag takes none), or the value of its positional.  Every
+    required flag is given, and every value passes its type and choices.
+    Help, abbreviations, --flag=value, repeats and every usage error are
+    left to argparse, the one authority on them.
+    """
+    flags = _COMMANDS[argv[0]][1]()
+    positional = next((name for name in flags if not name.startswith("-")), None)
+    given: dict[str, str | None] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, text = (token, None) if token.startswith("-") else (positional, token)
+        if name not in flags or name in given:
+            return None
+        if text is None and flags[name].get("action") != "store_true":
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+        given[name] = text
+    args = types.SimpleNamespace(command=argv[0])
+    for name, keywords in flags.items():
+        if name not in given:
+            if keywords.get("required") or name == positional:
+                return None
+            value = keywords.get("default")
+        elif given[name] is None:  # a store_true flag
+            value = True
+        else:
+            try:
+                value = keywords.get("type", str)(given[name])
+            except Exception:  # _int's ArgumentTypeError: argparse calls the type again and reports it
+                return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return args
+
+
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The beatty-lab parser with command's subparser alone, or with every subparser for None.
 
-    Built once per process and command; a subparser's first parse adds its flags.
+    Built once per process and command, which is when argparse is
+    imported; a subparser's first parse adds its flags from its table.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser, and the class of its subparsers, whose usage errors raise ValueError."""
+
+        flags: Callable[[], dict[str, dict]] | None = None  # the table, added on the first parse
+
+        def error(self, message: str):
+            raise ValueError(message)
+
+        def parse_known_args(self, args=None, namespace=None):
+            if self.flags:
+                flags, self.flags = self.flags, None
+                for name, keywords in flags().items():
+                    self.add_argument(name, **keywords)
+            return super().parse_known_args(args, namespace)
+
+        def _print_message(self, message, file=None):
+            # the help goes to stdout through _output, so a failed write exits 2
+            if message and file is sys.stdout:
+                with _output(None) as fh:
+                    fh.write(message)
+            else:
+                super()._print_message(message, file)
+
     parser = _Parser(
         prog="beatty-lab",
         description="Exact Beatty/Wythoff sequence partitions, identities and censuses.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags, _) in _COMMANDS.items():
+    for name, (help_text, flags, _) in _COMMANDS.items():
         if command in (None, name):
-            subparsers.add_parser(name, help=help_text).add_flags = add_flags
+            subparsers.add_parser(name, help=help_text).flags = flags
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # argparse hands every argument after the subcommand to its subparser, so
-    # a parser holding that subparser alone parses argv alike
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _read(argv) if command else None
+        if args is None:
+            # argparse hands every argument after the subcommand to its
+            # subparser, so a parser holding that subparser alone parses argv alike
+            args = build_parser(command).parse_args(argv)
         return _COMMANDS[args.command][2](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from . import partition
-from .qfield import INV_PHI, INV_PHI_SQ, QuadraticReal, floor_sum
+from .qfield import INV_PHI_SQ, QuadraticReal, floor_sum
 from .wythoff import ABLabel, standard_fill
 
 ADMISSIBLE_ROW_CLASSES = frozenset({"AAA", "AAB", "ABA", "BAA", "BBA", "BAB"})
@@ -228,6 +228,17 @@ def _piece_counts(count: int, theta: tuple[int, int, int], pieces, counts: dict[
     return counts
 
 
+def _piece_lengths(pieces) -> dict[str, QuadraticReal]:
+    """Per label of pieces, their total length: the density of the h it labels, as {h*theta} is equidistributed."""
+    lengths: dict[str, QuadraticReal] = {}
+    start = QuadraticReal(0)
+    for label, end in pieces:
+        end = QuadraticReal(*end)
+        lengths[label] = lengths.get(label, QuadraticReal(0)) + (end - start)
+        start = end
+    return lengths
+
+
 def _census(limit: int, counts: dict[str, int], first: dict[str, int]) -> Census:
     """Census of the classes of counts with a count above 0, in the order of first."""
     found = [code for code in first if counts[code]]
@@ -258,13 +269,8 @@ def ab_over_scd_census(limit: int) -> Census:
 
 # -- density measurements ------------------------------------------------------
 
-PAIR_DENSITY_REFERENCE: dict[str, QuadraticReal] = {
-    "SC": QuadraticReal(1, 0, 5),
-    "CS": QuadraticReal(1, 0, 5),
-    "DS": QuadraticReal(1, 0, 5),
-    "CD": QuadraticReal(-1, 1, 10),  # (phi-1)/5 = (sqrt5-1)/10
-    "SS": QuadraticReal(5, -1, 10),  # (3-phi)/5 = (5-sqrt5)/10
-}
+PAIR_DENSITY_REFERENCE = _piece_lengths(_PAIRS)
+_A_DENSITY = _piece_lengths(_A_COLUMNS)  # 1/phi for C, 1/phi^2 for D
 
 
 class DensityEntry(NamedTuple):
@@ -285,9 +291,11 @@ def density_report(limit: int) -> DensityReport:
 
     Proved densities (membership of floor(n*phi^2/2) in A, of a(n) in C
     and in D) come with their exact expected values; the pair census is
-    compared against the reported table; the density of S-column rows in
-    A and the six row-class frequencies have no proof and are flagged
-    empirical-open.
+    compared against the reported densities.  The expected values of a(n)
+    and of the pairs are the piece lengths of their step tables, as
+    {h*theta} is equidistributed for irrational theta.  The density of
+    S-column rows in A and the six row-class frequencies have no proof
+    and are flagged empirical-open.
 
     c_half(i) = floor(i*phi^2/2) is in A exactly when i is odd, so
     c-half-in-A counts ceil(limit/2).  For i = 2j it is floor(j*phi^2) =
@@ -306,8 +314,8 @@ def density_report(limit: int) -> DensityReport:
     s_in_a = sum(count for code, count in rows.counts.items() if code[0] == ABLabel.A.value)
     entries = [
         DensityEntry("c-half-in-A", (limit + 1) // 2, limit, QuadraticReal(1, 0, 2), "proved-density"),
-        DensityEntry("a-in-C", a_in_c, limit, INV_PHI, "proved-density"),
-        DensityEntry("a-in-D", limit - a_in_c, limit, INV_PHI_SQ, "proved-density"),
+        DensityEntry("a-in-C", a_in_c, limit, _A_DENSITY["C"], "proved-density"),
+        DensityEntry("a-in-D", limit - a_in_c, limit, _A_DENSITY["D"], "proved-density"),
         DensityEntry("s-col-in-A", s_in_a, limit, None, "empirical-open"),
     ]
     for code in row_class_keys(rows.counts):

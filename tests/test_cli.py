@@ -10,15 +10,19 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beattylab import identities, partition, three_set
-from beattylab.cli import ALPHA_NAMES, _parse_alpha, _table, _write_json_list, build_parser, main
+from beattylab.cli import _COMMANDS, ALPHA_NAMES, _parse_alpha, _read, _table, _write_json_list, build_parser, main
 from beattylab.qfield import QuadraticReal
 import oracles
+from test_cli_golden import EMPTY, HELP, _digest
 
 EXPECTED_TABLE_GEN = """\
 column,k,value
@@ -808,6 +812,7 @@ def test_unwritable_out_exits_2(run_cli, tmp_path, argv, where):
 )
 def test_argparse_errors_take_one_line(run_cli, argv, message):
     # argparse's usage block is not printed: main reports the error like every other
+    assert argv.split()[0] not in _COMMANDS or _read(argv.split()) is None  # argparse reports it
     code, out, err = run_cli(*argv.split())
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
@@ -871,6 +876,53 @@ def test_each_command_has_its_own_cached_parser():
         assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
+# tokens of a drawn argv: values plain and malformed, help, "--", and the
+# abbreviations and --flag=value forms that argparse alone reads
+_TOKENS = ("3", "20", "0", "-5", "x", "1" * 41, "3,5", "1,x", "phi", "csv", "xml", "census", "out.txt", "")
+_TOKENS += ("-h", "--help", "--", "-")
+_ODD_FLAGS = ("--N=5", "--format=json", "--form", "--inj", "--ident", "--lim", "--al", "--expl", "--ou")
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """An argv of one command: mostly its required tokens, then up to three drawn pieces, in any order.
+
+    A piece is a flag with a value that passes its type and choices, a flag
+    with a drawn token, or a drawn token alone.
+    """
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    flags = _COMMANDS[command][1]()
+
+    def plain(name: str) -> tuple[str, ...]:
+        keywords = flags[name]
+        if keywords.get("action") == "store_true":
+            return (name,)
+        value = draw(st.sampled_from(keywords.get("choices", ("20", "3"))))
+        return (name, value) if name.startswith("-") else (value,)
+
+    pieces = [plain(name) for name, keywords in flags.items() if keywords.get("required") or not name.startswith("-")]
+    if not draw(st.integers(0, 3)):
+        pieces = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind, name = draw(st.integers(0, 4)), draw(st.sampled_from(list(flags)))
+        if kind < 3:
+            pieces.append(plain(name))
+        elif kind == 3:
+            pieces.append((name, draw(st.sampled_from(_TOKENS))))
+        else:
+            pieces.append((draw(st.sampled_from(_TOKENS + _ODD_FLAGS)),))
+    return [command, *chain.from_iterable(draw(st.permutations(pieces)))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_the_direct_reader_agrees_with_argparse(argv):
+    # main reads an argv without argparse only when argparse would read it alike
+    args = _read(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
 def test_help_and_command_errors_import_no_identities():
     # the identities subparser adds its flags, whose help reads the
     # identities bounds, only when it parses
@@ -890,10 +942,15 @@ def test_help_and_command_errors_import_no_identities():
 
 
 def test_only_the_identities_command_imports_identities():
+    # a valid call is read without argparse, so it loads neither argparse nor
+    # the gettext and locale modules that argparse's messages import
     calls = {
         "gen": ["gen", "--n", "3", "--h", "phi", "--limit", "20"],
+        "verify": ["verify", "--n", "3", "--h", "phi", "--limit", "20"],
+        "decompose": ["decompose", "--n", "3", "--alpha", "1,1,2", "--m", "20", "--format", "json"],
         "census": ["classify", "census", "--N", "50"],
-        "identities": ["identities", "--N", "3"],
+        "density": ["density", "--N", "50"],
+        "identities": ["identities", "--N", "3", "--r", "3,5"],
     }
     for name, argv in calls.items():
         out = _fresh(
@@ -902,9 +959,23 @@ def test_only_the_identities_command_imports_identities():
             "buf = io.StringIO()\n"
             "with contextlib.redirect_stdout(buf):\n"
             f"    code = main({argv!r})\n"
-            "print(json.dumps([code, buf.getvalue(), 'beattylab.identities' in sys.modules]))\n"
+            "loaded = [name for name in ('argparse', 'gettext', 'locale') if name in sys.modules]\n"
+            "print(json.dumps([code, buf.getvalue(), 'beattylab.identities' in sys.modules, loaded]))\n"
         )
-        code, text, imported = json.loads(out)
-        assert (code, imported) == (0, name == "identities"), name
+        code, text, imported, loaded = json.loads(out)
+        assert (code, imported, loaded) == (0, name == "identities", []), name
         if name == "identities":
             assert text.endswith("overall: PASS (N=3)\n")
+    # help and usage errors still go to argparse, with the pinned bytes and exit codes
+    for argv, pinned in (
+        (["--help"], (0, HELP[""], "")),
+        ([], (2, EMPTY, "error: the following arguments are required: command\n")),
+        (["classify", "census", "--N", "x"], (2, EMPTY, "error: argument --N: invalid int value: 'x'\n")),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", _MAIN, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "COLUMNS": "80"},
+        )
+        assert (proc.returncode, _digest(proc.stdout), proc.stderr) == pinned, argv

@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from beattylab.cli import main
+from beattylab.cli import _read, build_parser, main
 
 # explicit generator files; {dir} in a call is the directory that holds them
 FILES = {
@@ -316,3 +316,15 @@ def test_help_bytes_pinned(command, capsys, monkeypatch):
         main([command, "--help"] if command else ["--help"])
     out, err = capsys.readouterr()
     assert (info.value.code, _digest(out), err) == (0, HELP[command], "")
+
+
+@pytest.mark.parametrize("call", list(GOLDEN))
+def test_the_direct_reader_reads_each_call_as_argparse(call, explicit_dir):
+    # main reads every call here without argparse, but one that argparse refuses
+    argv = [arg.replace("{dir}", str(explicit_dir)) for arg in call.split()]
+    try:
+        expected = vars(build_parser().parse_args(argv))
+    except ValueError:
+        expected = None
+    args = _read(argv)
+    assert (None if args is None else vars(args)) == expected
