@@ -29,15 +29,14 @@ table of flags each command has, so a valid call never imports argparse,
 nor the gettext and locale modules that argparse's messages load.  Every
 other argv (help, no command, an abbreviated flag, --flag=value, a
 repeated flag, a value that starts with "-", every usage error) goes to
-argparse, the one authority on help and errors.  build_parser(command)
-then holds that one subparser, or all six for no command, for the help
-or the list of choices; a subparser adds its flags from the same table
-on its first parse, so the help builds none.  Each parser is built once
-per process (build_parser is cached), and a later call in the same
-process, after a usage error too, behaves like a fresh one.  Only the
-identities command and its flags import the identities module, and with
-it dataclasses and inspect, so import beattylab.cli and the top-level
-help load none of them (README, "Start-up").
+argparse, the one authority on help and errors.  build_parser builds a
+fresh parser for each such argv, with all six subparsers; a subparser
+adds its flags from the same table on its first parse, so the top-level
+help builds none and a command's help or error builds its own alone.
+Only the identities command and its flags import the identities module,
+and with it dataclasses and inspect, so import beattylab.cli, the help
+and the usage errors of the other commands load none of them (README,
+"Start-up").
 An argparse error (a bad type or choice, a missing flag, an unknown
 subcommand) is a ValueError too, reported in one line without the usage
 block; --help still prints the help and exits 0, and its text goes to
@@ -504,7 +503,7 @@ _COMMANDS = {
 
 
 def _read(argv: list[str]) -> types.SimpleNamespace | None:
-    """What build_parser(argv[0]).parse_args(argv) returns, for a plainly well-formed argv; None for any other.
+    """What build_parser().parse_args(argv) returns, for a plainly well-formed argv; None for any other.
 
     argv[0] names a command.  Each later token is one of its flags by exact
     name, at most once, with a value that does not start with "-" (a
@@ -545,13 +544,8 @@ def _read(argv: list[str]) -> types.SimpleNamespace | None:
     return args
 
 
-@functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The beatty-lab parser with command's subparser alone, or with every subparser for None.
-
-    Built once per process and command, which is when argparse is
-    imported; a subparser's first parse adds its flags from its table.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh beatty-lab parser with every subparser; a subparser's first parse adds its flags from its table."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -583,21 +577,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _) in _COMMANDS.items():
-        if command in (None, name):
-            subparsers.add_parser(name, help=help_text).flags = flags
+        subparsers.add_parser(name, help=help_text).flags = flags
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _read(argv) if command else None
+        args = _read(argv) if argv and argv[0] in _COMMANDS else None
         if args is None:
-            # argparse hands every argument after the subcommand to its
-            # subparser, so a parser holding that subparser alone parses argv alike
-            args = build_parser(command).parse_args(argv)
+            args = build_parser().parse_args(argv)
         return _COMMANDS[args.command][2](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,23 +26,12 @@ def _is_square(n: int) -> bool:
 
 
 def _sign_of(p: int, q: int, r: int) -> int:
-    """Exact sign of p + q*sqrt(r).
+    """Exact sign of p + q*sqrt(r), by its floor_surd.
 
-    When p and q disagree in sign the dominant term is decided by
-    comparing p^2 with r*q^2; equality is impossible for q != 0 because
-    r is not a perfect square.
+    The value is 0 only for p = q = 0, as q*sqrt(r) is no integer for q != 0;
+    any other value is > 0 exactly when its floor is >= 0.
     """
-    if q == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return 1 if q > 0 else -1
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    if p > 0:  # q < 0
-        return 1 if p * p > r * q * q else -1
-    return -1 if p * p > r * q * q else 1
+    return 0 if p == q == 0 else 1 if floor_surd(p, q, 1, r) >= 0 else -1
 
 
 def floor_surd(p: int, q: int, d: int, r: int = DEFAULT_RADICAND) -> int:

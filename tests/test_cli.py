@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -842,8 +843,8 @@ def test_module_entry_point_subprocess():
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):
-    # a usage error between two valid calls leaves the cached parser as it
-    # was: every call writes the bytes of a fresh interpreter's call
+    # a usage error between two valid calls leaves nothing behind: every
+    # call writes the bytes of a fresh interpreter's call
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
     valid = ["classify", "census", "--N", "50"]
     invalid = ["classify", "census", "--N"]
@@ -859,21 +860,6 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
             code = exc.code
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == fresh[tuple(argv)]
-    assert build_parser() is build_parser()
-
-
-def test_each_command_has_its_own_cached_parser():
-    # a parser holding one subparser parses that subcommand's arguments as
-    # the parser holding all six does
-    assert build_parser("gen") is build_parser("gen")
-    assert build_parser("gen") is not build_parser()
-    for argv in (
-        ["gen", "--n", "3", "--h", "phi", "--limit", "10", "--format", "json"],
-        ["decompose", "--n", "4", "--alpha", "sqrt2", "--m", "7", "--out", "x"],
-        ["identities", "--r", "3,5", "--inject-off-by-one"],
-        ["classify", "rows", "--N", "5"],
-    ):
-        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 # tokens of a drawn argv: values plain and malformed, help, "--", and the
@@ -923,10 +909,33 @@ def test_the_direct_reader_agrees_with_argparse(argv):
         assert vars(args) == vars(build_parser().parse_args(argv))
 
 
+def test_every_benchmark_call_is_read_without_argparse(monkeypatch):
+    # the fallback parser serves only help and usage errors: every CLI call
+    # of the benchmark workloads, at each size, and its control calls are read by _read
+    monkeypatch.syspath_prepend(str(Path(SRC).parent / "perfbench"))
+    import workloads
+
+    argvs = [op["argv"] for op in workloads.CONTROL_OPS]
+    for workload in workloads.WORKLOADS.values():
+        if hasattr(workload, "make_ops"):
+            argvs += [op["argv"] for size in workload.sizes for op in workload.make_ops(size)]
+    assert len(argvs) == 2 + 5 * (1 + 3 + 4)
+    for argv in argvs:
+        assert isinstance(_read(argv), types.SimpleNamespace), argv
+
+
 def test_help_and_command_errors_import_no_identities():
-    # the identities subparser adds its flags, whose help reads the
-    # identities bounds, only when it parses
-    for argv in (["--help"], [], ["no-such"], ["-x", "classify", "census", "--N", "5"]):
+    # every fallback builds all six subparsers, and the identities subparser
+    # adds its flags, whose help reads the identities bounds, only when it parses
+    for argv in (
+        ["--help"],
+        [],
+        ["no-such"],
+        ["-x", "classify", "census", "--N", "5"],
+        ["gen", "--help"],
+        ["classify", "census", "--N", "x"],
+        ["verify", "--n", "3"],
+    ):
         out = _fresh(
             "import contextlib, io, json\n"
             "from beattylab.cli import main\n"

@@ -229,6 +229,29 @@ class TestOrdering:
     def test_compare_matches_decimal_oracle(self, x, y):
         assert x.compare(y) == decimal_sign(x - y)
 
+    def test_sign_and_compare_near_cancellation(self):
+        # L_k - F_k*sqrt5 = 2*(-1/phi)**k, and the Pell x - y*sqrt2 with
+        # x^2 - 2y^2 = +-1, shrink towards 0: each, its negation and their
+        # +-1 neighbours against 400-digit decimals
+        near = []
+        fibo, fibo_next = 0, 1  # F_k, F_(k+1)
+        for _ in range(401):
+            near.append((2 * fibo_next - fibo, -fibo, 5))  # L_k = 2*F_(k+1) - F_k
+            fibo, fibo_next = fibo_next, fibo + fibo_next
+        x, y = 1, 1
+        for _ in range(300):
+            near.append((x, -y, 2))
+            x, y = x + 2 * y, x + y
+        with localcontext() as ctx:
+            ctx.prec = 400
+            for p, q, r in near:
+                for sp, sq in ((p, q), (-p, -q)):
+                    for p_ in (sp - 1, sp, sp + 1):
+                        exact = p_ + sq * Decimal(r).sqrt()
+                        want = (exact > 0) - (exact < 0)
+                        assert QuadraticReal(p_, sq, 1, r).sign() == want, (p_, sq, r)
+                        assert QuadraticReal(p_, 0, 1, r).compare(QuadraticReal(0, -sq, 1, r)) == want, (p_, sq, r)
+
     @given(quadratic_reals())
     def test_total_order_consistency(self, x):
         assert x.compare(x) == 0
@@ -352,6 +375,7 @@ class TestFloorSum:
 
         monkeypatch.setattr(qfield, "floor_surd", guarded)
         total = floor_sum(n, a, b)
+        monkeypatch.undo()  # the check below compares ~2000-bit values, and every sign is a floor_surd
         # the sum of floor(a*k + b) is within n of a*n*(n - 1)/2 + b*n
         assert -n <= total - (a * (n * (n - 1) // 2) + b * n) <= n
 
