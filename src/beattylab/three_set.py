@@ -3,9 +3,9 @@
 The three-column partition generated by l(k) = 3*a(k) + k has columns
 D = {3a(k)+k}, C = {a(k)+2k-1} and S = {c(k)-1} union {c(k)+1}; each row
 (s(k), c(k), d(k)) carries a triple of A/B memberships and only six of
-the eight conceivable triples ever occur.  This module computes the
-rows, the row-class census, and the census of which columns the Wythoff
-values a(n), b(n) land in.
+the eight conceivable triples, ROW_CLASSES, ever occur.  This module
+computes the rows, the row-class census, and the census of which
+columns the Wythoff values a(n), b(n) land in.
 
 The censuses count by exact floor sums.  Each class is a step function
 of one fractional part: of x = {h*phi} and the parity of k, h =
@@ -22,9 +22,9 @@ classify rows reads its rows from one buffer of tags,
 2*column(v) + [v is B] for every value v up to d(N), built from the
 partition labels of phi_spec(3) and the B word (standard_fill, slope
 1/phi^2).  The k-th smallest value of column D, C or S is d(k), c(k) or
-s(k), so bytes.translate keeps one column's B bits, and the planes are
-combined bytewise through big-endian integers into one code per row,
-translated back to one plane of A/B letters per column.
+s(k), so bytes.translate keeps one column's tags as its A/B letters, a
+block of tags at a time up to the N-th, and then turns the tags into
+column labels in place, from which s, c and d are read as text.
 d(k) is THREE_SET_SPEC.term(k), c(k) is partition.d2_closed_form(3, k),
 and the tests keep the paper's per-point formulas as the oracle.  Every
 census and scan takes an index limit in [1, MAX_INDEX] by partition's
@@ -39,7 +39,6 @@ from . import partition
 from .qfield import INV_PHI_SQ, QuadraticReal, floor_sum
 from .wythoff import ABLabel, standard_fill
 
-ADMISSIBLE_ROW_CLASSES = frozenset({"AAA", "AAB", "ABA", "BAA", "BBA", "BAB"})
 ALL_PAIR_CLASSES = ("SC", "CS", "DS", "CD", "SS", "SD", "DC", "CC", "DD")
 
 THREE_SET_SPEC = partition.phi_spec(3)
@@ -47,8 +46,9 @@ THREE_SET_SPEC = partition.phi_spec(3)
 # Largest index range the censuses and classify rows accept: the tests
 # check the step tables against the scan at every index up to it.
 # classify rows' tag buffer runs to d(N), about 5.9*N bytes, and d(10**6)
-# stays within partition.MAX_LIMIT; it holds about 12 bytes per index at
-# its peak, 12 MB at this cap.  The censuses hold no buffer.
+# stays within partition.MAX_LIMIT; at its peak it holds the tags and the
+# B word, about 11.8 bytes per index, 11.8 MB at this cap.  The censuses
+# hold no buffer.
 MAX_INDEX = 10**6
 
 
@@ -96,11 +96,8 @@ def _keep(values: dict[int, int]) -> tuple[bytes, bytes]:
 
 
 # Tags are 2*column + [v is B]; partition column 1 is D, 2 is C, 3 is S.
-# The row planes are the B bits of the values of S, C and D in order, so
-# shifted in one bit at a time, a row code is
-# 4*[s(k) is B] + 2*[c(k) is B] + [d(k) is B].
-_ROW_PLANES = tuple(_keep({2 * column: 0, 2 * column + 1: 1}) for column in (3, 2, 1))
-_ROW_LETTERS = tuple(bytes(b"AB"[code >> bit & 1] for code in range(256)) for bit in (2, 1, 0))  # code -> s, c, d
+# A column's letter plane keeps its tags, 2*column as A and 2*column + 1 as B.
+_COLUMN_LETTERS = tuple(_keep({2 * column: ord("A"), 2 * column + 1: ord("B")}) for column in (3, 2, 1))  # s, c, d
 _TAG_COLUMNS = bytes(tag >> 1 for tag in range(256))  # bytes.translate table: tag -> partition column
 
 
@@ -123,39 +120,38 @@ def _tagged_values(top: int) -> bytearray:
     return tags
 
 
-def _select(tags: bytearray, limit: int, shift: int, planes: tuple[tuple[bytes, bytes], ...]) -> bytearray:
-    """Codes of indices 1, ..., limit: the k-th value each plane keeps, shifted in plane by plane.
+def _letters(tags: bytearray, limit: int, keep: tuple[bytes, bytes]) -> bytearray:
+    """The first limit tags that keep keeps, translated by it a block of tags at a time.
 
-    Each plane must keep at least limit values: the row planes do when
-    tags runs to d(limit).  A plane is translated a block of tags at a
-    time, up to its limit-th value, so it never takes more than about
-    limit bytes, and one plane is held at a time.
+    A column's plane stops at its limit-th value, so it never takes more
+    than about limit bytes; tags that hold fewer values of the column
+    raise ArithmeticError.
     """
-    codes = bytearray(limit)
-    for keep in planes:
-        plane = bytearray()
-        for lo in range(0, len(tags), _BLOCK):
-            plane += tags[lo : lo + _BLOCK].translate(*keep)
-            if len(plane) >= limit:
-                break
-        _shift_in(codes, shift, plane)
-    return codes
+    plane = bytearray()
+    for lo in range(0, len(tags), _BLOCK):
+        plane += tags[lo : lo + _BLOCK].translate(*keep)
+        if len(plane) >= limit:
+            del plane[limit:]
+            return plane
+    raise ArithmeticError(f"the tags hold {len(plane)} values of a column, not {limit}")
 
 
-def row_columns(limit: int) -> tuple[Iterator[str], Iterator[str], Iterator[str], bytes, bytes, bytes]:
+def row_columns(limit: int) -> tuple[Iterator[str], Iterator[str], Iterator[str], bytearray, bytearray, bytearray]:
     """s(k), c(k) and d(k) as runs of decimal lines, then their A/B letters, a byte per k in [1, limit].
 
     The k-th smallest values of columns S, C and D (partition columns 3,
-    2 and 1) are s(k), c(k) and d(k), read by partition.column_runs from
-    the tags' column bits, so no value is an int.  A limit outside
-    [1, MAX_INDEX] raises ValueError before any buffer is built.
+    2 and 1) are s(k), c(k) and d(k): their letters are the first limit
+    tags each column keeps, and their values are read by
+    partition.column_runs once the tags are turned into column labels, so
+    no value is an int.  A limit outside [1, MAX_INDEX] raises ValueError
+    before any buffer is built.
     """
     partition._require_limit(limit, MAX_INDEX)
     tags = _tagged_values(THREE_SET_SPEC.term(limit))
-    codes = _select(tags, limit, 1, _ROW_PLANES)
-    labels = tags.translate(_TAG_COLUMNS)
-    del tags  # the letter planes are built without it, so the peak stays that of tags and labels
-    return *(partition.column_runs(labels, j) for j in (3, 2, 1)), *(codes.translate(t) for t in _ROW_LETTERS)
+    letters = [_letters(tags, limit, keep) for keep in _COLUMN_LETTERS]
+    for lo in range(0, len(tags), _BLOCK):  # the tags become column labels in place
+        tags[lo : lo + _BLOCK] = tags[lo : lo + _BLOCK].translate(_TAG_COLUMNS)
+    return *(partition.column_runs(tags, j) for j in (3, 2, 1)), *letters
 
 
 # -- step tables ---------------------------------------------------------------
@@ -191,6 +187,8 @@ _ODD_ROWS = (
     ("BAA", (1, 0, 1)),
 )
 _ROW_FIRST = {"ABA": 1, "AAA": 2, "BAB": 3, "BBA": 4, "AAB": 8, "BAA": 10}
+# the six row classes that occur, in report order
+ROW_CLASSES = tuple(sorted(_ROW_FIRST))
 # the columns of (a(n), b(n)), from z = {n*(5 - sqrt5)/10}
 _PAIR_SLOPE = (5, -1, 10)
 _PAIRS = (
@@ -246,19 +244,10 @@ def _census(limit: int, counts: dict[str, int], first: dict[str, int]) -> Census
 
 
 def row_class_census(limit: int) -> Census:
-    """Census of row classes for k in [1, limit].
-
-    Any class outside the six admissible ones would disprove the
-    classification; callers should treat such keys as defects.
-    """
+    """Census of row classes for k in [1, limit]: those of ROW_CLASSES that occur, in order of first occurrence."""
     partition._require_limit(limit, MAX_INDEX)
     counts = _piece_counts(limit // 2, _PHI, _EVEN_ROWS, {})
     return _census(limit, _piece_counts((limit + 1) // 2, _PHI, _ODD_ROWS, counts), _ROW_FIRST)
-
-
-def row_class_keys(counts: dict[str, int]) -> list[str]:
-    """Row classes in report order: the admissible ones sorted, then any others in counts, sorted."""
-    return sorted(ADMISSIBLE_ROW_CLASSES) + sorted(counts.keys() - ADMISSIBLE_ROW_CLASSES)
 
 
 def ab_over_scd_census(limit: int) -> Census:
@@ -318,7 +307,7 @@ def density_report(limit: int) -> DensityReport:
         DensityEntry("a-in-D", limit - a_in_c, limit, _A_DENSITY["D"], "proved-density"),
         DensityEntry("s-col-in-A", s_in_a, limit, None, "empirical-open"),
     ]
-    for code in row_class_keys(rows.counts):
+    for code in ROW_CLASSES:
         entries.append(DensityEntry(f"row-class-{code}", rows.counts.get(code, 0), limit, None, "empirical-open"))
     for code in ALL_PAIR_CLASSES:
         entries.append(

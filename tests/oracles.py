@@ -11,7 +11,8 @@ the A/B label of wythoff.classify_ab alone; classify_cd and cd_label
 decide C/D membership by the same counting floor, the C/D counterpart of
 classify_ab, through wythoff._split, and row_class labels one row of the
 three-column partition with three ab_label calls: the per-point
-references for the range scans.  unit_interval_label is the quarter rule, which
+references for the range scans, whose classes must be the six of
+ADMISSIBLE_ROW_CLASSES.  unit_interval_label is the quarter rule, which
 places {m*phi} among the breakpoints of UNIT_INTERVALS by exact
 QuadraticReal comparison: m is B exactly in I1 and C exactly in I1 or
 I3.  With witness_search, the +-1 search around an inverted floor, it
@@ -36,10 +37,11 @@ densities, one isqrt per index.  row_scan, pair_scan and c_half_scan
 are the byte scans over three_set's tag buffer that the censuses ran
 before they counted by floor sums: the references for the step tables
 at every index up to three_set.MAX_INDEX, where the per-index scans
-are too slow.  table_codes labels each index by a step table of
-three_set, one exact comparison per breakpoint, and table_row_codes
-merges the odd and even row tables, to compare with the scans' codes
-index by index.
+are too slow.  row_scan and pair_scan shift planes of kept tags into
+one code per index through select.  table_codes labels each index by a
+step table of three_set, one exact comparison per breakpoint, and
+table_row_codes merges the odd and even row tables, to compare with the
+scans' codes index by index.
 """
 
 from __future__ import annotations
@@ -181,6 +183,10 @@ def col_c(k: int) -> int:
 def col_s(k: int) -> int:
     """k-th element of column S, c(k/2) + 1 for even k and c((k+1)/2) - 1 for odd k."""
     return col_c(k // 2) + 1 if k % 2 == 0 else col_c((k + 1) // 2) - 1
+
+
+# the paper's six row classes, typed apart from three_set's step tables
+ADMISSIBLE_ROW_CLASSES = frozenset({"AAA", "AAB", "ABA", "BAA", "BBA", "BAB"})
 
 
 def row_class(k: int) -> RowClass:
@@ -338,6 +344,11 @@ def tally(codes: bytes | bytearray, names: dict[int, str]) -> three_set.Census:
     return three_set.Census(len(codes), counts, {names[code]: at + 1 for at, code in found})
 
 
+# Tags are 2*column + [v is B]; partition column 1 is D, 2 is C, 3 is S.
+# The row planes are the B bits of the values of S, C and D in order, so
+# shifted in one bit at a time, a row code is
+# 4*[s(k) is B] + 2*[c(k) is B] + [d(k) is B].
+ROW_PLANES = tuple(three_set._keep({2 * column: 0, 2 * column + 1: 1}) for column in (3, 2, 1))
 # The pair planes are the columns (0 for D, 1 for C, 2 for S) of the
 # A-labelled values, a(1), a(2), ..., and of the B-labelled ones, b(1),
 # b(2), ..., so shifted in two bits at a time, a pair code is
@@ -348,15 +359,26 @@ PAIR_CLASSES = {4 * i + j: x + y for i, x in enumerate("DCS") for j, y in enumer
 ROW_CLASSES = dict(enumerate(s + c + d for s in "AB" for c in "AB" for d in "AB"))
 
 
+def select(tags: bytearray, limit: int, shift: int, planes: tuple[tuple[bytes, bytes], ...]) -> bytearray:
+    """Codes of indices 1, ..., limit: the k-th value each plane keeps, shifted in plane by plane.
+
+    Each plane must keep at least limit values, or _shift_in raises
+    ArithmeticError.
+    """
+    codes = bytearray(limit)
+    for keep in planes:
+        three_set._shift_in(codes, shift, tags.translate(*keep))
+    return codes
+
+
 def row_scan(limit: int) -> bytearray:
     """Row codes of k in [1, limit], 4*[s(k) is B] + 2*[c(k) is B] + [d(k) is B], selected from the tags of [1, d(limit)]."""
-    tags = three_set._tagged_values(three_set.THREE_SET_SPEC.term(limit))
-    return three_set._select(tags, limit, 1, three_set._ROW_PLANES)
+    return select(three_set._tagged_values(three_set.THREE_SET_SPEC.term(limit)), limit, 1, ROW_PLANES)
 
 
 def pair_scan(limit: int) -> bytearray:
     """Pair codes of n in [1, limit], 4*column(a(n)) + column(b(n)), selected from the tags of [1, b(limit)]."""
-    return three_set._select(three_set._tagged_values(wythoff.upper(limit)), limit, 2, PAIR_PLANES)
+    return select(three_set._tagged_values(wythoff.upper(limit)), limit, 2, PAIR_PLANES)
 
 
 def c_half_scan(limit: int) -> tuple[int, int]:

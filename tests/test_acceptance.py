@@ -23,14 +23,10 @@ from beattylab.partition import (
     verify_partition,
 )
 from beattylab.qfield import INV_PHI, INV_PHI_SQ, QuadraticReal, SQRT2, fib
-from beattylab.three_set import (
-    ADMISSIBLE_ROW_CLASSES,
-    density_report,
-    row_class_census,
-)
+from beattylab.three_set import density_report, row_class_census
 from beattylab.identities import fib_shift_converse
 from beattylab.wythoff import klm, lower
-from oracles import density_entry, limiting_prefix_check, linear_form
+from oracles import ADMISSIBLE_ROW_CLASSES, density_entry, limiting_prefix_check, linear_form
 
 N_DESK = 100_000
 

@@ -141,6 +141,23 @@ class TestGen:
         code, _, _ = run_cli("gen", "--n", "3", "--limit", "5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--n", "3", "--h", "phi", "--explicit", "", "--limit", "5"),
+            ("decompose", "--n", "3", "--h", "phi", "--alpha", "", "--m", "7"),
+        ],
+        ids=["gen --explicit ''", "decompose --alpha ''"],
+    )
+    def test_empty_generator_value_counts_as_given(self, run_cli, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (2, "", "error: exactly one of --h, --alpha, --explicit is required\n")
+
+    def test_empty_alpha_alone_is_a_bad_alpha(self, run_cli):
+        code, out, err = run_cli("gen", "--n", "3", "--alpha", "", "--limit", "5")
+        message = f"alpha must be one of {sorted(ALPHA_NAMES)} or p,q,d[,radicand], got ''"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_bad_alpha_exits_2(self, run_cli):
         code, _, _ = run_cli("gen", "--n", "2", "--alpha", "nonsense", "--limit", "5")
         assert code == 2
@@ -763,10 +780,10 @@ RESULT_CALLS = [
 
 
 @pytest.mark.parametrize("argv", RESULT_CALLS, ids=" ".join)
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
 def test_unwritable_out_exits_2(run_cli, tmp_path, argv, where):
-    target = tmp_path / "missing" / "result.out" if where == "missing-directory" else tmp_path
-    code, out, err = run_cli(*argv, "--out", str(target))
+    targets = {"missing-directory": tmp_path / "missing" / "result.out", "directory": tmp_path, "empty": ""}
+    code, out, err = run_cli(*argv, "--out", str(targets[where]))
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1, err
     assert not (tmp_path / "missing").exists()

@@ -16,19 +16,17 @@ from beattylab import partition, three_set
 from beattylab.partition import MAX_LIMIT, build_columns, column_labels, decompose, phi_spec
 from beattylab.qfield import INV_PHI, INV_PHI_SQ, ONE, PHI, QuadraticReal
 from beattylab.three_set import (
-    ADMISSIBLE_ROW_CLASSES,
     ALL_PAIR_CLASSES,
     MAX_INDEX,
     ab_over_scd_census,
     col_s,
     density_report,
     row_class_census,
-    row_class_keys,
     row_columns,
 )
 from beattylab.identities import S_OFFSETS_EVEN, S_OFFSETS_ODD, frac_col_c, frac_col_d, frac_col_s
 from beattylab.wythoff import ABLabel, c_half, classify_ab, frac_phi, lower, standard_fill, upper
-from oracles import CDLabel, ab_label, cd_label, col_c, col_d, density_entry, row_class
+from oracles import ADMISSIBLE_ROW_CLASSES, CDLabel, ab_label, cd_label, col_c, col_d, density_entry, row_class
 
 TABLE_ROWS = [(1, 2, 4), (3, 6, 11), (5, 9, 15), (7, 13, 22), (8, 17, 29), (10, 20, 33)]
 TABLE_CLASSES = ["ABA", "AAA", "BAB", "BBA", "AAA", "BBA"]
@@ -69,11 +67,12 @@ ORACLE_TOP = 10**5
 def scan_limits() -> list[int]:
     """Limits where the bytes scans could go wrong: small ones, Fibonacci numbers and block edges, +-1.
 
-    _shift_in works in blocks of _BLOCK bytes over buffers of limit
-    codes, d(limit) + 1 tags for classify rows and the row scan, and
-    b(limit) + 1 tags and a(limit) c-half marks for the oracles' pair
-    and c-half scans, so each limit where one of those sizes reaches a
-    multiple of _BLOCK is taken with its neighbours.
+    classify rows translates its d(limit) + 1 tags in blocks of _BLOCK
+    bytes, and _shift_in works in such blocks over buffers of limit codes
+    and d(limit) + 1 tags for the row scan, and b(limit) + 1 tags and
+    a(limit) c-half marks for the oracles' pair and c-half scans, so each
+    limit where one of those sizes reaches a multiple of _BLOCK is taken
+    with its neighbours.
     """
     limits = set(range(1, 201)) | {ORACLE_TOP}
     f, g = 1, 2
@@ -156,6 +155,30 @@ class TestRows:
                 row_columns(limit)
         with pytest.raises(ValueError, match="limit must be positive, got 0"):
             row_columns(0)
+
+    def test_letters_stop_at_the_limit_th_value_of_a_column(self):
+        # d(5000) = 29270 tags span two blocks; each plane needs the tags up
+        # to its column's limit-th value, and one tag fewer leaves it short
+        limit = 5000
+        tags = three_set._tagged_values(col_d(limit))
+        for keep, term in zip(three_set._COLUMN_LETTERS, (oracles.col_s, col_c, col_d)):
+            letters = three_set._letters(tags[: term(limit) + 1], limit, keep)
+            assert letters.decode() == "".join(ab_label(term(k)).value for k in range(1, limit + 1))
+            with pytest.raises(ArithmeticError, match=f"hold {limit - 1} values of a column, not {limit}"):
+                three_set._letters(tags[: term(limit)], limit, keep)
+
+    def test_peak_memory_is_the_tags_and_the_word(self):
+        # _tagged_values holds the tags and the B word, d(N) + 1 bytes each;
+        # the letter planes, N bytes each, and the labels, which take the
+        # tags' place, come after the word is released
+        row_columns(100)
+        tracemalloc.start()
+        try:
+            row_columns(MAX_INDEX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (col_d(MAX_INDEX) + 1) + 8 * three_set._BLOCK, peak
 
     def test_c_gaps_are_three_or_four(self):
         for k in range(1, 10**4):
@@ -249,10 +272,10 @@ class TestRowClasses:
             assert cls.c == classify_ab(col_c(k)).label
             assert cls.d == classify_ab(col_d(k)).label
 
-    def test_row_class_keys_put_admissible_classes_first(self):
-        assert row_class_keys({"ABA": 1}) == sorted(ADMISSIBLE_ROW_CLASSES)
-        others = {"BBB": 1, "AAA": 2, "ABB": 1}
-        assert row_class_keys(others) == [*sorted(ADMISSIBLE_ROW_CLASSES), "ABB", "BBB"]
+    def test_report_order_is_sorted(self):
+        assert three_set.ROW_CLASSES == tuple(sorted(ADMISSIBLE_ROW_CLASSES))
+        report = [entry.name for entry in density_report(10).entries if entry.name.startswith("row-class-")]
+        assert report == [f"row-class-{code}" for code in sorted(ADMISSIBLE_ROW_CLASSES)]
 
 
 class TestShiftIn:
@@ -442,6 +465,13 @@ class TestStepTables:
         standard_fill(word, 2 * INV_PHI_SQ, b"C", b"D")
         expected = [chr(word[(n + isqrt(5 * n * n)) // 2 - 1]) for n in range(1, TABLE_TOP + 1)]
         assert oracles.table_codes(TABLE_TOP, three_set._PHI, three_set._A_COLUMNS) == expected
+
+    def test_table_labels_are_the_classes(self):
+        # BBA occurs at even k alone
+        rows = {label for label, _ in three_set._EVEN_ROWS + three_set._ODD_ROWS}
+        assert rows == three_set._ROW_FIRST.keys() and rows == ADMISSIBLE_ROW_CLASSES
+        pairs = {label for label, _ in three_set._PAIRS}
+        assert pairs == three_set._PAIR_FIRST.keys() and pairs <= set(ALL_PAIR_CLASSES)
 
     def test_first_indices_are_the_first_occurrences(self):
         rows = oracles.table_row_codes(20)
