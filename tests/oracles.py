@@ -354,9 +354,10 @@ ROW_PLANES = tuple(three_set._keep({2 * column: 0, 2 * column + 1: 1}) for colum
 # b(2), ..., so shifted in two bits at a time, a pair code is
 # 4*column(a(n)) + column(b(n)).
 PAIR_PLANES = (three_set._keep({2: 0, 4: 1, 6: 2}), three_set._keep({3: 0, 5: 1, 7: 2}))
-PAIR_CLASSES = {4 * i + j: x + y for i, x in enumerate("DCS") for j, y in enumerate("DCS")}
+# the names of the pair codes of pair_scan
+PAIR_CODE_NAMES = {4 * i + j: x + y for i, x in enumerate("DCS") for j, y in enumerate("DCS")}
 # the names of the row codes of row_scan
-ROW_CLASSES = dict(enumerate(s + c + d for s in "AB" for c in "AB" for d in "AB"))
+ROW_CODE_NAMES = dict(enumerate(s + c + d for s in "AB" for c in "AB" for d in "AB"))
 
 
 def select(tags: bytearray, limit: int, shift: int, planes: tuple[tuple[bytes, bytes], ...]) -> bytearray:

@@ -419,10 +419,10 @@ class TestAgainstPerIndexScans:
         assert (census.counts, census.first_index) == expected_rows
         planes = (plane.decode() for plane in three_set.row_columns(limit)[3:])
         assert list(map("".join, zip(*planes))) == rows.codes[:limit]
-        assert scan_census(oracles.row_scan(limit), limit, oracles.ROW_CLASSES) == expected_rows
+        assert scan_census(oracles.row_scan(limit), limit, oracles.ROW_CODE_NAMES) == expected_rows
         census = ab_over_scd_census(limit)
         assert (census.counts, census.first_index) == pairs(limit)
-        assert scan_census(oracles.pair_scan(limit), limit, oracles.PAIR_CLASSES) == pairs(limit)
+        assert scan_census(oracles.pair_scan(limit), limit, oracles.PAIR_CODE_NAMES) == pairs(limit)
         report = density_report(limit)
         for code in ADMISSIBLE_ROW_CLASSES:
             assert density_entry(report, f"row-class-{code}").count == expected_rows[0].get(code, 0)
@@ -452,11 +452,11 @@ class TestStepTables:
     """
 
     def test_row_classes_at_every_index(self):
-        expected = [oracles.ROW_CLASSES[code] for code in oracles.row_scan(TABLE_TOP)]
+        expected = [oracles.ROW_CODE_NAMES[code] for code in oracles.row_scan(TABLE_TOP)]
         assert oracles.table_row_codes(TABLE_TOP) == expected
 
     def test_pair_classes_at_every_index(self):
-        expected = [oracles.PAIR_CLASSES[code] for code in oracles.pair_scan(TABLE_TOP)]
+        expected = [oracles.PAIR_CODE_NAMES[code] for code in oracles.pair_scan(TABLE_TOP)]
         assert oracles.table_codes(TABLE_TOP, three_set._PAIR_SLOPE, three_set._PAIRS) == expected
 
     def test_a_columns_at_every_index(self):
@@ -490,11 +490,11 @@ class TestStepTables:
         top = max(limits)
         rows, pairs = oracles.row_scan(top), oracles.pair_scan(top)
         for limit in limits:
-            expected_rows = scan_census(rows, limit, oracles.ROW_CLASSES)
+            expected_rows = scan_census(rows, limit, oracles.ROW_CODE_NAMES)
             census = row_class_census(limit)
             assert (census.counts, census.first_index) == expected_rows, limit
             assert list(census.counts) == list(census.first_index)  # in order of first occurrence
-            expected_pairs = scan_census(pairs, limit, oracles.PAIR_CLASSES)
+            expected_pairs = scan_census(pairs, limit, oracles.PAIR_CODE_NAMES)
             census = ab_over_scd_census(limit)
             assert (census.counts, census.first_index) == expected_pairs, limit
             assert list(census.counts) == list(census.first_index)
